@@ -2,21 +2,19 @@
 BB84 key-distribution protocol, with the classical nested-code machinery for
 error correction and privacy amplification."""
 
-from .channel import AttackModel, Basis, QubitRecord, measure, transmit
+from .channel import AttackModel, Basis, attack_arrays, measure_bits
 from .codes import (
     CssPair,
     LinearCode,
     SyndromeTable,
     builtin_pair,
-    coset_label,
     decode_to_codeword,
     load_pair,
-    make_css_pair,
     make_golay_23_12,
     make_hamming_7_4,
     random_codeword,
 )
-from .gf2 import BitMatrix, BitVector, add, mat_vec, row_reduce, solve_membership
+from .gf2 import BitMatrix, BitVector, mat_vec, row_reduce, solve_membership
 from .protocol import (
     ProtocolConfig,
     RunOutcome,

@@ -1,51 +1,34 @@
-"""Transmission medium: classical-equivalent qubit records, noise, and
-eavesdropper models.
+"""Transmission medium: noise and eavesdropper models, and batch measurement.
 
 The four prepare-and-measure states admit an exact classical description for
 the modeled attacks: a matched-basis measurement returns the prepared bit
 plus accumulated flips, a mismatched one is a fair coin, and interception in
-the wrong basis re-randomizes the record.  No amplitude-level state is kept;
+the wrong basis re-randomizes the qubit.  No amplitude-level state is kept;
 the interceptor's re-prepared state is modeled by basis-conditional
 re-randomization at measurement time, which is statistically identical.
 
 Randomness contract (relied on for reproducibility): `attack_arrays` draws
 from the supplied generator in a fixed order and with shapes that depend
 only on the attack kind and transmission length, never on sampled values.
+`measure_bits` draws nothing; its random outcomes are the supplied coins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 
-__all__ = ["Basis", "QubitRecord", "AttackModel", "attack_arrays", "transmit", "measure"]
+__all__ = ["Basis", "AttackModel", "attack_arrays", "measure_bits"]
 
 
 class Basis(IntEnum):
     Z = 0
     X = 1
-
-
-@dataclass(frozen=True)
-class QubitRecord:
-    """One transmitted qubit, classically: its preparation and any tampering.
-
-    Flags are set only by channel/attack operations, never by party logic.
-    """
-
-    prep_basis: Basis
-    prep_bit: int
-    flipped_in_prep_basis: bool = False
-    eve_measured_basis: Optional[Basis] = None
-
-    def __post_init__(self):
-        if self.prep_bit not in (0, 1):
-            raise ValueError(f"prep_bit must be 0 or 1, got {self.prep_bit!r}")
 
 
 _KINDS = ("none", "bitflip", "intercept_resend", "correlated_positions")
@@ -130,27 +113,40 @@ def attack_arrays(attack: AttackModel, n: int, rng: np.random.Generator):
     return flip, eve
 
 
-def transmit(qubits: Sequence[QubitRecord], attack: AttackModel,
-             rng: np.random.Generator) -> list[QubitRecord]:
-    """Pass records through the channel under the given attack."""
-    if attack.kind == "none":
-        return list(qubits)
-    flip, eve = attack_arrays(attack, len(qubits), rng)
-    out = []
-    for i, q in enumerate(qubits):
-        new_flip = q.flipped_in_prep_basis ^ bool(flip[i])
-        new_eve = Basis(int(eve[i])) if eve[i] >= 0 else q.eve_measured_basis
-        if new_flip != q.flipped_in_prep_basis or new_eve != q.eve_measured_basis:
-            q = replace(q, flipped_in_prep_basis=new_flip, eve_measured_basis=new_eve)
-        out.append(q)
-    return out
+def measure_bits(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin):
+    """Measurement outcomes for a batch of transmitted qubits.
 
+    Args:
+        prep_basis: uint8 array, preparation basis per position (0=Z, 1=X).
+        prep_bit: uint8 array, prepared bit values.
+        flip: uint8 array, 1 where the channel flipped the bit in its
+            preparation basis.
+        eve_basis: int8 array, interceptor's measurement basis per position,
+            -1 where the position was not intercepted.
+        bob_basis: uint8 array, receiver's measurement basis.
+        coin: uint8 array, pre-drawn fair coins used wherever the outcome is
+            random (mismatched measurement basis, or interception in the
+            wrong basis).
 
-def measure(q: QubitRecord, basis: Basis, rng: np.random.Generator) -> int:
-    """Measure one record in the given basis; draws a coin only when the
-    outcome is genuinely random."""
-    if q.eve_measured_basis is not None and q.eve_measured_basis != q.prep_basis:
-        return int(rng.integers(0, 2))
-    if basis == q.prep_basis:
-        return q.prep_bit ^ int(q.flipped_in_prep_basis)
-    return int(rng.integers(0, 2))
+    Returns:
+        uint8 array of measured bits, same length as the inputs.
+
+    Raises:
+        DimensionError: an input's length differs from prep_basis's.
+    """
+    prep_basis = np.asarray(prep_basis, dtype=np.uint8)
+    n = prep_basis.shape[0]
+    prep_bit = np.asarray(prep_bit, dtype=np.uint8)
+    flip = np.asarray(flip, dtype=np.uint8)
+    eve_basis = np.asarray(eve_basis, dtype=np.int8)
+    bob_basis = np.asarray(bob_basis, dtype=np.uint8)
+    coin = np.asarray(coin, dtype=np.uint8)
+    for arr in (prep_bit, flip, eve_basis, bob_basis, coin):
+        if arr.shape != (n,):
+            raise DimensionError(f"measurement input shape {arr.shape} != ({n},)")
+    # A qubit whose interceptor measured in the wrong basis is re-randomized,
+    # whatever Bob does; otherwise a matched-basis measurement is the prepared
+    # bit plus any in-channel flip, and a mismatched one is a fair coin.
+    scrambled = (eve_basis >= 0) & (eve_basis != prep_basis)
+    deterministic = ~scrambled & (bob_basis == prep_basis)
+    return np.where(deterministic, prep_bit ^ flip, coin).astype(np.uint8)

@@ -23,7 +23,6 @@ __all__ = [
     "LinearCode",
     "SyndromeTable",
     "CssPair",
-    "make_css_pair",
     "make_hamming_7_4",
     "make_hamming_dual_7_3",
     "make_golay_23_12",
@@ -32,7 +31,6 @@ __all__ = [
     "BUILTIN_PAIR_NAMES",
     "random_codeword",
     "decode_to_codeword",
-    "coset_label",
     "parse_code",
     "format_code",
     "parse_pair",
@@ -227,15 +225,6 @@ class CssPair:
         return (f"CssPair(outer=[{self.outer.n},{self.outer.k},{self.outer.d}], "
                 f"inner=[{self.inner.n},{self.inner.k},{self.inner.d}], "
                 f"key_width={self.key_width})")
-
-
-def make_css_pair(c1: LinearCode, c2: LinearCode) -> CssPair:
-    """Validate containment c2 <= c1 and build the pair."""
-    return CssPair(c1, c2)
-
-
-def coset_label(pair: CssPair, codeword: BitVector) -> BitVector:
-    return pair.coset_label(codeword)
 
 
 def _build_label_matrix(outer: LinearCode, inner: LinearCode) -> BitMatrix:

@@ -19,7 +19,6 @@ from .errors import DimensionError
 __all__ = [
     "BitVector",
     "BitMatrix",
-    "add",
     "mat_vec",
     "row_reduce",
     "solve_membership",
@@ -197,11 +196,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
-
-
-def add(a: BitVector, b: BitVector) -> BitVector:
-    """Componentwise XOR of two equal-length vectors."""
-    return a ^ b
 
 
 def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:

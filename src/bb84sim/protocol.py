@@ -25,8 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
-from .channel import AttackModel, Basis, QubitRecord, attack_arrays
+from .channel import AttackModel, attack_arrays, measure_bits
 from .codes import CssPair, decode_to_codeword, random_codeword
 from .errors import (
     ConfigError,
@@ -45,7 +44,6 @@ __all__ = [
     "RunOutcome",
     "RunArtifacts",
     "ReplayResult",
-    "alice_prepare",
     "sift",
     "check_and_decide",
     "stage_correct_and_amplify",
@@ -225,22 +223,6 @@ def _draw_preparation(config: ProtocolConfig, rng: np.random.Generator):
     return bits, b
 
 
-def alice_prepare(config: ProtocolConfig, rng: np.random.Generator):
-    """Create one attempt's qubit records: basis Z where the basis string is
-    0, X where 1, carrying uniform random bit values.
-
-    Returns:
-        (records, AliceState): the in-flight records and Alice's private
-        retained bits and basis string.
-    """
-    bits, b = _draw_preparation(config, rng)
-    records = [
-        QubitRecord(Basis(int(b[i])), int(bits[i]))
-        for i in range(config.transmitted_count)
-    ]
-    return records, AliceState(bits=bits, b=b)
-
-
 def sift(alice: AliceState, bob_bases: np.ndarray, config: ProtocolConfig,
          rng: np.random.Generator) -> SiftSelection:
     """Discard mismatched bases and let Alice pick working and check sets.
@@ -365,7 +347,7 @@ def run_protocol_full(config: ProtocolConfig, attack: AttackModel = AttackModel.
         bob_bases = party.integers(0, 2, size=n, dtype=np.uint8)
         flip, eve = attack_arrays(attack, n, channel)
         coins = channel.integers(0, 2, size=n, dtype=np.uint8)
-        bob_bits = kernels.measure_bits(b, bits, flip, eve, bob_bases, coins)
+        bob_bits = measure_bits(b, bits, flip, eve, bob_bases, coins)
         alice = AliceState(bits=bits, b=b)
         try:
             selection = sift(alice, bob_bases, config, party)
@@ -494,6 +476,19 @@ def run_protocol_full(config: ProtocolConfig, attack: AttackModel = AttackModel.
                         bob_bases, bob_bits)
 
 
+def _check_block_geometry(stage: int, blocks: Sequence[BlockAnnouncement],
+                          count: int, n: int) -> None:
+    """Raise TranscriptError unless a stage announced `count` blocks of n bits."""
+    if len(blocks) != count:
+        raise TranscriptError(
+            f"{len(blocks)} stage-{stage} blocks, but the configured code pairs use {count}")
+    for blk in blocks:
+        if len(blk.positions) != n:
+            raise TranscriptError(
+                f"stage-{stage} block {blk.index} has {len(blk.positions)} bits, "
+                f"but the configured code pair has n={n}")
+
+
 def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarray,
                config: ProtocolConfig) -> ReplayResult:
     """Recompute Bob's entire post-processing from his measurement record and
@@ -514,11 +509,17 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
             raise TranscriptError(f"kept position {p} outside transmission length {n}")
         if int(bob_bases[p]) != transcript.b[p]:
             raise TranscriptError(f"kept position {p} was not measured in the announced basis")
+    if len(transcript.check_positions) != config.check_count:
+        raise TranscriptError(
+            f"{len(transcript.check_positions)} check positions, but the configured "
+            f"code pairs use {config.check_count}")
     check = np.asarray(transcript.check_positions, dtype=np.int64)
     bob_check = _pack(bob_bits[check])
     rate, abort = check_and_decide(transcript.alice_check_values, bob_check, config)
     if abort:
         return ReplayResult(None, rate, True, 0, 0)
+    _check_block_geometry(1, transcript.stage1_blocks, config.stage1_block_count, config.n1)
+    _check_block_geometry(2, transcript.stage2_blocks, config.stage2_block_count, config.n2)
 
     kept_set = set(transcript.kept_positions)
     check_set = set(transcript.check_positions)

@@ -23,7 +23,7 @@ import pytest
 
 from bb84sim.channel import AttackModel
 from bb84sim.cli import _read_bob_file, main as cli_main
-from bb84sim.codes import builtin_pair, coset_label, decode_to_codeword
+from bb84sim.codes import builtin_pair, decode_to_codeword
 from bb84sim.gf2 import BitVector
 from bb84sim.protocol import (
     ProtocolConfig,
@@ -112,7 +112,7 @@ def test_04_half_distance_robustness():
             decoded, err = decode_to_codeword(STEANE.outer, u + BitVector.unit(7, j))
             if decoded != u or err != BitVector.unit(7, j):
                 exhaustive_ok = False
-            if coset_label(STEANE, decoded) != coset_label(STEANE, u):
+            if STEANE.coset_label(decoded) != STEANE.coset_label(u):
                 exhaustive_ok = False
     agreements = 0
     for seed in range(100):
@@ -131,7 +131,7 @@ def test_05_coset_label_oracle():
     inner_words = {cw.word for cw in STEANE.inner.codewords()}
     by_label = {}
     for cw in STEANE.outer.codewords():
-        by_label.setdefault(coset_label(STEANE, cw).word, []).append(cw)
+        by_label.setdefault(STEANE.coset_label(cw).word, []).append(cw)
     ok = len(by_label) == 2
     for group in by_label.values():
         ok &= len(group) == 8
@@ -233,7 +233,7 @@ def weight2_label_mismatch_fixture():
             err = BitVector.from_bits([1 if i in pos else 0 for i in range(7)])
             decoded, _ = decode_to_codeword(STEANE.outer, u + err)
             total += 1
-            mismatches += coset_label(STEANE, decoded) != coset_label(STEANE, u)
+            mismatches += STEANE.coset_label(decoded) != STEANE.coset_label(u)
     return mismatches / total
 
 

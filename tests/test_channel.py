@@ -3,13 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from bb84sim import kernels
-from bb84sim.channel import AttackModel, Basis, QubitRecord, attack_arrays, measure, transmit
+from bb84sim.channel import AttackModel, Basis, attack_arrays, measure_bits
 from bb84sim.errors import ConfigError
 
 
 def all_states():
-    return [QubitRecord(basis, bit) for basis in (Basis.Z, Basis.X) for bit in (0, 1)]
+    # (prep_basis, prep_bit) arrays over the four prepare-and-measure states
+    prep_basis = np.array([Basis.Z, Basis.Z, Basis.X, Basis.X], dtype=np.uint8)
+    prep_bit = np.array([0, 1, 0, 1], dtype=np.uint8)
+    return prep_basis, prep_bit
+
+
+def untouched(n):
+    return np.zeros(n, dtype=np.uint8), np.full(n, -1, dtype=np.int8)
 
 
 def intercept_error_probability_oracle():
@@ -44,37 +50,39 @@ class TestAttackModel:
         attack = AttackModel.correlated_positions([3, 9], 1.0)
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError, match="outside transmission length"):
-            transmit(all_states(), attack, rng)
+            attack_arrays(attack, 4, rng)
 
 
 class TestTransmit:
     def test_none_is_identity(self):
         rng = np.random.default_rng(0)
-        qs = all_states()
-        assert transmit(qs, AttackModel.none(), rng) == qs
+        flip, eve = attack_arrays(AttackModel.none(), 4, rng)
+        assert not flip.any()
+        assert (eve == -1).all()
 
     def test_certain_bitflip(self):
         rng = np.random.default_rng(1)
-        out = transmit(all_states(), AttackModel.bitflip(1.0), rng)
-        assert all(q.flipped_in_prep_basis for q in out)
+        flip, eve = attack_arrays(AttackModel.bitflip(1.0), 4, rng)
+        assert flip.all()
+        assert (eve == -1).all()
 
     def test_zero_bitflip(self):
         rng = np.random.default_rng(2)
-        out = transmit(all_states(), AttackModel.bitflip(0.0), rng)
-        assert not any(q.flipped_in_prep_basis for q in out)
+        flip, _ = attack_arrays(AttackModel.bitflip(0.0), 4, rng)
+        assert not flip.any()
 
     def test_full_intercept_marks_every_record(self):
         rng = np.random.default_rng(3)
-        out = transmit(all_states() * 10, AttackModel.intercept_resend(1.0), rng)
-        assert all(q.eve_measured_basis is not None for q in out)
+        flip, eve = attack_arrays(AttackModel.intercept_resend(1.0), 40, rng)
+        assert (eve >= 0).all()
+        assert not flip.any()
 
     def test_correlated_touches_only_listed_positions(self):
         rng = np.random.default_rng(4)
-        qs = [QubitRecord(Basis.Z, 0) for _ in range(20)]
         attack = AttackModel.correlated_positions([2, 11, 17], 1.0)
-        out = transmit(qs, attack, rng)
-        flipped = {i for i, q in enumerate(out) if q.flipped_in_prep_basis}
-        assert flipped == {2, 11, 17}
+        flip, eve = attack_arrays(attack, 20, rng)
+        assert set(np.flatnonzero(flip)) == {2, 11, 17}
+        assert (eve == -1).all()
 
     def test_intercept_error_rate_oracle_and_monte_carlo(self):
         assert intercept_error_probability_oracle() == 0.25
@@ -85,7 +93,7 @@ class TestTransmit:
         flip, eve = attack_arrays(AttackModel.intercept_resend(1.0), n, rng)
         coin = rng.integers(0, 2, n, dtype=np.uint8)
         # receiver measures in the preparation basis (the sifted case)
-        got = kernels.measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
+        got = measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
         err = float(np.mean(got != prep_bit))
         tol = 3 * math.sqrt(0.25 * 0.75 / n)
         assert abs(err - 0.25) < tol
@@ -93,47 +101,59 @@ class TestTransmit:
 
 class TestMeasure:
     def test_matched_basis_clean(self):
-        rng = np.random.default_rng(0)
-        assert measure(QubitRecord(Basis.Z, 0), Basis.Z, rng) == 0
-        assert measure(QubitRecord(Basis.X, 1), Basis.X, rng) == 1
+        prep_basis = np.array([Basis.Z, Basis.X], dtype=np.uint8)
+        prep_bit = np.array([0, 1], dtype=np.uint8)
+        flip, eve = untouched(2)
+        coin = 1 - prep_bit  # a deterministic outcome ignores the coin
+        got = measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
+        assert list(got) == [0, 1]
 
     def test_flip_flag_honored(self):
-        rng = np.random.default_rng(0)
-        q = QubitRecord(Basis.Z, 0, flipped_in_prep_basis=True)
-        assert measure(q, Basis.Z, rng) == 1
+        _, eve = untouched(1)
+        got = measure_bits([Basis.Z], [0], [1], eve, [Basis.Z], [0])
+        assert list(got) == [1]
 
     def test_mismatched_basis_is_fair_coin(self):
         rng = np.random.default_rng(9)
         n = 100_000
-        q = QubitRecord(Basis.Z, 0)
-        ones = sum(measure(q, Basis.X, rng) for _ in range(n))
+        zeros, eve = untouched(n)  # state Z,0 measured in X
+        coin = rng.integers(0, 2, n, dtype=np.uint8)
+        got = measure_bits(zeros, zeros, zeros, eve, np.ones(n, dtype=np.uint8), coin)
+        assert np.array_equal(got, coin)
         tol = 3 * math.sqrt(0.25 / n)
-        assert abs(ones / n - 0.5) < tol
+        assert abs(float(np.mean(got)) - 0.5) < tol
 
     def test_mismatched_basis_coin_bulk(self):
-        # same check at one million samples through the batch kernel
+        # same check at one million samples
         rng = np.random.default_rng(10)
         n = 1_000_000
         zeros = np.zeros(n, dtype=np.uint8)
         eve = np.full(n, -1, dtype=np.int8)
         coin = rng.integers(0, 2, n, dtype=np.uint8)
-        got = kernels.measure_bits(zeros, zeros, zeros, eve, np.ones(n, dtype=np.uint8), coin)
+        got = measure_bits(zeros, zeros, zeros, eve, np.ones(n, dtype=np.uint8), coin)
         tol = 3 * math.sqrt(0.25 / n)
         assert abs(float(np.mean(got)) - 0.5) < tol
 
     def test_identity_on_clean_matched_channel(self):
         rng = np.random.default_rng(0)
-        for q in all_states():
-            (sent,) = transmit([q], AttackModel.none(), rng)
-            assert measure(sent, sent.prep_basis, rng) == q.prep_bit
+        prep_basis, prep_bit = all_states()
+        flip, eve = attack_arrays(AttackModel.none(), 4, rng)
+        coin = 1 - prep_bit
+        got = measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
+        assert np.array_equal(got, prep_bit)
 
     def test_scrambled_record_random_even_in_prep_basis(self):
+        # interception in the wrong basis leaves a fair coin even where the
+        # receiver measures in the preparation basis
         rng = np.random.default_rng(12)
-        q = QubitRecord(Basis.Z, 0, eve_measured_basis=Basis.X)
         n = 50_000
-        ones = sum(measure(q, Basis.Z, rng) for _ in range(n))
+        zeros = np.zeros(n, dtype=np.uint8)  # state Z,0 measured in Z
+        eve = np.full(n, Basis.X, dtype=np.int8)
+        coin = rng.integers(0, 2, n, dtype=np.uint8)
+        got = measure_bits(zeros, zeros, zeros, eve, zeros, coin)
+        assert np.array_equal(got, coin)
         tol = 3 * math.sqrt(0.25 / n)
-        assert abs(ones / n - 0.5) < tol
+        assert abs(float(np.mean(got)) - 0.5) < tol
 
 
 class TestChannelStatistics:
@@ -145,7 +165,7 @@ class TestChannelStatistics:
         prep_bit = rng.integers(0, 2, n, dtype=np.uint8)
         flip, eve = attack_arrays(AttackModel.bitflip(p), n, rng)
         coin = rng.integers(0, 2, n, dtype=np.uint8)
-        got = kernels.measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
+        got = measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
         err = float(np.mean(got != prep_bit))
         assert abs(err - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -157,7 +177,7 @@ class TestChannelStatistics:
         prep_bit = rng.integers(0, 2, n, dtype=np.uint8)
         flip, eve = attack_arrays(AttackModel.intercept_resend(f), n, rng)
         coin = rng.integers(0, 2, n, dtype=np.uint8)
-        got = kernels.measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
+        got = measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
         err = float(np.mean(got != prep_bit))
         expected = f / 4
         assert abs(err - expected) < 3 * math.sqrt(expected * (1 - expected) / n)

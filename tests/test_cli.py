@@ -189,6 +189,18 @@ class TestReplayErrors:
         assert code == 3
         assert "missing tag" in err
 
+    @pytest.mark.parametrize("flag", ["--stage1-pair", "--stage2-pair"])
+    def test_wrong_code_pair_exit_three(self, capsys, tmp_path, flag):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--trials", "1", "--seed", "1", "--out-dir", str(out_dir),
+                "--dump-transcripts")
+        tpath = next((out_dir / "transcripts").glob("*.transcript"))
+        bpath = next((out_dir / "transcripts").glob("*.bob"))
+        code, _, err = run_cli(capsys, "replay", str(tpath), str(bpath), flag, "golay")
+        assert code == 3
+        assert err.startswith("parse error:")
+        assert "Traceback" not in err
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "replay", str(tmp_path / "nope.transcript"),
                                str(tmp_path / "nope.bob"))
@@ -251,24 +263,3 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     assert "0.009487" in proc.stdout
 
-
-def test_backend_choice_never_changes_results(tmp_path):
-    # the compiled and pure-python kernels must be interchangeable
-    # bit-for-bit: forcing each backend in a subprocess yields byte-identical
-    # trial CSVs
-    import os
-    import sys
-
-    pytest.importorskip("bb84sim.kernels._ckernels")
-    outputs = {}
-    for backend in ("python", "c"):
-        out_dir = tmp_path / backend
-        env = dict(os.environ, BB84SIM_KERNELS=backend)
-        proc = subprocess.run(
-            [sys.executable, "-m", "bb84sim.cli", "run", "--trials", "25", "--seed", "13",
-             "--attack", "intercept_resend", "--noise-p", "0.5", "--out-dir", str(out_dir)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        outputs[backend] = (out_dir / "trials.csv").read_bytes()
-    assert outputs["python"] == outputs["c"]

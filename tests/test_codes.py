@@ -7,11 +7,9 @@ from bb84sim.codes import (
     CssPair,
     SyndromeTable,
     builtin_pair,
-    coset_label,
     decode_to_codeword,
     format_code,
     format_pair,
-    make_css_pair,
     make_golay_23_12,
     make_golay_dual_23_11,
     make_hamming_7_4,
@@ -177,7 +175,7 @@ class TestCssPair:
 
     def test_degenerate_pair_rejected(self, hamming):
         with pytest.raises(InvalidPairError, match="key_width"):
-            make_css_pair(hamming, hamming)
+            CssPair(hamming, hamming)
 
     def test_containment_violation_names_row(self, hamming):
         # a "code" whose generator includes a non-codeword of the Hamming code
@@ -189,34 +187,34 @@ class TestCssPair:
             name="bad",
         )
         with pytest.raises(InvalidPairError, match="row 1"):
-            make_css_pair(hamming, bad)
+            CssPair(hamming, bad)
 
     def test_block_length_mismatch(self, hamming):
         golay = make_golay_23_12()
         with pytest.raises(Exception):
-            make_css_pair(golay, hamming)
+            CssPair(golay, hamming)
 
 
 class TestCosetLabel:
     def test_inner_codewords_label_zero(self, steane):
         for cw in steane.inner.codewords():
-            assert coset_label(steane, cw).is_zero()
+            assert steane.coset_label(cw).is_zero()
 
     def test_all_ones_labels_one(self, steane):
         # all-ones has odd weight while every simplex codeword has even
         # weight, so it lies outside the inner code
-        assert str(coset_label(steane, BitVector.from_string("1111111"))) == "1"
+        assert str(steane.coset_label(BitVector.from_string("1111111"))) == "1"
 
     def test_coset_invariance(self, steane):
         rng = np.random.default_rng(5)
         for _ in range(20):
             v = random_codeword(steane.outer, rng)
             w = random_codeword(steane.inner, rng)
-            assert coset_label(steane, v) == coset_label(steane, v + w)
+            assert steane.coset_label(v) == steane.coset_label(v + w)
 
     def test_rejects_non_codeword(self, steane):
         with pytest.raises(NotInCodeError):
-            coset_label(steane, BitVector.from_string("1000000"))
+            steane.coset_label(BitVector.from_string("1000000"))
 
     def test_matches_brute_force_partition(self, steane):
         # oracle: partition the 16 outer codewords by membership of their
@@ -225,7 +223,7 @@ class TestCosetLabel:
         outer_words = list(steane.outer.codewords())
         by_label: dict[str, list[BitVector]] = {}
         for cw in outer_words:
-            by_label.setdefault(str(coset_label(steane, cw)), []).append(cw)
+            by_label.setdefault(str(steane.coset_label(cw)), []).append(cw)
         assert len(by_label) == 2 ** steane.key_width
         for group in by_label.values():
             for a in group:
@@ -243,13 +241,13 @@ class TestCosetLabel:
         for _ in range(30):
             a = random_codeword(steane.outer, rng)
             b = random_codeword(steane.outer, rng)
-            assert coset_label(steane, a + b) == coset_label(steane, a) + coset_label(steane, b)
+            assert steane.coset_label(a + b) == steane.coset_label(a) + steane.coset_label(b)
 
     def test_project_label_extends_coset_label(self, steane):
         rng = np.random.default_rng(17)
         for _ in range(20):
             cw = random_codeword(steane.outer, rng)
-            assert steane.project_label(cw) == coset_label(steane, cw)
+            assert steane.project_label(cw) == steane.coset_label(cw)
 
     def test_count_identity(self, steane):
         n_outer = sum(1 for _ in steane.outer.codewords())

@@ -3,21 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from bb84sim import kernels
-from bb84sim.channel import Basis, QubitRecord, measure
+from bb84sim.channel import measure_bits
 from bb84sim.errors import DimensionError
-from bb84sim.kernels import _pykernels
-
-try:
-    from bb84sim.kernels import _ckernels
-except ImportError:
-    _ckernels = None
-
-BACKENDS = [("python", _pykernels)] + ([("c", _ckernels)] if _ckernels else [])
 
 
 def reference_bit(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin):
-    # scalar truth table the kernels must reproduce
+    # scalar truth table the batch measurement must reproduce
     if eve_basis >= 0 and eve_basis != prep_basis:
         return coin
     if bob_basis == prep_basis:
@@ -29,8 +20,7 @@ def all_input_combinations():
     return list(itertools.product((0, 1), (0, 1), (0, 1), (-1, 0, 1), (0, 1), (0, 1)))
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_exhaustive_truth_table(name, impl):
+def test_exhaustive_truth_table():
     combos = all_input_combinations()
     cols = list(zip(*combos))
     prep_basis = np.array(cols[0], dtype=np.uint8)
@@ -39,24 +29,9 @@ def test_exhaustive_truth_table(name, impl):
     eve = np.array(cols[3], dtype=np.int8)
     bob = np.array(cols[4], dtype=np.uint8)
     coin = np.array(cols[5], dtype=np.uint8)
-    got = impl.measure_bits(prep_basis, prep_bit, flip, eve, bob, coin)
+    got = measure_bits(prep_basis, prep_bit, flip, eve, bob, coin)
     expected = np.array([reference_bit(*c) for c in combos], dtype=np.uint8)
     assert np.array_equal(np.asarray(got), expected)
-
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled kernel not built")
-def test_backends_bit_identical():
-    rng = np.random.default_rng(77)
-    for n in (1, 7, 215, 10_001):
-        prep_basis = rng.integers(0, 2, n, dtype=np.uint8)
-        prep_bit = rng.integers(0, 2, n, dtype=np.uint8)
-        flip = rng.integers(0, 2, n, dtype=np.uint8)
-        eve = rng.integers(-1, 2, n).astype(np.int8)
-        bob = rng.integers(0, 2, n, dtype=np.uint8)
-        coin = rng.integers(0, 2, n, dtype=np.uint8)
-        a = _pykernels.measure_bits(prep_basis, prep_bit, flip, eve, bob, coin)
-        b = _ckernels.measure_bits(prep_basis, prep_bit, flip, eve, bob, coin)
-        assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
 def test_wrapper_validates_lengths():
@@ -64,42 +39,9 @@ def test_wrapper_validates_lengths():
     z4 = np.zeros(4, dtype=np.uint8)
     e5 = np.full(5, -1, dtype=np.int8)
     with pytest.raises(DimensionError):
-        kernels.measure_bits(z5, z5, z5, e5, z4, z5)
+        measure_bits(z5, z5, z5, e5, z4, z5)
 
 
 def test_wrapper_coerces_dtypes():
-    got = kernels.measure_bits([0, 0], [1, 1], [0, 0], [-1, -1], [0, 1], [0, 0])
+    got = measure_bits([0, 0], [1, 1], [0, 0], [-1, -1], [0, 1], [0, 0])
     assert list(got) == [1, 0]
-
-
-def test_kernel_agrees_with_record_level_measure():
-    # the batch kernel and the per-record measure() implement the same
-    # semantics; check every deterministic case and the support of the
-    # random ones
-    rng = np.random.default_rng(3)
-    for prep_basis, prep_bit, flip, eve_basis, bob_basis, coin in all_input_combinations():
-        q = QubitRecord(
-            Basis(prep_basis),
-            prep_bit,
-            flipped_in_prep_basis=bool(flip),
-            eve_measured_basis=Basis(eve_basis) if eve_basis >= 0 else None,
-        )
-        kernel_bit = int(
-            kernels.measure_bits(
-                np.array([prep_basis], dtype=np.uint8),
-                np.array([prep_bit], dtype=np.uint8),
-                np.array([flip], dtype=np.uint8),
-                np.array([eve_basis], dtype=np.int8),
-                np.array([bob_basis], dtype=np.uint8),
-                np.array([coin], dtype=np.uint8),
-            )[0]
-        )
-        deterministic = not (eve_basis >= 0 and eve_basis != prep_basis) and bob_basis == prep_basis
-        if deterministic:
-            assert kernel_bit == measure(q, Basis(bob_basis), rng)
-        else:
-            assert kernel_bit == coin  # randomness is exactly the supplied coin
-
-
-def test_backend_reports_name():
-    assert kernels.backend() in ("c", "python")

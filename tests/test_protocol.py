@@ -1,16 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bb84sim.channel import AttackModel
-from bb84sim.codes import builtin_pair, coset_label, random_codeword
-from bb84sim.errors import ConfigError, InsufficientSiftAbort, ProtocolDesyncError
+from bb84sim.codes import builtin_pair, random_codeword
+from bb84sim.errors import (
+    ConfigError,
+    InsufficientSiftAbort,
+    ProtocolDesyncError,
+    TranscriptError,
+)
 from bb84sim.gf2 import BitVector
 from bb84sim.protocol import (
     AliceState,
     ProtocolConfig,
-    alice_prepare,
+    _draw_preparation,
     check_and_decide,
     one_error_per_block,
     replay_bob,
@@ -19,6 +25,7 @@ from bb84sim.protocol import (
     sift,
     stage_correct_and_amplify,
 )
+from bb84sim.transcript import BlockAnnouncement
 
 STEANE = builtin_pair("steane")
 
@@ -68,12 +75,10 @@ class TestConfig:
 class TestAlicePrepare:
     def test_count_and_basis_by_construction(self):
         cfg = steane_config()
-        records, state = alice_prepare(cfg, np.random.default_rng(0))
-        assert len(records) == 215
-        for i, q in enumerate(records):
-            assert int(q.prep_basis) == state.b[i]
-            assert q.prep_bit == state.bits[i]
-            assert not q.flipped_in_prep_basis
+        bits, b = _draw_preparation(cfg, np.random.default_rng(0))
+        assert bits.shape == b.shape == (215,)
+        assert set(np.unique(bits)) <= {0, 1}
+        assert set(np.unique(b)) <= {0, 1}
 
     def test_bit_values_balanced(self):
         cfg = steane_config()
@@ -81,9 +86,9 @@ class TestAlicePrepare:
         total = 0
         ones = 0
         while total < 100_000:
-            _, state = alice_prepare(cfg, rng)
-            total += state.bits.size
-            ones += int(state.bits.sum())
+            bits, _ = _draw_preparation(cfg, rng)
+            total += bits.size
+            ones += int(bits.sum())
         tol = 3 * math.sqrt(0.25 / total)
         assert abs(ones / total - 0.5) < tol
 
@@ -160,7 +165,7 @@ class TestStageCorrectAndAmplify:
             u = random_codeword(STEANE.outer, rng)
             v = BitVector(7, int(rng.integers(0, 128)))
             labels, failed = stage_correct_and_amplify(STEANE, [v], [u + v])
-            assert labels[0] == coset_label(STEANE, u)
+            assert labels[0] == STEANE.coset_label(u)
             assert failed == [False]
 
     def test_single_error_exhaustive(self):
@@ -170,7 +175,7 @@ class TestStageCorrectAndAmplify:
                 v = BitVector.zeros(7)
                 noisy = v + BitVector.unit(7, j)
                 labels, failed = stage_correct_and_amplify(STEANE, [noisy], [u + v])
-                assert labels[0] == coset_label(STEANE, u)
+                assert labels[0] == STEANE.coset_label(u)
                 assert failed == [False]
 
     def test_weight_two_mismatch_fixture(self):
@@ -185,7 +190,7 @@ class TestStageCorrectAndAmplify:
                 err = BitVector.from_bits([1 if i in pos else 0 for i in range(7)])
                 labels, _ = stage_correct_and_amplify(STEANE, [err], [u])
                 total += 1
-                mismatches += labels[0] != coset_label(STEANE, u)
+                mismatches += labels[0] != STEANE.coset_label(u)
         assert total == 336
         assert mismatches / total == 1.0
 
@@ -368,3 +373,59 @@ class TestReplay:
         art = run_protocol_full(cfg)
         with pytest.raises(TranscriptError):
             replay_bob(art.transcript, art.bob_bases[:-1], art.bob_bits[:-1], cfg)
+
+
+def _shortened(blk):
+    # the same block announcement with its last position dropped
+    masked = BitVector.from_bits(blk.masked[i] for i in range(blk.masked.n - 1))
+    return BlockAnnouncement(blk.stage, blk.index, blk.positions[:-1], masked)
+
+
+class TestReplayGeometry:
+    """A transcript that does not fit the configured code pairs is a
+    TranscriptError, whatever the mismatch."""
+
+    def test_check_count_of_other_pairs(self):
+        art = run_protocol_full(steane_config(rng_seed=31))
+        other = steane_config(rng_seed=31, stage2_pair=builtin_pair("golay"))
+        with pytest.raises(TranscriptError, match="49 check positions.* use 161"):
+            replay_bob(art.transcript, art.bob_bases, art.bob_bits, other)
+
+    def test_aborted_transcript_under_other_pairs(self):
+        cfg = steane_config(rng_seed=0)
+        art = run_protocol_full(cfg, AttackModel.intercept_resend(1.0))
+        assert art.outcome.aborted
+        other = steane_config(rng_seed=0, stage1_pair=builtin_pair("golay"))
+        with pytest.raises(TranscriptError, match="check positions"):
+            replay_bob(art.transcript, art.bob_bases, art.bob_bits, other)
+
+    def test_stage1_block_count(self):
+        # steane/golay and golay/steane both compare 161 check bits
+        golay = builtin_pair("golay")
+        cfg = steane_config(rng_seed=5, stage2_pair=golay, abort_threshold=0.2)
+        art = run_protocol_full(cfg)
+        assert not art.outcome.aborted
+        swapped = steane_config(rng_seed=5, stage1_pair=golay, abort_threshold=0.2)
+        with pytest.raises(TranscriptError, match="23 stage-1 blocks.* use 7"):
+            replay_bob(art.transcript, art.bob_bases, art.bob_bits, swapped)
+
+    def test_stage2_block_count(self):
+        # a key-width-4 stage-1 pair keeps steane's geometry up to stage 2
+        from bb84sim.codes import CssPair, LinearCode, make_hamming_7_4
+        from bb84sim.gf2 import BitMatrix
+
+        zero = LinearCode(7, 0, 7, BitMatrix(0, 7, ()), BitMatrix.identity(7), name="zero[7,0]")
+        art = run_protocol_full(steane_config(rng_seed=31))
+        wide = steane_config(rng_seed=31, stage1_pair=CssPair(make_hamming_7_4(), zero))
+        with pytest.raises(TranscriptError, match="1 stage-2 blocks.* use 4"):
+            replay_bob(art.transcript, art.bob_bases, art.bob_bits, wide)
+
+    @pytest.mark.parametrize("stage", [1, 2])
+    def test_block_length(self, stage):
+        cfg = steane_config(rng_seed=31)
+        art = run_protocol_full(cfg)
+        field = f"stage{stage}_blocks"
+        blocks = getattr(art.transcript, field)
+        short = replace(art.transcript, **{field: (_shortened(blocks[0]),) + blocks[1:]})
+        with pytest.raises(TranscriptError, match=f"stage-{stage} block 0 has 6 bits.* n=7"):
+            replay_bob(short, art.bob_bases, art.bob_bits, cfg)
