@@ -9,15 +9,25 @@ Decoding is strict bounded-distance: only error patterns of weight up to
 t = floor((d-1)/2) are tabulated, and a syndrome outside the table raises
 DecodeFailure instead of guessing.  An auditable failure beats a silent
 miscorrection in a security simulator; the protocol layer decides policy.
+
+Codes and pairs also hold their matrices as dense uint8 arrays (built on
+first use and cached on the object), so that callers can syndrome, decode
+and label many blocks at once: `LinearCode.generator_array`,
+`LinearCode.parity_check_t` and `CssPair.check_label_t`, with
+`SyndromeTable.lookup_rows` as the table lookup for many syndromes.  The
+scalar functions below stay the reference.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .errors import DecodeFailure, DimensionError, InvalidPairError, NotInCodeError
-from .gf2 import BitMatrix, BitVector, mat_vec, row_reduce, solve_membership
+from .gf2 import BitMatrix, BitVector, mat_vec, row_reduce, solve_membership, words_to_rows
 
 __all__ = [
     "LinearCode",
@@ -106,20 +116,37 @@ class LinearCode:
             self._table = SyndromeTable.build(self)
         return self._table
 
+    @cached_property
+    def generator_array(self) -> np.ndarray:
+        """G as a (k, n) uint8 array: coefficient rows @ G & 1 are codewords."""
+        return words_to_rows(self.generator.row_words, self.n)
+
+    @cached_property
+    def parity_check_t(self) -> np.ndarray:
+        """H transposed, an (n, n-k) uint8 array: words @ H^T & 1 are their
+        syndromes."""
+        return np.ascontiguousarray(words_to_rows(self.parity_check.row_words, self.n).T)
+
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"LinearCode([{self.n},{self.k},{self.d}]{label})"
 
 
 class SyndromeTable:
-    """Map from syndrome to minimum-weight error, for weights up to t."""
+    """Map from syndrome to minimum-weight error, for weights up to t.
 
-    __slots__ = ("t", "n", "_leaders")
+    The errors are also held as the rows of a uint8 array, with one zero row
+    after them, which `lookup_rows` indexes for many syndromes at once.
+    """
+
+    __slots__ = ("t", "n", "_index", "_errors", "_rows")
 
     def __init__(self, t: int, n: int, leaders: dict[int, int]):
         self.t = t
         self.n = n
-        self._leaders = leaders
+        self._index = {synd: i for i, synd in enumerate(leaders)}
+        self._errors = list(leaders.values())
+        self._rows = words_to_rows(self._errors + [0], n)
 
     @classmethod
     def build(cls, code: LinearCode) -> "SyndromeTable":
@@ -137,16 +164,32 @@ class SyndromeTable:
         return cls(code.t, code.n, leaders)
 
     def lookup(self, syndrome: BitVector) -> Optional[BitVector]:
-        err = self._leaders.get(syndrome.word)
-        if err is None:
+        i = self._index.get(syndrome.word)
+        if i is None:
             return None
-        return BitVector(self.n, err)
+        return BitVector(self.n, self._errors[i])
+
+    def lookup_rows(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`lookup` for each row of a (B, n-k) 0/1 array of syndromes.
+
+        Returns:
+            (errors, failed): the (B, n) tabulated error of each syndrome,
+            and a (B,) bool mask of syndromes outside the table, whose
+            error row is zero.
+        """
+        width = (syndromes.shape[1] + 7) // 8
+        raw = np.packbits(syndromes, axis=1, bitorder="little").tobytes()
+        miss = len(self._errors)
+        keys = (int.from_bytes(raw[i * width:(i + 1) * width], "little")
+                for i in range(len(syndromes)))
+        picks = np.array([self._index.get(key, miss) for key in keys], dtype=np.intp)
+        return self._rows[picks], picks == miss
 
     def __len__(self) -> int:
-        return len(self._leaders)
+        return len(self._errors)
 
     def items(self):
-        return self._leaders.items()
+        return zip(self._index, self._errors)
 
 
 def decode_to_codeword(code: LinearCode, received: BitVector) -> tuple[BitVector, BitVector]:
@@ -202,6 +245,15 @@ class CssPair:
     @property
     def n(self) -> int:
         return self.outer.n
+
+    @cached_property
+    def check_label_t(self) -> np.ndarray:
+        """[H^T | L^T], an (n, n-k + key_width) uint8 array for the outer
+        code's H and the label matrix L: the first n-k columns of
+        words @ check_label_t & 1 are the words' outer syndromes, the rest
+        their projected labels."""
+        label_t = words_to_rows(self._label_matrix.row_words, self.n).T
+        return np.ascontiguousarray(np.hstack([self.outer.parity_check_t, label_t]))
 
     def coset_label(self, codeword: BitVector) -> BitVector:
         """Label of the coset codeword + inner, as key_width bits.

@@ -7,12 +7,16 @@ Row reduction always picks the leftmost pivot, which makes reduced forms
 canonical; both protocol parties therefore derive identical coset labels
 from the public matrices without communicating.
 
-All indices are zero-based.
+All indices are zero-based.  `rows_to_words` and `words_to_rows` convert
+between packed words and rows of (m, n) uint8 arrays under the same bit
+order, for code that works on many vectors at once.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from .errors import DimensionError
 
@@ -22,6 +26,8 @@ __all__ = [
     "mat_vec",
     "row_reduce",
     "solve_membership",
+    "rows_to_words",
+    "words_to_rows",
 ]
 
 
@@ -62,7 +68,10 @@ class BitVector:
 
     @classmethod
     def from_string(cls, s: str) -> "BitVector":
-        return cls.from_bits(int(c) if c in "01" else -1 for c in s)
+        """Vector of a 0/1 string, character i being bit i; "" is length 0."""
+        if s.strip("01"):
+            raise ValueError(f"bit string {s!r} has characters outside 0/1")
+        return cls(len(s), int(s[::-1], 2) if s else 0)
 
     def __len__(self) -> int:
         return self.n
@@ -108,7 +117,7 @@ class BitVector:
         return self.word == 0
 
     def __str__(self) -> str:
-        return "".join("1" if (self.word >> i) & 1 else "0" for i in range(self.n))
+        return format(self.word, f"0{self.n}b")[::-1] if self.n else ""
 
     def __repr__(self) -> str:
         return f"BitVector('{self}')"
@@ -274,3 +283,20 @@ def solve_membership(m: BitMatrix, v: BitVector) -> Optional[BitVector]:
     if residual:
         return None
     return BitVector(m.rows, coeff)
+
+
+def rows_to_words(rows: np.ndarray) -> list[int]:
+    """Pack each row of an (m, n) 0/1 array into a word, column j as bit j."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    m, n = rows.shape
+    width = (n + 7) // 8
+    raw = np.packbits(rows, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(raw[i * width:(i + 1) * width], "little") for i in range(m)]
+
+
+def words_to_rows(words: Sequence[int], n: int) -> np.ndarray:
+    """(len(words), n) uint8 array whose row i holds bits 0..n-1 of words[i]."""
+    width = (n + 7) // 8
+    raw = b"".join(w.to_bytes(width, "little") for w in words)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")

@@ -16,6 +16,16 @@ which makes adversarial experiments reproducible position-by-position.
 Too few basis matches is a restart, not a security abort: the attempt is
 discarded and the quantum phase repeats with fresh randomness, up to
 ``max_restarts`` (then InsufficientSiftAbort propagates).
+
+Both correction stages run on (blocks x n) uint8 arrays, one block per row,
+against the dense matrices each code pair caches (see codes.py): Alice draws
+a stage's masking coefficients in one (blocks x k) draw, which consumes the
+party stream exactly as one draw per block does; syndromes, codewords and
+labels are one matrix product each over all blocks, and decoding is one
+syndrome-table lookup per block.  The stage-1 key is the row-major
+flattening of the stage-1 labels.  BitVector appears only at the boundary:
+the announced masked words, the check strings and the final keys.  Replay
+runs the same receiver stage function as a live run.
 """
 
 from __future__ import annotations
@@ -26,15 +36,15 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .channel import AttackModel, attack_arrays, measure_bits
-from .codes import CssPair, decode_to_codeword, random_codeword
+from .codes import CssPair
 from .errors import (
     ConfigError,
-    DecodeFailure,
     InsufficientSiftAbort,
+    NotInCodeError,
     ProtocolDesyncError,
     TranscriptError,
 )
-from .gf2 import BitVector
+from .gf2 import BitVector, rows_to_words, words_to_rows
 from .transcript import BlockAnnouncement, Transcript
 
 __all__ = [
@@ -192,27 +202,7 @@ class ReplayResult:
 
 
 def _pack(bits: np.ndarray) -> BitVector:
-    n = int(bits.shape[0])
-    if n == 0:
-        return BitVector(0, 0)
-    word = int.from_bytes(np.packbits(bits.astype(np.uint8), bitorder="little").tobytes(), "little")
-    return BitVector(n, word)
-
-
-def _gather(vec: BitVector, positions: Sequence[int]) -> BitVector:
-    word = 0
-    for j, p in enumerate(positions):
-        word |= vec[p] << j
-    return BitVector(len(positions), word)
-
-
-def _concat(parts: Sequence[BitVector]) -> BitVector:
-    word = 0
-    offset = 0
-    for part in parts:
-        word |= part.word << offset
-        offset += part.n
-    return BitVector(offset, word)
+    return BitVector(len(bits), rows_to_words(bits.reshape(1, -1))[0])
 
 
 def _draw_preparation(config: ProtocolConfig, rng: np.random.Generator):
@@ -244,11 +234,13 @@ def sift(alice: AliceState, bob_bases: np.ndarray, config: ProtocolConfig,
     else:
         kept = matched[:target]
         check = kept[:config.check_count]
-    code = np.setdiff1d(kept, check)
+    in_check = np.zeros(bob_bases.shape[0], dtype=bool)
+    in_check[check] = True
+    code = kept[~in_check[kept]]
     return SiftSelection(
-        kept=tuple(int(p) for p in kept),
-        check_positions=tuple(int(p) for p in check),
-        code_positions=tuple(int(p) for p in code),
+        kept=tuple(kept.tolist()),
+        check_positions=tuple(check.tolist()),
+        code_positions=tuple(code.tolist()),
         matched_count=int(matched.size),
     )
 
@@ -269,9 +261,27 @@ def check_and_decide(alice_check: BitVector, bob_check: BitVector,
     return rate, rate > config.abort_threshold
 
 
-def stage_correct_and_amplify(pair: CssPair, blocks: Sequence[BitVector],
-                              announcements: Sequence[BitVector]):
-    """Receiver side of one stage: unmask, correct, and extract coset labels.
+def _labels(pair: CssPair, codewords: np.ndarray,
+            projected: Optional[np.ndarray] = None) -> np.ndarray:
+    """Coset labels of the rows of a (B, n) array of outer codewords.
+
+    Rows flagged in the optional (B,) mask `projected` need not be codewords:
+    they get the projected label (`CssPair.project_label`).
+
+    Raises:
+        NotInCodeError: an unflagged row is not an outer-code codeword.
+    """
+    product = codewords @ pair.check_label_t & 1
+    r = pair.outer.n - pair.outer.k
+    syndromes = product[:, :r] if projected is None else product[~projected, :r]
+    if syndromes.any():
+        raise NotInCodeError(f"{syndromes.any(axis=1).sum()} stage words are not in the outer code")
+    return product[:, r:]
+
+
+def stage_correct_and_amplify(pair: CssPair, blocks: np.ndarray, announcements: np.ndarray):
+    """Receiver side of one stage, over (B, n) 0/1 arrays with one block per
+    row: unmask, correct, and extract coset labels.
 
     For each block the receiver adds the announced u+v to his noisy code bits
     v+e, decodes the result u+e back to a codeword, and keeps the coset label.
@@ -279,41 +289,59 @@ def stage_correct_and_amplify(pair: CssPair, blocks: Sequence[BitVector],
     labeled best-effort (the raw word projected as if error-free).
 
     Returns:
-        (labels, failed): key_width-bit label per block, and per-block
-        decode-failure flags.
+        (labels, failed): a (B, key_width) uint8 array of labels, and a (B,)
+        bool array of decode-failure flags.
     """
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    announcements = np.asarray(announcements, dtype=np.uint8)
     if len(blocks) != len(announcements):
         raise ProtocolDesyncError(
             f"{len(blocks)} blocks but {len(announcements)} announcements")
-    labels: list[BitVector] = []
-    failed: list[bool] = []
-    for block, masked in zip(blocks, announcements):
-        if block.n != pair.n:
-            raise ProtocolDesyncError(f"block length {block.n} != n {pair.n}")
-        unmasked = block + masked  # (v+e) + (u+v) = u+e
-        try:
-            codeword, _ = decode_to_codeword(pair.outer, unmasked)
-            labels.append(pair.coset_label(codeword))
-            failed.append(False)
-        except DecodeFailure:
-            labels.append(pair.project_label(unmasked))
-            failed.append(True)
-    return labels, failed
+    for arr in (blocks, announcements):
+        if arr.ndim != 2 or arr.shape[1] != pair.n:
+            raise ProtocolDesyncError(f"blocks of shape {arr.shape}, need (B, {pair.n})")
+    unmasked = blocks ^ announcements  # (v+e) + (u+v) = u+e
+    error, failed = pair.outer.syndrome_table().lookup_rows(
+        unmasked @ pair.outer.parity_check_t & 1)
+    # a failed row's error is zero, so it is labelled as the raw word
+    return _labels(pair, unmasked ^ error, failed), failed
 
 
-def _alice_stage(pair: CssPair, source_bits, positions_per_block, rng):
-    """Sender side of one stage: draw u per block, announce u+v, keep labels.
+def _alice_stage(pair: CssPair, values: np.ndarray, rng: np.random.Generator):
+    """Sender side of one stage: draw a codeword u per block, announce u+v,
+    keep the coset label of u.
 
-    `source_bits` maps a position to Alice's bit there (callable).
+    `values` holds Alice's bits v, one block per row of a (B, n) array.  The
+    (B, k) coefficient draw consumes the generator exactly as B successive
+    `codes.random_codeword` draws of k coefficients do.
+
+    Returns:
+        (masked, labels): (B, n) announced words u+v and (B, key_width) labels.
     """
-    announcements: list[BitVector] = []
-    labels: list[BitVector] = []
-    for positions in positions_per_block:
-        u = random_codeword(pair.outer, rng)
-        v = BitVector.from_bits([source_bits(p) for p in positions])
-        announcements.append(u + v)
-        labels.append(pair.coset_label(u))
-    return announcements, labels
+    coeffs = rng.integers(0, 2, size=(len(values), pair.outer.k)).astype(np.uint8)
+    u = coeffs @ pair.outer.generator_array & 1
+    return u ^ values, _labels(pair, u)
+
+
+def _announce(stage: int, positions: np.ndarray, masked: np.ndarray):
+    """One BlockAnnouncement per row of (B, n) positions and masked words."""
+    n = positions.shape[1]
+    return tuple(
+        BlockAnnouncement(stage, i, tuple(pos), BitVector(n, word))
+        for i, (pos, word) in enumerate(zip(positions.tolist(), rows_to_words(masked)))
+    )
+
+
+def _inject(injector: Optional[ErrorInjector], stage: int, words: np.ndarray) -> np.ndarray:
+    """Apply the test injector's flips to Bob's (B, n) words, in place."""
+    if injector is not None:
+        n = words.shape[1]
+        for i, row in enumerate(words):
+            for j in injector(stage, i, n):
+                if not 0 <= j < n:
+                    raise IndexError(f"injected flip {j} out of range for block length {n}")
+                row[j] ^= 1
+    return words
 
 
 def run_protocol(config: ProtocolConfig, attack: AttackModel = AttackModel.none(),
@@ -392,71 +420,39 @@ def run_protocol_full(config: ProtocolConfig, attack: AttackModel = AttackModel.
     # stage 1, steps 8-9: Alice assigns code positions to blocks (randomly
     # unless the test hook disabled it) and announces positions and u+v
     code_arr = np.asarray(selection.code_positions, dtype=np.int64)
-    if config.random_assignment:
-        order1 = party.permutation(code_arr)
-    else:
-        order1 = code_arr
-    blocks1_pos = [
-        tuple(int(p) for p in order1[i * config.n1:(i + 1) * config.n1])
-        for i in range(config.stage1_block_count)
-    ]
-    ann1, alice_labels1 = _alice_stage(
-        config.stage1_pair, lambda p: int(bits[p]), blocks1_pos, party)
-    stage1_blocks = tuple(
-        BlockAnnouncement(1, i, blocks1_pos[i], ann1[i])
-        for i in range(config.stage1_block_count)
-    )
+    order1 = party.permutation(code_arr) if config.random_assignment else code_arr
+    pos1 = order1.reshape(config.stage1_block_count, config.n1)
+    masked1, alice_labels1 = _alice_stage(config.stage1_pair, bits[pos1], party)
+    stage1_blocks = _announce(1, pos1, masked1)
 
     # steps 10-11, Bob's side
-    bob_blocks1 = []
-    for i, positions in enumerate(blocks1_pos):
-        w = _pack(bob_bits[np.asarray(positions, dtype=np.int64)])
-        if error_injection is not None:
-            for j in error_injection(1, i, config.n1):
-                w = w + BitVector.unit(config.n1, j)
-        bob_blocks1.append(w)
-    bob_labels1, failed1 = stage_correct_and_amplify(config.stage1_pair, bob_blocks1, ann1)
-    s1_failures = sum(failed1)
+    bob_words1 = _inject(error_injection, 1, bob_bits[pos1])
+    bob_labels1, failed1 = stage_correct_and_amplify(config.stage1_pair, bob_words1, masked1)
+    s1_failures = int(failed1.sum())
     if config.strict_decode and s1_failures:
         return RunArtifacts(
             aborted_outcome("decode_failure"), make_transcript(stage1_blocks), bob_bases, bob_bits)
 
-    alice_key1 = _concat(alice_labels1)
-    bob_key1 = _concat(bob_labels1)
+    alice_key1 = alice_labels1.reshape(-1)
+    bob_key1 = bob_labels1.reshape(-1)
 
     # stage 2 over the stage-1 key bits, mirrored
     total1 = config.stage1_key_bits
-    if config.random_assignment:
-        order2 = party.permutation(total1)
-    else:
-        order2 = np.arange(total1)
-    blocks2_pos = [
-        tuple(int(p) for p in order2[j * config.n2:(j + 1) * config.n2])
-        for j in range(config.stage2_block_count)
-    ]
-    ann2, alice_labels2 = _alice_stage(
-        config.stage2_pair, lambda p: alice_key1[p], blocks2_pos, party)
-    stage2_blocks = tuple(
-        BlockAnnouncement(2, j, blocks2_pos[j], ann2[j])
-        for j in range(config.stage2_block_count)
-    )
+    order2 = party.permutation(total1) if config.random_assignment else np.arange(total1)
+    pos2 = order2.reshape(config.stage2_block_count, config.n2)
+    masked2, alice_labels2 = _alice_stage(config.stage2_pair, alice_key1[pos2], party)
+    stage2_blocks = _announce(2, pos2, masked2)
 
-    bob_blocks2 = []
-    for j, positions in enumerate(blocks2_pos):
-        w = _gather(bob_key1, positions)
-        if error_injection is not None:
-            for jj in error_injection(2, j, config.n2):
-                w = w + BitVector.unit(config.n2, jj)
-        bob_blocks2.append(w)
-    bob_labels2, failed2 = stage_correct_and_amplify(config.stage2_pair, bob_blocks2, ann2)
-    s2_failures = sum(failed2)
+    bob_words2 = _inject(error_injection, 2, bob_key1[pos2])
+    bob_labels2, failed2 = stage_correct_and_amplify(config.stage2_pair, bob_words2, masked2)
+    s2_failures = int(failed2.sum())
     if config.strict_decode and s2_failures:
         return RunArtifacts(
             aborted_outcome("decode_failure"),
             make_transcript(stage1_blocks, stage2_blocks), bob_bases, bob_bits)
 
-    alice_key = _concat(alice_labels2)
-    bob_key = _concat(bob_labels2)
+    alice_key = _pack(alice_labels2.reshape(-1))
+    bob_key = _pack(bob_labels2.reshape(-1))
     if alice_key.n != config.final_key_bits:
         raise ProtocolDesyncError(
             f"final key length {alice_key.n} != expected {config.final_key_bits}")
@@ -489,6 +485,15 @@ def _check_block_geometry(stage: int, blocks: Sequence[BlockAnnouncement],
                 f"but the configured code pair has n={n}")
 
 
+def _first_invalid(positions: np.ndarray, n: int, valid: np.ndarray) -> Optional[int]:
+    """The first of `positions` that lies outside [0, n) or where the (n,)
+    mask `valid` is False; None if there is none."""
+    bad = (positions < 0) | (positions >= n)
+    inside = ~bad
+    bad[inside] = ~valid[positions[inside]]
+    return int(positions[np.argmax(bad)]) if bad.any() else None
+
+
 def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarray,
                config: ProtocolConfig) -> ReplayResult:
     """Recompute Bob's entire post-processing from his measurement record and
@@ -504,16 +509,25 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     if bob_bases.shape != (n,) or bob_bits.shape != (n,):
         raise TranscriptError(
             f"measurement record length {bob_bases.shape} does not match transmission {n}")
-    for p in transcript.kept_positions:
-        if p >= n:
+    kept = np.asarray(transcript.kept_positions, dtype=np.int64)
+    announced = words_to_rows([transcript.b.word], n)[0]
+    p = _first_invalid(kept, n, bob_bases == announced)
+    if p is not None:
+        if not 0 <= p < n:
             raise TranscriptError(f"kept position {p} outside transmission length {n}")
-        if int(bob_bases[p]) != transcript.b[p]:
-            raise TranscriptError(f"kept position {p} was not measured in the announced basis")
+        raise TranscriptError(f"kept position {p} was not measured in the announced basis")
     if len(transcript.check_positions) != config.check_count:
         raise TranscriptError(
             f"{len(transcript.check_positions)} check positions, but the configured "
             f"code pairs use {config.check_count}")
     check = np.asarray(transcript.check_positions, dtype=np.int64)
+    is_kept = np.zeros(n, dtype=bool)
+    is_kept[kept] = True
+    p = _first_invalid(check, n, is_kept)
+    if p is not None:
+        if not 0 <= p < n:
+            raise TranscriptError(f"check position {p} outside transmission length {n}")
+        raise TranscriptError(f"check position {p} is not a kept position")
     bob_check = _pack(bob_bits[check])
     rate, abort = check_and_decide(transcript.alice_check_values, bob_check, config)
     if abort:
@@ -533,15 +547,12 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     if covered | check_set != kept_set:
         raise TranscriptError("stage-1 blocks and check bits do not partition the kept positions")
 
-    blocks1 = [
-        _pack(bob_bits[np.asarray(blk.positions, dtype=np.int64)])
-        for blk in transcript.stage1_blocks
-    ]
     labels1, failed1 = stage_correct_and_amplify(
-        config.stage1_pair, blocks1, [blk.masked for blk in transcript.stage1_blocks])
-    bob_key1 = _concat(labels1)
+        config.stage1_pair, bob_bits[_block_positions(transcript.stage1_blocks)],
+        _block_words(transcript.stage1_blocks, config.n1))
+    bob_key1 = labels1.reshape(-1)
 
-    total1 = bob_key1.n
+    total1 = bob_key1.size
     seen2: set[int] = set()
     for blk in transcript.stage2_blocks:
         for p in blk.positions:
@@ -552,10 +563,21 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     if len(seen2) != total1:
         raise TranscriptError("stage-2 blocks do not consume every stage-1 key bit")
 
-    blocks2 = [_gather(bob_key1, blk.positions) for blk in transcript.stage2_blocks]
     labels2, failed2 = stage_correct_and_amplify(
-        config.stage2_pair, blocks2, [blk.masked for blk in transcript.stage2_blocks])
-    return ReplayResult(_concat(labels2), rate, False, sum(failed1), sum(failed2))
+        config.stage2_pair, bob_key1[_block_positions(transcript.stage2_blocks)],
+        _block_words(transcript.stage2_blocks, config.n2))
+    return ReplayResult(_pack(labels2.reshape(-1)), rate, False,
+                        int(failed1.sum()), int(failed2.sum()))
+
+
+def _block_positions(blocks: Sequence[BlockAnnouncement]) -> np.ndarray:
+    """(B, n) positions of announced blocks of equal length n."""
+    return np.array([blk.positions for blk in blocks], dtype=np.int64)
+
+
+def _block_words(blocks: Sequence[BlockAnnouncement], n: int) -> np.ndarray:
+    """(B, n) masked words of announced blocks of length n."""
+    return words_to_rows([blk.masked.word for blk in blocks], n)
 
 
 def one_error_per_block(rng: np.random.Generator) -> ErrorInjector:

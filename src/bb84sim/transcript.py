@@ -60,7 +60,7 @@ class Transcript:
 
 
 def _positions_str(positions) -> str:
-    return ",".join(str(p) for p in positions)
+    return ",".join(map(str, positions))
 
 
 def dump_transcript(t: Transcript) -> str:

@@ -201,6 +201,23 @@ class TestReplayErrors:
         assert err.startswith("parse error:")
         assert "Traceback" not in err
 
+    def test_check_position_outside_transmission_exit_three(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--trials", "1", "--seed", "1", "--out-dir", str(out_dir),
+                "--dump-transcripts")
+        tpath = next((out_dir / "transcripts").glob("*.transcript"))
+        bpath = next((out_dir / "transcripts").glob("*.bob"))
+        lines = tpath.read_text().splitlines()
+        for i, line in enumerate(lines):
+            if line.startswith("CHECKPOS"):
+                lines[i] = line.rsplit(",", 1)[0] + ",9999"
+        tpath.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "replay", str(tpath), str(bpath))
+        assert code == 3
+        assert err.startswith("parse error:")
+        assert "9999" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "replay", str(tmp_path / "nope.transcript"),
                                str(tmp_path / "nope.bob"))

@@ -1,10 +1,19 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from bb84sim.errors import DimensionError
-from bb84sim.gf2 import BitMatrix, BitVector, mat_vec, row_reduce, solve_membership
+from bb84sim.gf2 import (
+    BitMatrix,
+    BitVector,
+    mat_vec,
+    row_reduce,
+    rows_to_words,
+    solve_membership,
+    words_to_rows,
+)
 
 # Canonical parity-check matrix of the [7,4] Hamming code: column j is the
 # binary numeral j+1 (used here as a known-answer fixture).
@@ -57,6 +66,20 @@ class TestBitVector:
     def test_rejects_bad_bits(self):
         with pytest.raises(ValueError):
             BitVector.from_string("10x1")
+
+    @pytest.mark.parametrize("text", ["1 0", "_1", "0b1", "+1", "2"])
+    def test_rejects_what_int_would_parse(self, text):
+        with pytest.raises(ValueError, match="outside 0/1"):
+            BitVector.from_string(text)
+
+    def test_string_round_trip_any_length(self):
+        rng = random.Random(3)
+        assert BitVector.from_string("") == BitVector(0, 0) and str(BitVector(0, 0)) == ""
+        for n in range(1, 130):
+            text = "".join(rng.choice("01") for _ in range(n))
+            v = BitVector.from_string(text)
+            assert str(v) == text
+            assert list(v) == [int(c) for c in text]
 
 
 class TestMatVec:
@@ -203,3 +226,13 @@ def test_transpose_round_trip():
     for _ in range(10):
         m = random_matrix(rng, rng.randrange(1, 7), rng.randrange(1, 7))
         assert m.transpose().transpose() == m
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 23, 64, 66])
+def test_words_rows_round_trip(n):
+    rng = random.Random(n)
+    words = [rng.getrandbits(n) if n else 0 for _ in range(5)]
+    rows = words_to_rows(words, n)
+    assert rows.shape == (5, n) and rows.dtype == np.uint8
+    assert [[(w >> j) & 1 for j in range(n)] for w in words] == rows.tolist()
+    assert rows_to_words(rows) == words

@@ -12,7 +12,7 @@ from bb84sim.errors import (
     ProtocolDesyncError,
     TranscriptError,
 )
-from bb84sim.gf2 import BitVector
+from bb84sim.gf2 import BitVector, rows_to_words, words_to_rows
 from bb84sim.protocol import (
     AliceState,
     ProtocolConfig,
@@ -158,15 +158,24 @@ class TestCheckAndDecide:
             check_and_decide(BitVector.zeros(4), BitVector.zeros(5), steane_config())
 
 
+def rows(*vectors):
+    # one block per row, as the stage functions take them
+    return words_to_rows([v.word for v in vectors], vectors[0].n)
+
+
+def vectors(labels):
+    return [BitVector(labels.shape[1], w) for w in rows_to_words(labels)]
+
+
 class TestStageCorrectAndAmplify:
     def test_clean_blocks_match_alice(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             u = random_codeword(STEANE.outer, rng)
             v = BitVector(7, int(rng.integers(0, 128)))
-            labels, failed = stage_correct_and_amplify(STEANE, [v], [u + v])
-            assert labels[0] == STEANE.coset_label(u)
-            assert failed == [False]
+            labels, failed = stage_correct_and_amplify(STEANE, rows(v), rows(u + v))
+            assert vectors(labels) == [STEANE.coset_label(u)]
+            assert failed.tolist() == [False]
 
     def test_single_error_exhaustive(self):
         # every single-bit error in every block, for every codeword u
@@ -174,9 +183,9 @@ class TestStageCorrectAndAmplify:
             for j in range(7):
                 v = BitVector.zeros(7)
                 noisy = v + BitVector.unit(7, j)
-                labels, failed = stage_correct_and_amplify(STEANE, [noisy], [u + v])
-                assert labels[0] == STEANE.coset_label(u)
-                assert failed == [False]
+                labels, failed = stage_correct_and_amplify(STEANE, rows(noisy), rows(u + v))
+                assert vectors(labels) == [STEANE.coset_label(u)]
+                assert failed.tolist() == [False]
 
     def test_weight_two_mismatch_fixture(self):
         # exhaustive enumeration: 21 weight-2 patterns x 16 codewords; for
@@ -188,15 +197,21 @@ class TestStageCorrectAndAmplify:
         for u in STEANE.outer.codewords():
             for pos in itertools.combinations(range(7), 2):
                 err = BitVector.from_bits([1 if i in pos else 0 for i in range(7)])
-                labels, _ = stage_correct_and_amplify(STEANE, [err], [u])
+                labels, _ = stage_correct_and_amplify(STEANE, rows(err), rows(u))
                 total += 1
-                mismatches += labels[0] != STEANE.coset_label(u)
+                mismatches += vectors(labels)[0] != STEANE.coset_label(u)
         assert total == 336
         assert mismatches / total == 1.0
 
     def test_count_mismatch_raises(self):
         with pytest.raises(ProtocolDesyncError):
-            stage_correct_and_amplify(STEANE, [BitVector.zeros(7)], [])
+            stage_correct_and_amplify(STEANE, np.zeros((1, 7), dtype=np.uint8),
+                                      np.zeros((0, 7), dtype=np.uint8))
+
+    def test_block_length_mismatch_raises(self):
+        with pytest.raises(ProtocolDesyncError, match=r"\(2, 6\), need \(B, 7\)"):
+            stage_correct_and_amplify(STEANE, np.zeros((2, 6), dtype=np.uint8),
+                                      np.zeros((2, 6), dtype=np.uint8))
 
 
 class TestRunProtocol:
@@ -429,3 +444,45 @@ class TestReplayGeometry:
         short = replace(art.transcript, **{field: (_shortened(blocks[0]),) + blocks[1:]})
         with pytest.raises(TranscriptError, match=f"stage-{stage} block 0 has 6 bits.* n=7"):
             replay_bob(short, art.bob_bases, art.bob_bits, cfg)
+
+
+class TestReplayPositions:
+    """Positions a transcript names are checked against Bob's record before
+    anything is indexed with them."""
+
+    def setup_method(self):
+        self.cfg = steane_config(rng_seed=31)
+        self.art = run_protocol_full(self.cfg)
+
+    def replay(self, transcript, bases=None):
+        bases = self.art.bob_bases if bases is None else bases
+        return replay_bob(transcript, bases, self.art.bob_bits, self.cfg)
+
+    def test_check_position_outside_transmission(self):
+        t = self.art.transcript
+        bad = replace(t, check_positions=t.check_positions[:-1] + (9999,))
+        with pytest.raises(TranscriptError,
+                           match="check position 9999 outside transmission length 215"):
+            self.replay(bad)
+
+    def test_check_position_not_kept(self):
+        t = self.art.transcript
+        unkept = min(set(range(215)) - set(t.kept_positions))
+        bad = replace(t, check_positions=(unkept,) + t.check_positions[1:])
+        with pytest.raises(TranscriptError, match=f"check position {unkept} is not a kept"):
+            self.replay(bad)
+
+    def test_first_kept_position_in_wrong_basis_is_reported(self):
+        kept = self.art.transcript.kept_positions
+        bases = self.art.bob_bases.copy()
+        bases[[kept[5], kept[9]]] ^= 1
+        with pytest.raises(TranscriptError, match=f"kept position {kept[5]} was not measured"):
+            self.replay(self.art.transcript, bases)
+
+    def test_kept_position_outside_before_wrong_basis(self):
+        t = self.art.transcript
+        bases = self.art.bob_bases.copy()
+        bases[t.kept_positions[9]] ^= 1
+        bad = replace(t, kept_positions=t.kept_positions[:5] + (215,) + t.kept_positions[6:])
+        with pytest.raises(TranscriptError, match="kept position 215 outside transmission"):
+            self.replay(bad, bases)
