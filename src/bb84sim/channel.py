@@ -94,27 +94,26 @@ def attack_arrays(attack: AttackModel, n: int, rng: np.random.Generator):
         (flip, eve_basis): uint8 flip indicators and int8 interceptor bases
         (-1 where not intercepted).
     """
-    flip = np.zeros(n, dtype=np.uint8)
-    eve = np.full(n, -1, dtype=np.int8)
     if attack.kind == "bitflip":
-        flip[:] = rng.random(n) < attack.probability
-    elif attack.kind == "intercept_resend":
+        return (rng.random(n) < attack.probability).view(np.uint8), np.full(n, -1, dtype=np.int8)
+    flip = np.zeros(n, dtype=np.uint8)
+    if attack.kind == "intercept_resend":
         intercepted = rng.random(n) < attack.probability
-        bases = rng.integers(0, 2, size=n, dtype=np.int8)
-        eve[intercepted] = bases[intercepted]
-    elif attack.kind == "correlated_positions":
+        return flip, np.where(intercepted, rng.integers(0, 2, size=n, dtype=np.int8), -1)
+    eve = np.full(n, -1, dtype=np.int8)
+    if attack.kind == "correlated_positions":
         if any(p >= n for p in attack.positions):
             raise ConfigError(
                 f"attack position {max(attack.positions)} outside transmission length {n}")
         hit = rng.random(len(attack.positions)) < attack.probability
-        for pos, h in zip(attack.positions, hit):
-            if h:
-                flip[pos] ^= 1
+        # a position listed twice toggles twice
+        np.bitwise_xor.at(flip, np.array(attack.positions, dtype=np.intp)[hit], 1)
     return flip, eve
 
 
 def measure_bits(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin):
-    """Measurement outcomes for a batch of transmitted qubits.
+    """Measurement outcomes for a batch of transmitted qubits, one per element
+    of the equally shaped inputs (one transmission, or one per row).
 
     Args:
         prep_basis: uint8 array, preparation basis per position (0=Z, 1=X).
@@ -129,24 +128,24 @@ def measure_bits(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin):
             wrong basis).
 
     Returns:
-        uint8 array of measured bits, same length as the inputs.
+        uint8 array of measured bits, shaped as the inputs.
 
     Raises:
-        DimensionError: an input's length differs from prep_basis's.
+        DimensionError: an input's shape differs from prep_basis's.
     """
     prep_basis = np.asarray(prep_basis, dtype=np.uint8)
-    n = prep_basis.shape[0]
     prep_bit = np.asarray(prep_bit, dtype=np.uint8)
     flip = np.asarray(flip, dtype=np.uint8)
     eve_basis = np.asarray(eve_basis, dtype=np.int8)
     bob_basis = np.asarray(bob_basis, dtype=np.uint8)
     coin = np.asarray(coin, dtype=np.uint8)
     for arr in (prep_bit, flip, eve_basis, bob_basis, coin):
-        if arr.shape != (n,):
-            raise DimensionError(f"measurement input shape {arr.shape} != ({n},)")
+        if arr.shape != prep_basis.shape:
+            raise DimensionError(f"measurement input shape {arr.shape} != {prep_basis.shape}")
     # A qubit whose interceptor measured in the wrong basis is re-randomized,
     # whatever Bob does; otherwise a matched-basis measurement is the prepared
-    # bit plus any in-channel flip, and a mismatched one is a fair coin.
-    scrambled = (eve_basis >= 0) & (eve_basis != prep_basis)
-    deterministic = ~scrambled & (bob_basis == prep_basis)
-    return np.where(deterministic, prep_bit ^ flip, coin).astype(np.uint8)
+    # bit plus any in-channel flip, and a mismatched one is a fair coin.  As
+    # uint8, an interceptor basis differs from the preparation basis by 1
+    # exactly when it measured in the wrong one (-1 reads 255).
+    scrambled = (eve_basis.view(np.uint8) ^ prep_basis) == 1
+    return np.where(scrambled | (bob_basis != prep_basis), coin, prep_bit ^ flip)

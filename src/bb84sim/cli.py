@@ -15,7 +15,7 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from .channel import AttackModel
 from .codes import load_pair, parse_code, parse_pair
 from .errors import ConfigError, InsufficientSiftAbort, TranscriptError
-from .protocol import ProtocolConfig, replay_bob, run_protocol_full
+from .protocol import ProtocolConfig, replay_bob, run_chunk
 from .stats import (
     RecursionModel,
     SamplingModel,
@@ -38,6 +38,10 @@ from .transcript import dump_transcript, parse_transcript
 TRIAL_COLUMNS = ["trial", "seed", "aborted", "check_error_rate", "keys_equal", "decode_failures"]
 SUMMARY_COLUMNS = ["trials", "abort_fraction", "mean_check_error", "stddev_check_error",
                    "key_agreement_fraction"]
+
+# `run` evaluates trials in chunks of at most this many transmitted qubits
+# (at least one trial), so that its memory does not grow with the batch
+QUBITS_PER_CHUNK = 1 << 14
 
 _CONFIG_KEYS = {
     "seed": int,
@@ -133,9 +137,12 @@ def _build_attack(settings: dict) -> AttackModel:
 
 
 def _build_protocol_config(settings: dict, seed: int) -> ProtocolConfig:
+    stage1_pair = load_pair(settings["stage1_pair"])
+    # one pair object for a spec named twice, so its syndrome table is built once
+    same = settings["stage2_pair"] == settings["stage1_pair"]
     return ProtocolConfig(
-        stage1_pair=load_pair(settings["stage1_pair"]),
-        stage2_pair=load_pair(settings["stage2_pair"]),
+        stage1_pair=stage1_pair,
+        stage2_pair=stage1_pair if same else load_pair(settings["stage2_pair"]),
         abort_threshold=settings["threshold"],
         delta=settings["delta"],
         rng_seed=seed,
@@ -150,6 +157,17 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _dump_trial(stem: str, art) -> None:
+    """Write one trial's transcript and Bob's record beside it."""
+    with open(stem + ".transcript", "w", encoding="ascii") as fh:
+        fh.write(dump_transcript(art.transcript))
+    key = art.outcome.bob_final_key
+    with open(stem + ".bob", "w", encoding="ascii") as fh:
+        fh.write(f"BASES {(art.bob_bases + 48).tobytes().decode('ascii')}\n")
+        fh.write(f"BITS {(art.bob_bits + 48).tobytes().decode('ascii')}\n")
+        fh.write(f"KEY {'-' if key is None else key}\n")
 
 
 def cmd_run(args) -> int:
@@ -171,41 +189,32 @@ def cmd_run(args) -> int:
     aborts = 0
     agreements = 0
     completed = 0
-    for i in range(trials):
-        seed = settings["seed"] + i
-        config = replace(base_config, rng_seed=seed)
-        art = run_protocol_full(config, attack)
-        outcome = art.outcome
-        if outcome.aborted:
-            aborts += 1
-        else:
-            completed += 1
-            agreements += 1 if outcome.keys_equal else 0
-        if outcome.observed_check_error_rate is not None:
-            rates.append(outcome.observed_check_error_rate)
-        rows.append({
-            "trial": i,
-            "seed": seed,
-            "aborted": outcome.aborted,
-            "check_error_rate": outcome.observed_check_error_rate,
-            "keys_equal": outcome.keys_equal,
-            "decode_failures": outcome.stage1_decode_failures + outcome.stage2_decode_failures,
-        })
-        if transcript_dir:
-            stem = os.path.join(transcript_dir, f"trial_{i:05d}")
-            with open(stem + ".transcript", "w", encoding="ascii") as fh:
-                fh.write(dump_transcript(art.transcript))
-            key = str(outcome.bob_final_key) if outcome.bob_final_key is not None else "-"
-            with open(stem + ".bob", "w", encoding="ascii") as fh:
-                fh.write(f"BASES {''.join(str(x) for x in art.bob_bases)}\n")
-                fh.write(f"BITS {''.join(str(x) for x in art.bob_bits)}\n")
-                fh.write(f"KEY {key}\n")
+    base_seed = settings["seed"]
+    chunk_size = max(1, QUBITS_PER_CHUNK // base_config.transmitted_count)
+    for start in range(0, trials, chunk_size):
+        chunk = run_chunk(base_config, range(base_seed + start,
+                                             base_seed + min(start + chunk_size, trials)), attack)
+        failures = chunk.stage1_decode_failures + chunk.stage2_decode_failures
+        for t, (aborted, rate, keys_equal, decode_failures) in enumerate(zip(
+                chunk.aborted.tolist(), chunk.check_error_rate.tolist(),
+                chunk.keys_equal.tolist(), failures.tolist())):
+            i = start + t
+            if aborted:
+                aborts += 1
+            else:
+                completed += 1
+                agreements += 1 if keys_equal else 0
+            rates.append(rate)
+            rows.append([i, base_seed + i, aborted, rate, None if aborted else keys_equal,
+                         decode_failures])
+            if transcript_dir:
+                _dump_trial(os.path.join(transcript_dir, f"trial_{i:05d}"), chunk.artifacts(t))
 
     with open(os.path.join(out_dir, "trials.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in TRIAL_COLUMNS])
+            writer.writerow([_fmt(value) for value in row])
 
     mean_rate = math.fsum(rates) / len(rates) if rates else None
     if rates and len(rates) > 1:
@@ -285,8 +294,8 @@ def _read_bob_file(path: str) -> _BobRecord:
     if len(fields["BASES"]) != len(fields["BITS"]):
         raise TranscriptError("BASES and BITS differ in length")
     return _BobRecord(
-        bases=np.array([int(c) for c in fields["BASES"]], dtype=np.uint8),
-        bits=np.array([int(c) for c in fields["BITS"]], dtype=np.uint8),
+        bases=np.frombuffer(fields["BASES"].encode("ascii"), dtype=np.uint8) - 48,
+        bits=np.frombuffer(fields["BITS"].encode("ascii"), dtype=np.uint8) - 48,
         key=None if fields["KEY"] == "-" else fields["KEY"],
     )
 

@@ -13,7 +13,8 @@ miscorrection in a security simulator; the protocol layer decides policy.
 Codes and pairs also hold their matrices as dense uint8 arrays (built on
 first use and cached on the object), so that callers can syndrome, decode
 and label many blocks at once: `LinearCode.generator_array`,
-`LinearCode.parity_check_t` and `CssPair.check_label_t`, with
+`LinearCode.parity_check_t`, `CssPair.check_label_t`,
+`CssPair.generator_check_labels` and `CssPair.error_check_labels`, with
 `SyndromeTable.lookup_rows` as the table lookup for many syndromes.  The
 scalar functions below stay the reference.
 """
@@ -27,7 +28,15 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DecodeFailure, DimensionError, InvalidPairError, NotInCodeError
-from .gf2 import BitMatrix, BitVector, mat_vec, row_reduce, solve_membership, words_to_rows
+from .gf2 import (
+    BitMatrix,
+    BitVector,
+    mat_vec,
+    row_reduce,
+    rows_to_words,
+    solve_membership,
+    words_to_rows,
+)
 
 __all__ = [
     "LinearCode",
@@ -135,61 +144,91 @@ class LinearCode:
 class SyndromeTable:
     """Map from syndrome to minimum-weight error, for weights up to t.
 
-    The errors are also held as the rows of a uint8 array, with one zero row
-    after them, which `lookup_rows` indexes for many syndromes at once.
+    A syndrome is keyed by its little-endian packed bytes (syndrome bit i is
+    bit i of the key), so that `lookup_rows` makes the keys of many syndromes
+    in one step.  The errors are held as the rows of a uint8 array, with one
+    zero row after them.
     """
 
-    __slots__ = ("t", "n", "_index", "_errors", "_rows")
+    __slots__ = ("t", "n", "_width", "_index", "_rows")
 
-    def __init__(self, t: int, n: int, leaders: dict[int, int]):
+    def __init__(self, t: int, n: int, width: int, index: dict[bytes, int], rows: np.ndarray):
         self.t = t
         self.n = n
-        self._index = {synd: i for i, synd in enumerate(leaders)}
-        self._errors = list(leaders.values())
-        self._rows = words_to_rows(self._errors + [0], n)
+        self._width = width
+        self._index = index
+        self._rows = np.concatenate([rows, np.zeros((1, n), dtype=np.uint8)])
 
     @classmethod
     def build(cls, code: LinearCode) -> "SyndromeTable":
-        leaders: dict[int, int] = {0: 0}
-        h_rows = code.parity_check.row_words
+        """Tabulate the errors of weight 0..t in order of weight, then of
+        `itertools.combinations` order, keeping the first error met for
+        each syndrome.  Each weight is enumerated in slices of at most
+        _BUILD_SLICE_BYTES of error rows."""
+        n, width = code.n, (code.n - code.k + 7) // 8
+        index = {bytes(width): 0}
+        rows = [np.zeros((1, n), dtype=np.uint8)]
+        per_slice = max(1, _BUILD_SLICE_BYTES // n)
         for weight in range(1, code.t + 1):
-            for positions in itertools.combinations(range(code.n), weight):
-                err = 0
-                for p in positions:
-                    err |= 1 << p
-                synd = 0
-                for i, row in enumerate(h_rows):
-                    synd |= ((row & err).bit_count() & 1) << i
-                leaders.setdefault(synd, err)
-        return cls(code.t, code.n, leaders)
+            combos = itertools.combinations(range(n), weight)
+            while True:
+                picks = np.array(list(itertools.islice(combos, per_slice)), dtype=np.intp)
+                if not len(picks):
+                    break
+                errors = np.zeros((len(picks), n), dtype=np.uint8)
+                errors[np.arange(len(picks))[:, None], picks] = 1
+                fresh = []
+                for i, key in enumerate(_syndrome_keys(errors @ code.parity_check_t & 1)):
+                    if key not in index:
+                        index[key] = len(index)
+                        fresh.append(i)
+                rows.append(errors[fresh])
+        return cls(code.t, n, width, index, np.concatenate(rows))
 
     def lookup(self, syndrome: BitVector) -> Optional[BitVector]:
-        i = self._index.get(syndrome.word)
+        i = self._index.get(syndrome.word.to_bytes(self._width, "little"))
         if i is None:
             return None
-        return BitVector(self.n, self._errors[i])
+        return BitVector(self.n, rows_to_words(self._rows[i:i + 1])[0])
+
+    @property
+    def errors(self) -> np.ndarray:
+        """The tabulated errors as the rows of a uint8 array, with one zero
+        row after them."""
+        return self._rows
 
     def lookup_rows(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`lookup` for each row of a (B, n-k) 0/1 array of syndromes.
 
         Returns:
-            (errors, failed): the (B, n) tabulated error of each syndrome,
-            and a (B,) bool mask of syndromes outside the table, whose
-            error row is zero.
+            (rows, failed): the (B,) row indices into `errors` of each
+            syndrome's error, and a (B,) bool mask of syndromes outside the
+            table, which index the zero row.
         """
-        width = (syndromes.shape[1] + 7) // 8
-        raw = np.packbits(syndromes, axis=1, bitorder="little").tobytes()
-        miss = len(self._errors)
-        keys = (int.from_bytes(raw[i * width:(i + 1) * width], "little")
-                for i in range(len(syndromes)))
-        picks = np.array([self._index.get(key, miss) for key in keys], dtype=np.intp)
-        return self._rows[picks], picks == miss
+        miss = len(self._index)
+        get = self._index.get
+        rows = np.array([get(key, miss) for key in _syndrome_keys(syndromes)], dtype=np.intp)
+        return rows, rows == miss
 
     def __len__(self) -> int:
-        return len(self._errors)
+        return len(self._index)
 
     def items(self):
-        return zip(self._index, self._errors)
+        """(syndrome word, error word) pairs, in the order they were tabulated."""
+        words = rows_to_words(self._rows[:-1])
+        return ((int.from_bytes(key, "little"), words[i]) for key, i in self._index.items())
+
+
+# bound on the error rows `SyndromeTable.build` holds at once
+_BUILD_SLICE_BYTES = 1 << 20
+
+
+def _syndrome_keys(syndromes: np.ndarray) -> list[bytes]:
+    """The little-endian packed bytes of each row of a (B, r) 0/1 array."""
+    packed = np.packbits(syndromes, axis=1, bitorder="little")
+    if not packed.shape[1]:  # a code without parity checks
+        return [b""] * len(packed)
+    return packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
 def decode_to_codeword(code: LinearCode, received: BitVector) -> tuple[BitVector, BitVector]:
@@ -254,6 +293,21 @@ class CssPair:
         their projected labels."""
         label_t = words_to_rows(self._label_matrix.row_words, self.n).T
         return np.ascontiguousarray(np.hstack([self.outer.parity_check_t, label_t]))
+
+    @cached_property
+    def generator_check_labels(self) -> np.ndarray:
+        """[G | G @ check_label_t & 1] for the outer code's G: coefficient
+        rows @ generator_check_labels & 1 are codewords followed by their
+        syndromes and projected labels."""
+        g = self.outer.generator_array
+        return np.ascontiguousarray(np.hstack([g, g @ self.check_label_t & 1]))
+
+    @cached_property
+    def error_check_labels(self) -> np.ndarray:
+        """`check_label_t` applied to each row of the outer code's syndrome
+        table `errors`: by linearity, adding row i to a word's syndrome and
+        projected label gives those of the word corrected by error i."""
+        return self.outer.syndrome_table().errors @ self.check_label_t & 1
 
     def coset_label(self, codeword: BitVector) -> BitVector:
         """Label of the coset codeword + inner, as key_width bits.

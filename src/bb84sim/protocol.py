@@ -17,19 +17,29 @@ Too few basis matches is a restart, not a security abort: the attempt is
 discarded and the quantum phase repeats with fresh randomness, up to
 ``max_restarts`` (then InsufficientSiftAbort propagates).
 
-Both correction stages run on (blocks x n) uint8 arrays, one block per row,
-against the dense matrices each code pair caches (see codes.py): Alice draws
-a stage's masking coefficients in one (blocks x k) draw, which consumes the
-party stream exactly as one draw per block does; syndromes, codewords and
-labels are one matrix product each over all blocks, and decoding is one
-syndrome-table lookup per block.  The stage-1 key is the row-major
-flattening of the stage-1 labels.  BitVector appears only at the boundary:
-the announced masked words, the check strings and the final keys.  Replay
-runs the same receiver stage function as a live run.
+Trials run in chunks (`run_chunk`); a single run is a chunk of one.  The
+draws are taken one trial at a time, from the trial's own generators, in
+this order (restarts included): preparation bits and bases, Bob's bases,
+the channel's draws and coins, the two choices of sifting, then, for a
+trial that passed the check, the permutation of the code positions, the
+stage-1 coefficients, the permutation of the stage-1 key bits and the
+stage-2 coefficients.  Everything after the draws runs once per chunk over
+(trials x n) arrays: measurement, the check comparison and the abort
+decision, and both correction stages, whose blocks are the rows of
+(trials*blocks x n) arrays, against the dense matrices each code pair caches
+(see codes.py).  A stage's masking coefficients are one (blocks x k) draw,
+which consumes the party stream exactly as one draw per block does;
+syndromes, codewords and labels are matrix products over all rows, and
+decoding is one syndrome-table lookup per row.  The stage-1 key is the
+row-major flattening of a trial's stage-1 labels.  The objects of a trial
+(transcript, block announcements, sift positions and keys) are built only
+when asked for (`TrialChunk.artifacts`).  Replay runs the same receiver
+stage function as a live run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -57,6 +67,8 @@ __all__ = [
     "sift",
     "check_and_decide",
     "stage_correct_and_amplify",
+    "TrialChunk",
+    "run_chunk",
     "run_protocol",
     "run_protocol_full",
     "replay_bob",
@@ -116,8 +128,6 @@ class ProtocolConfig:
     @property
     def transmitted_count(self) -> int:
         """floor(4 * n1 * n2 * (1 + delta)) qubits per attempt."""
-        import math
-
         return int(math.floor(4 * self.n1 * self.n2 * (1 + self.delta) + 1e-9))
 
     @property
@@ -202,7 +212,8 @@ class ReplayResult:
 
 
 def _pack(bits: np.ndarray) -> BitVector:
-    return BitVector(len(bits), rows_to_words(bits.reshape(1, -1))[0])
+    return BitVector(len(bits), int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                                               "little"))
 
 
 def _draw_preparation(config: ProtocolConfig, rng: np.random.Generator):
@@ -211,6 +222,35 @@ def _draw_preparation(config: ProtocolConfig, rng: np.random.Generator):
     bits = rng.integers(0, 2, size=n, dtype=np.uint8)
     b = rng.integers(0, 2, size=n, dtype=np.uint8)
     return bits, b
+
+
+def _select(matched: np.ndarray, config: ProtocolConfig, rng: np.random.Generator):
+    """The two `choice` draws of sifting: Alice's kept positions among the
+    basis-matched ones and her check positions among those.
+
+    The check positions are drawn as indices into the kept ones, which draws
+    exactly what choosing among the kept positions themselves does, since a
+    draw depends only on the population size.
+
+    Returns:
+        (kept, check, code): sorted int64 arrays of the kept positions and of
+        their check and code (not check) positions.
+
+    Raises:
+        InsufficientSiftAbort: fewer than 2*n1*n2 matched positions remain.
+    """
+    target, count = config.kept_target, config.check_count
+    if matched.size < target:
+        raise InsufficientSiftAbort(
+            f"{matched.size} basis-matched positions, need {target}")
+    if not config.random_assignment:
+        kept = matched[:target]
+        return kept, kept[:count], kept[count:]
+    kept = np.sort(rng.choice(matched, size=target, replace=False))
+    picks = rng.choice(target, size=count, replace=False)
+    in_code = np.ones(target, dtype=bool)
+    in_code[picks] = False
+    return kept, np.sort(kept[picks]), kept[in_code]
 
 
 def sift(alice: AliceState, bob_bases: np.ndarray, config: ProtocolConfig,
@@ -224,19 +264,7 @@ def sift(alice: AliceState, bob_bases: np.ndarray, config: ProtocolConfig,
         InsufficientSiftAbort: fewer than 2*n1*n2 matched positions remain.
     """
     matched = np.flatnonzero(bob_bases == alice.b)
-    target = config.kept_target
-    if matched.size < target:
-        raise InsufficientSiftAbort(
-            f"{matched.size} basis-matched positions, need {target}")
-    if config.random_assignment:
-        kept = np.sort(rng.choice(matched, size=target, replace=False))
-        check = np.sort(rng.choice(kept, size=config.check_count, replace=False))
-    else:
-        kept = matched[:target]
-        check = kept[:config.check_count]
-    in_check = np.zeros(bob_bases.shape[0], dtype=bool)
-    in_check[check] = True
-    code = kept[~in_check[kept]]
+    kept, check, code = _select(matched, config, rng)
     return SiftSelection(
         kept=tuple(kept.tolist()),
         check_positions=tuple(check.tolist()),
@@ -261,9 +289,10 @@ def check_and_decide(alice_check: BitVector, bob_check: BitVector,
     return rate, rate > config.abort_threshold
 
 
-def _labels(pair: CssPair, codewords: np.ndarray,
+def _labels(pair: CssPair, product: np.ndarray,
             projected: Optional[np.ndarray] = None) -> np.ndarray:
-    """Coset labels of the rows of a (B, n) array of outer codewords.
+    """Coset labels of the rows of a (B, n) array of outer codewords, from
+    their `words @ pair.check_label_t & 1` product.
 
     Rows flagged in the optional (B,) mask `projected` need not be codewords:
     they get the projected label (`CssPair.project_label`).
@@ -271,10 +300,9 @@ def _labels(pair: CssPair, codewords: np.ndarray,
     Raises:
         NotInCodeError: an unflagged row is not an outer-code codeword.
     """
-    product = codewords @ pair.check_label_t & 1
     r = pair.outer.n - pair.outer.k
     syndromes = product[:, :r] if projected is None else product[~projected, :r]
-    if syndromes.any():
+    if np.count_nonzero(syndromes):
         raise NotInCodeError(f"{syndromes.any(axis=1).sum()} stage words are not in the outer code")
     return product[:, r:]
 
@@ -300,27 +328,27 @@ def stage_correct_and_amplify(pair: CssPair, blocks: np.ndarray, announcements: 
     for arr in (blocks, announcements):
         if arr.ndim != 2 or arr.shape[1] != pair.n:
             raise ProtocolDesyncError(f"blocks of shape {arr.shape}, need (B, {pair.n})")
-    unmasked = blocks ^ announcements  # (v+e) + (u+v) = u+e
-    error, failed = pair.outer.syndrome_table().lookup_rows(
-        unmasked @ pair.outer.parity_check_t & 1)
-    # a failed row's error is zero, so it is labelled as the raw word
-    return _labels(pair, unmasked ^ error, failed), failed
+    # syndromes and projected labels of u+e = (v+e) + (u+v); adding those of
+    # the tabulated error gives the decoded word's, and a failed row's error
+    # is zero, so it is labelled as the raw word
+    product = (blocks ^ announcements) @ pair.check_label_t & 1
+    rows, failed = pair.outer.syndrome_table().lookup_rows(
+        product[:, :pair.outer.n - pair.outer.k])
+    return _labels(pair, product ^ pair.error_check_labels[rows], failed), failed
 
 
-def _alice_stage(pair: CssPair, values: np.ndarray, rng: np.random.Generator):
-    """Sender side of one stage: draw a codeword u per block, announce u+v,
-    keep the coset label of u.
+def _alice_stage(pair: CssPair, values: np.ndarray, coeffs: np.ndarray):
+    """Sender side of one stage: form a codeword u per block from its drawn
+    coefficients, announce u+v, keep the coset label of u.
 
-    `values` holds Alice's bits v, one block per row of a (B, n) array.  The
-    (B, k) coefficient draw consumes the generator exactly as B successive
-    `codes.random_codeword` draws of k coefficients do.
+    `values` holds Alice's bits v and `coeffs` her (B, k) 0/1 coefficients,
+    one block per row.
 
     Returns:
         (masked, labels): (B, n) announced words u+v and (B, key_width) labels.
     """
-    coeffs = rng.integers(0, 2, size=(len(values), pair.outer.k)).astype(np.uint8)
-    u = coeffs @ pair.outer.generator_array & 1
-    return u ^ values, _labels(pair, u)
+    product = coeffs @ pair.generator_check_labels & 1
+    return product[:, :pair.n] ^ values, _labels(pair, product[:, pair.n:])
 
 
 def _announce(stage: int, positions: np.ndarray, masked: np.ndarray):
@@ -332,16 +360,256 @@ def _announce(stage: int, positions: np.ndarray, masked: np.ndarray):
     )
 
 
-def _inject(injector: Optional[ErrorInjector], stage: int, words: np.ndarray) -> np.ndarray:
-    """Apply the test injector's flips to Bob's (B, n) words, in place."""
+def _inject(injector: Optional[ErrorInjector], stage: int, words: np.ndarray,
+            blocks: int) -> np.ndarray:
+    """Apply the test injector's flips to Bob's words, in place: a (T*blocks, n)
+    array holding each trial's blocks in order, so the injector sees block
+    indices 0..blocks-1 per trial."""
     if injector is not None:
         n = words.shape[1]
         for i, row in enumerate(words):
-            for j in injector(stage, i, n):
+            for j in injector(stage, i % blocks, n):
                 if not 0 <= j < n:
                     raise IndexError(f"injected flip {j} out of range for block length {n}")
                 row[j] ^= 1
     return words
+
+
+class TrialChunk:
+    """The results of a chunk of trials, one trial per row of its arrays.
+
+    The per-trial outcome fields are arrays: `aborted`, `check_error_rate`,
+    `keys_equal` (False where aborted), and `stage1_decode_failures` and
+    `stage2_decode_failures` (0 where aborted, as in `RunOutcome`).  The
+    objects of one trial (outcome, transcript, keys) are built by
+    `artifacts` only when asked for.
+    """
+
+    def __init__(self, config: ProtocolConfig, draws: dict, bob_bits: np.ndarray):
+        """Compare the check bits of every trial and decide its abort."""
+        self.config = config
+        self.draws = draws
+        self.bob_bits = bob_bits
+        count = len(bob_bits)
+        wrong = (draws["bits"] ^ bob_bits)[np.arange(count)[:, None], draws["check"]]
+        self.check_error_rate = wrong.sum(axis=1) / config.check_count
+        self.aborted = self.check_error_rate > config.abort_threshold
+        self.keys_equal = np.zeros(count, dtype=bool)
+        self.stage1_decode_failures, self.stage2_decode_failures = np.zeros((2, count), np.int64)
+        # the row in the stage-1 and stage-2 arrays below of each trial that
+        # reached that stage
+        self.row1: dict[int, int] = {}
+        self.row2: dict[int, int] = {}
+
+    def _run_stages(self, live: np.ndarray, stage_draws, error_injection) -> None:
+        """Both stages for the trials `live` that passed the check, given
+        their `_draw_stages` rows."""
+        c, d = self.config, self.draws
+        self.order1, coeffs1, order2, coeffs2 = stage_draws
+        # stage 1, steps 8-9: Alice assigns code positions to blocks (randomly
+        # unless the test hook disabled it) and announces positions and u+v;
+        # steps 10-11 are Bob's side
+        self.row1 = dict(zip(live.tolist(), range(live.size)))
+        rows = live[:, None]
+        failed1, alice_key1, bob_key1, self.masked1 = _run_stage(
+            1, c.stage1_pair, d["bits"][rows, self.order1], self.bob_bits[rows, self.order1],
+            coeffs1, error_injection)
+        s1 = failed1.sum(axis=1)
+        if c.strict_decode:
+            reach2 = s1 == 0
+            self.aborted[live[~reach2]] = True
+            live, s1, alice_key1, bob_key1, order2, coeffs2 = (
+                a[reach2] for a in (live, s1, alice_key1, bob_key1, order2, coeffs2))
+            if not live.size:
+                return
+
+        # stage 2 over the stage-1 key bits, mirrored
+        self.row2 = dict(zip(live.tolist(), range(live.size)))
+        self.order2 = order2
+        ar = np.arange(live.size)[:, None]
+        failed2, self.alice_key, self.bob_key, self.masked2 = _run_stage(
+            2, c.stage2_pair, alice_key1[ar, order2], bob_key1[ar, order2], coeffs2,
+            error_injection)
+        if self.alice_key.shape[1] != c.final_key_bits:
+            raise ProtocolDesyncError(
+                f"final key length {self.alice_key.shape[1]} != expected {c.final_key_bits}")
+        s2 = failed2.sum(axis=1)
+        self.stage1_decode_failures[live] = s1
+        self.stage2_decode_failures[live] = s2
+        self.keys_equal[live] = (self.alice_key == self.bob_key).all(axis=1)
+        if c.strict_decode:
+            # with no stage-1 failures left, only stage-2 failures abort here
+            failed = live[s2 > 0]
+            self.aborted[failed] = True
+            self.stage2_decode_failures[failed] = 0
+            self.keys_equal[failed] = False
+
+    def artifacts(self, i: int) -> RunArtifacts:
+        """Trial i's outcome, transcript and Bob's raw data, as objects."""
+        c, d = self.config, self.draws
+        aborted = bool(self.aborted[i])
+        j, k = self.row1.get(i), self.row2.get(i)
+        stage1 = () if j is None else _announce(1, self.order1[j].reshape(-1, c.n1),
+                                                 self.masked1[j])
+        stage2 = () if k is None else _announce(2, self.order2[k].reshape(-1, c.n2),
+                                                 self.masked2[k])
+        if aborted:
+            security = self.check_error_rate[i] > c.abort_threshold
+            reason = "security" if security else "decode_failure"
+            alice_key = bob_key = None
+        else:
+            reason = None
+            alice_key, bob_key = _pack(self.alice_key[k]), _pack(self.bob_key[k])
+        outcome = RunOutcome(
+            aborted=aborted,
+            abort_reason=reason,
+            observed_check_error_rate=float(self.check_error_rate[i]),
+            alice_final_key=alice_key,
+            bob_final_key=bob_key,
+            stage1_decode_failures=int(self.stage1_decode_failures[i]),
+            stage2_decode_failures=int(self.stage2_decode_failures[i]),
+            sifted_count=d["matched"][i],
+            restarts=d["restarts"][i],
+        )
+        check = d["check"][i]
+        transcript = Transcript(
+            b=_pack(d["b"][i]),
+            kept_positions=tuple(d["kept"][i].tolist()),
+            check_positions=tuple(check.tolist()),
+            alice_check_values=_pack(d["bits"][i][check]),
+            bob_check_values=_pack(self.bob_bits[i][check]),
+            stage1_blocks=stage1,
+            stage2_blocks=stage2,
+        )
+        return RunArtifacts(outcome, transcript, d["bob_bases"][i], self.bob_bits[i])
+
+
+def _run_stage(stage: int, pair: CssPair, alice_bits: np.ndarray, bob_bits: np.ndarray,
+               coeffs: np.ndarray, error_injection: Optional[ErrorInjector]):
+    """One stage for M trials, from their (M, B*n) bits, one trial per row
+    with its B blocks in order, and their (M, B, k) coefficients.
+
+    Returns:
+        (failed, alice_key, bob_key, masked): the (M, B) decode-failure
+        flags, Alice's and Bob's (M, B*key_width) keys, and the (M, B, n)
+        announced words.
+    """
+    m, blocks, n = len(coeffs), coeffs.shape[1], pair.n
+    masked, alice_labels = _alice_stage(pair, alice_bits.reshape(-1, n),
+                                        coeffs.reshape(-1, pair.outer.k))
+    bob_labels, failed = stage_correct_and_amplify(
+        pair, _inject(error_injection, stage, bob_bits.reshape(-1, n), blocks), masked)
+    return (failed.reshape(m, blocks), alice_labels.reshape(m, -1),
+            bob_labels.reshape(m, -1), masked.reshape(m, blocks, n))
+
+
+def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
+    """Every draw up to and including sifting, one trial per row.
+
+    Returns:
+        (draws, parties): a dict of the (T, n) quantum-phase arrays, the
+        (T, n1*n2) check positions, and per-trial tuples of the kept and code
+        positions, match counts and restarts; and each trial's party
+        generator, which `_draw_stages` goes on drawing from.
+
+    Raises:
+        InsufficientSiftAbort: a trial had too few basis matches in
+            max_restarts + 1 attempts.
+    """
+    n = config.transmitted_count
+    trials, parties = [], []
+    for seed in seeds:
+        # the two children of SeedSequence(seed), as its spawn(2) makes them
+        party = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+        channel = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
+        restarts = 0
+        while True:
+            # steps 1-2: prepare; step 3: transmit under attack; step 4: Bob
+            # measures in random bases; step 5: only then is b announced (Bob's
+            # bases are drawn before the channel acts, so ordering holds by
+            # construction)
+            bits, b = _draw_preparation(config, party)
+            bob_bases = party.integers(0, 2, size=n, dtype=np.uint8)
+            flip, eve = attack_arrays(attack, n, channel)
+            coins = channel.integers(0, 2, size=n, dtype=np.uint8)
+            matched = (bob_bases == b).nonzero()[0]
+            try:
+                kept, check, code = _select(matched, config, party)
+                break
+            except InsufficientSiftAbort:
+                restarts += 1
+                if restarts > config.max_restarts:
+                    raise
+        trials.append(([bits, b, bob_bases, flip, coins], eve, kept, check, code,
+                       matched.size, restarts))
+        parties.append(party)
+    columns = list(zip(*trials))
+    draws = dict(zip(("bits", "b", "bob_bases", "flip", "coins"),
+                     np.array(columns[0]).swapaxes(0, 1)))
+    draws.update(eve=np.array(columns[1]), check=np.array(columns[3]))
+    draws.update(zip(("kept", "code", "matched", "restarts"), columns[2:3] + columns[4:]))
+    return draws, parties
+
+
+def _draw_stages(config: ProtocolConfig, parties: list, code: list):
+    """Alice's stage draws, one trial per row, from each trial's party
+    generator in protocol order: the permutation of her code positions (one
+    array per trial in `code`), the stage-1 coefficients, the permutation of the
+    stage-1 key bits and the stage-2 coefficients.  A stage's coefficients
+    are one int64 draw of B blocks by k, which consumes the stream as B
+    per-block draws do.
+
+    Returns:
+        (order1, coeffs1, order2, coeffs2): the (M, n1*n2) code positions in
+        assigned order, the (M, kw1*n2) stage-1 key bit indices in assigned
+        order, and the (M, B, k) uint8 coefficients of each stage.
+    """
+    total1 = config.stage1_key_bits
+    shape1 = (config.stage1_block_count, config.stage1_pair.outer.k)
+    shape2 = (config.stage2_block_count, config.stage2_pair.outer.k)
+    order1, coeffs1, order2, coeffs2 = [], [], [], []
+    for party, positions in zip(parties, code):
+        if config.random_assignment:
+            order1.append(party.permutation(positions))
+        coeffs1.append(party.integers(0, 2, size=shape1))
+        if config.random_assignment:
+            order2.append(party.permutation(total1))
+        coeffs2.append(party.integers(0, 2, size=shape2))
+    if not config.random_assignment:
+        order1 = code
+        order2 = np.broadcast_to(np.arange(total1), (len(parties), total1))
+    return (np.asarray(order1), np.array(coeffs1, dtype=np.uint8),
+            np.asarray(order2), np.array(coeffs2, dtype=np.uint8))
+
+
+def run_chunk(config: ProtocolConfig, seeds: Iterable[int],
+              attack: AttackModel = AttackModel.none(),
+              error_injection: Optional[ErrorInjector] = None) -> TrialChunk:
+    """Run one trial per seed (config.rng_seed is not used); each trial's
+    result equals its run alone, deterministic given (seed, attack).
+
+    A trial's draws come from its own party and channel generators, one trial
+    at a time and in the order the protocol consumes them.  Everything else
+    runs once over the whole chunk: measurement and the check comparison over
+    all trials, then both stages over the trials that passed the check.  A
+    test injector is called per stage, trial and block, in that order.
+
+    Raises:
+        InsufficientSiftAbort: a trial had too few basis matches in
+            max_restarts + 1 attempts.
+    """
+    seeds = list(seeds)
+    draws, parties = _draw_quantum(config, attack, seeds)
+    bob_bits = measure_bits(draws["b"], draws["bits"], draws["flip"], draws["eve"],
+                            draws["bob_bases"], draws["coins"])
+    chunk = TrialChunk(config, draws, bob_bits)
+    live = (~chunk.aborted).nonzero()[0]
+    if live.size:
+        rows = live.tolist()
+        stage_draws = _draw_stages(config, [parties[t] for t in rows],
+                                   [draws["code"][t] for t in rows])
+        chunk._run_stages(live, stage_draws, error_injection)
+    return chunk
 
 
 def run_protocol(config: ProtocolConfig, attack: AttackModel = AttackModel.none(),
@@ -358,118 +626,8 @@ def run_protocol(config: ProtocolConfig, attack: AttackModel = AttackModel.none(
 def run_protocol_full(config: ProtocolConfig, attack: AttackModel = AttackModel.none(),
                       error_injection: Optional[ErrorInjector] = None) -> RunArtifacts:
     """Like run_protocol but also returns Bob's raw bases and measured bits
-    (the data his replay file is built from)."""
-    seed_seq = np.random.SeedSequence(config.rng_seed)
-    party_seq, channel_seq = seed_seq.spawn(2)
-    party = np.random.default_rng(party_seq)
-    channel = np.random.default_rng(channel_seq)
-
-    n = config.transmitted_count
-    restarts = 0
-    while True:
-        # steps 1-2: prepare; step 3: transmit under attack; step 4: Bob
-        # measures in random bases; step 5: only then is b announced (Bob's
-        # bases are drawn before the channel acts, so ordering holds by
-        # construction)
-        bits, b = _draw_preparation(config, party)
-        bob_bases = party.integers(0, 2, size=n, dtype=np.uint8)
-        flip, eve = attack_arrays(attack, n, channel)
-        coins = channel.integers(0, 2, size=n, dtype=np.uint8)
-        bob_bits = measure_bits(b, bits, flip, eve, bob_bases, coins)
-        alice = AliceState(bits=bits, b=b)
-        try:
-            selection = sift(alice, bob_bases, config, party)
-            break
-        except InsufficientSiftAbort:
-            restarts += 1
-            if restarts > config.max_restarts:
-                raise
-
-    check_arr = np.asarray(selection.check_positions, dtype=np.int64)
-    alice_check = _pack(bits[check_arr])
-    bob_check = _pack(bob_bits[check_arr])
-    rate, abort = check_and_decide(alice_check, bob_check, config)
-
-    def make_transcript(stage1=(), stage2=()):
-        return Transcript(
-            b=_pack(b),
-            kept_positions=selection.kept,
-            check_positions=selection.check_positions,
-            alice_check_values=alice_check,
-            bob_check_values=bob_check,
-            stage1_blocks=tuple(stage1),
-            stage2_blocks=tuple(stage2),
-        )
-
-    def aborted_outcome(reason):
-        return RunOutcome(
-            aborted=True,
-            abort_reason=reason,
-            observed_check_error_rate=rate,
-            alice_final_key=None,
-            bob_final_key=None,
-            stage1_decode_failures=0,
-            stage2_decode_failures=0,
-            sifted_count=selection.matched_count,
-            restarts=restarts,
-        )
-
-    if abort:
-        return RunArtifacts(aborted_outcome("security"), make_transcript(), bob_bases, bob_bits)
-
-    # stage 1, steps 8-9: Alice assigns code positions to blocks (randomly
-    # unless the test hook disabled it) and announces positions and u+v
-    code_arr = np.asarray(selection.code_positions, dtype=np.int64)
-    order1 = party.permutation(code_arr) if config.random_assignment else code_arr
-    pos1 = order1.reshape(config.stage1_block_count, config.n1)
-    masked1, alice_labels1 = _alice_stage(config.stage1_pair, bits[pos1], party)
-    stage1_blocks = _announce(1, pos1, masked1)
-
-    # steps 10-11, Bob's side
-    bob_words1 = _inject(error_injection, 1, bob_bits[pos1])
-    bob_labels1, failed1 = stage_correct_and_amplify(config.stage1_pair, bob_words1, masked1)
-    s1_failures = int(failed1.sum())
-    if config.strict_decode and s1_failures:
-        return RunArtifacts(
-            aborted_outcome("decode_failure"), make_transcript(stage1_blocks), bob_bases, bob_bits)
-
-    alice_key1 = alice_labels1.reshape(-1)
-    bob_key1 = bob_labels1.reshape(-1)
-
-    # stage 2 over the stage-1 key bits, mirrored
-    total1 = config.stage1_key_bits
-    order2 = party.permutation(total1) if config.random_assignment else np.arange(total1)
-    pos2 = order2.reshape(config.stage2_block_count, config.n2)
-    masked2, alice_labels2 = _alice_stage(config.stage2_pair, alice_key1[pos2], party)
-    stage2_blocks = _announce(2, pos2, masked2)
-
-    bob_words2 = _inject(error_injection, 2, bob_key1[pos2])
-    bob_labels2, failed2 = stage_correct_and_amplify(config.stage2_pair, bob_words2, masked2)
-    s2_failures = int(failed2.sum())
-    if config.strict_decode and s2_failures:
-        return RunArtifacts(
-            aborted_outcome("decode_failure"),
-            make_transcript(stage1_blocks, stage2_blocks), bob_bases, bob_bits)
-
-    alice_key = _pack(alice_labels2.reshape(-1))
-    bob_key = _pack(bob_labels2.reshape(-1))
-    if alice_key.n != config.final_key_bits:
-        raise ProtocolDesyncError(
-            f"final key length {alice_key.n} != expected {config.final_key_bits}")
-
-    outcome = RunOutcome(
-        aborted=False,
-        abort_reason=None,
-        observed_check_error_rate=rate,
-        alice_final_key=alice_key,
-        bob_final_key=bob_key,
-        stage1_decode_failures=s1_failures,
-        stage2_decode_failures=s2_failures,
-        sifted_count=selection.matched_count,
-        restarts=restarts,
-    )
-    return RunArtifacts(outcome, make_transcript(stage1_blocks, stage2_blocks),
-                        bob_bases, bob_bits)
+    (the data his replay file is built from): a chunk of one trial."""
+    return run_chunk(config, [config.rng_seed], attack, error_injection).artifacts(0)
 
 
 def _check_block_geometry(stage: int, blocks: Sequence[BlockAnnouncement],

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from bb84sim import codes as codes_module
 from bb84sim.codes import (
     CssPair,
     SyndromeTable,
@@ -125,6 +127,40 @@ class TestSyndromeTable:
             err = BitVector(7, err_word)
             assert err.weight <= hamming.t
             assert hamming.syndrome(err).word == synd_word
+
+    @pytest.mark.parametrize("slice_bytes", [None, 50])
+    @pytest.mark.parametrize("name", ["steane", "golay", "simplex", "wide"])
+    def test_build_matches_scalar_build(self, name, slice_bytes, monkeypatch):
+        # same entries in the same order as the per-error scalar build, also
+        # when each weight is enumerated in slices of two error rows
+        from test_engine_equivalence import simplex_pair, wide_pair_text
+
+        code = {
+            "steane": make_hamming_7_4,
+            "golay": make_golay_23_12,
+            "simplex": lambda: simplex_pair().outer,
+            "wide": lambda: parse_pair(wide_pair_text()).outer,
+        }[name]()
+        if slice_bytes is not None:
+            monkeypatch.setattr(codes_module, "_BUILD_SLICE_BYTES", slice_bytes)
+        assert list(SyndromeTable.build(code).items()) == scalar_table_items(code)
+
+
+def scalar_table_items(code):
+    """The table as built one error at a time: weights 1..t in
+    itertools.combinations order, the first error kept for each syndrome."""
+    leaders = {0: 0}
+    h_rows = code.parity_check.row_words
+    for weight in range(1, code.t + 1):
+        for positions in itertools.combinations(range(code.n), weight):
+            err = 0
+            for p in positions:
+                err |= 1 << p
+            synd = 0
+            for i, row in enumerate(h_rows):
+                synd |= ((row & err).bit_count() & 1) << i
+            leaders.setdefault(synd, err)
+    return list(leaders.items())
 
 
 class TestDecode:

@@ -7,6 +7,10 @@ REPLAY_EVERY-th seed) the replay result.  The wide-pair cases run
 `bb84sim run --dump-transcripts` with a file pair whose outer code has 64
 parity checks and hash every output file.
 
+The chunk cases run `bb84sim run --dump-transcripts` over at least three of
+its trial chunks and compare every trials.csv row, transcript and .bob record
+with `run_protocol_full` on that trial's seed alone.
+
 The digests were computed by this module's own functions on the engine
 that predates the array stages; print them for any checkout with
 
@@ -29,10 +33,16 @@ import pytest
 
 from bb84sim import cli
 from bb84sim.channel import AttackModel
-from bb84sim.codes import CssPair, LinearCode, builtin_pair, make_hamming_dual_7_3
-from bb84sim.errors import TranscriptError
+from bb84sim.codes import CssPair, LinearCode, builtin_pair, make_hamming_dual_7_3, parse_pair
+from bb84sim.errors import InsufficientSiftAbort, TranscriptError
 from bb84sim.gf2 import BitMatrix
-from bb84sim.protocol import ProtocolConfig, one_error_per_block, replay_bob, run_protocol_full
+from bb84sim.protocol import (
+    ProtocolConfig,
+    one_error_per_block,
+    replay_bob,
+    run_chunk,
+    run_protocol_full,
+)
 from bb84sim.transcript import dump_transcript
 
 DIGESTS_PATH = Path(__file__).resolve().parent / "engine_digests.json"
@@ -49,6 +59,8 @@ def simplex_pair():
 
 
 def pair(name):
+    if name == "simplex-file":
+        return parse_pair(SIMPLEX_PAIR_FILE)
     return simplex_pair() if name == "simplex" else builtin_pair(name)
 
 
@@ -88,6 +100,16 @@ def _key(vec):
     return None if vec is None else str(vec)
 
 
+def _artifact_parts(art):
+    """The outcome fields, dumped transcript and Bob's bases and bits of a run."""
+    o = art.outcome
+    fields = (o.aborted, o.abort_reason, o.observed_check_error_rate,
+              _key(o.alice_final_key), _key(o.bob_final_key), o.stage1_decode_failures,
+              o.stage2_decode_failures, o.sifted_count, o.restarts)
+    return [repr(fields), dump_transcript(art.transcript),
+            art.bob_bases.tobytes(), art.bob_bits.tobytes()]
+
+
 def case_digest(name):
     """sha256 over every seed of one case."""
     stage1, stage2, kind, seeds, overrides, inject = CASES[name]
@@ -99,12 +121,7 @@ def case_digest(name):
         config = replace(base, rng_seed=seed)
         injector = one_error_per_block(np.random.default_rng(10**6 + seed)) if inject else None
         art = run_protocol_full(config, attack, injector)
-        o = art.outcome
-        fields = (o.aborted, o.abort_reason, o.observed_check_error_rate,
-                  _key(o.alice_final_key), _key(o.bob_final_key), o.stage1_decode_failures,
-                  o.stage2_decode_failures, o.sifted_count, o.restarts)
-        parts = [repr(fields), dump_transcript(art.transcript),
-                 art.bob_bases.tobytes(), art.bob_bits.tobytes()]
+        parts = _artifact_parts(art)
         if seed % REPLAY_EVERY == 0:
             try:
                 r = replay_bob(art.transcript, art.bob_bases, art.bob_bits, config)
@@ -166,6 +183,57 @@ def wide_digest(name, work_dir):
     return h.hexdigest()
 
 
+# name -> (code pair at both stages, attack kind, noise_p, trials, strict_decode)
+CHUNK_CASES = {
+    # about 7% of steane trials restart their quantum phase
+    "steane:bitflip": ("steane", "bitflip", 0.04, 200, False),
+    # about 98% abort at the check
+    "steane:intercept_resend": ("steane", "intercept_resend", 1.0, 200, False),
+    # golay is perfect, so strict decoding never aborts
+    "golay:bitflip:strict": ("golay", "bitflip", 0.04, 40, True),
+    # the [7,3,4] simplex code is not: some trials abort at stage 1 or 2
+    "simplex:bitflip:strict": ("simplex-file", "bitflip", 0.04, 200, True),
+}
+
+# the simplex code over its [7,1,4] subcode spanned by 1010101, as a pair file
+SIMPLEX_PAIR_FILE = """7 3 4
+1010101
+0110011
+0001111
+1110000
+1001100
+0101010
+1101001
+%
+7 1 4
+1010101
+0100000
+0001000
+0000010
+1010000
+1000100
+1000001
+"""
+
+
+def _with_config(monkeypatch, **changes):
+    """Make `bb84sim run` use its usual config with `changes` applied."""
+    build = cli._build_protocol_config
+    monkeypatch.setattr(cli, "_build_protocol_config",
+                        lambda settings, seed: replace(build(settings, seed), **changes))
+
+
+def _run_argv(pair_name, kind, noise_p, seed, trials, out_dir):
+    if pair_name == "simplex-file":
+        pair_file = Path(out_dir) / "simplex.pair"
+        pair_file.write_text(SIMPLEX_PAIR_FILE, encoding="ascii")
+        pair_name = f"file:{pair_file}"
+    return ["run", "--seed", str(seed), "--trials", str(trials), "--attack", kind,
+            "--noise-p", repr(noise_p), "--threshold", "0.124", "--delta", "0.1",
+            "--stage1-pair", pair_name, "--stage2-pair", pair_name,
+            "--out-dir", str(Path(out_dir) / "out"), "--dump-transcripts"]
+
+
 def _expected():
     return json.loads(DIGESTS_PATH.read_text())
 
@@ -182,6 +250,117 @@ def test_sweep_matches_recorded_digest(name):
 @pytest.mark.parametrize("name", list(WIDE_CASES))
 def test_wide_pair_cli_output_matches_recorded_digest(name, tmp_path):
     assert wide_digest(name, tmp_path) == _expected()[name]
+
+
+@pytest.mark.parametrize("name", list(CHUNK_CASES))
+def test_run_across_chunks_matches_single_trials(name, tmp_path, monkeypatch):
+    pair_name, kind, noise_p, trials, strict = CHUNK_CASES[name]
+    _with_config(monkeypatch, strict_decode=strict)
+    config = ProtocolConfig(pair(pair_name), pair(pair_name), abort_threshold=0.124, delta=0.1,
+                            strict_decode=strict)
+    chunk = max(1, cli.QUBITS_PER_CHUNK // config.transmitted_count)
+    assert trials > 2 * chunk
+    base = 500
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(_run_argv(pair_name, kind, noise_p, base, trials, tmp_path)) == 0
+    out_dir = tmp_path / "out"
+    rows = (out_dir / "trials.csv").read_text(encoding="ascii").splitlines()[1:]
+    assert len(rows) == trials
+    attack = AttackModel(kind, probability=noise_p)
+    outcomes = []
+    for i, row in enumerate(rows):
+        art = run_protocol_full(replace(config, rng_seed=base + i), attack)
+        o = art.outcome
+        outcomes.append(o)
+        expected = [i, base + i, o.aborted, o.observed_check_error_rate, o.keys_equal,
+                    o.stage1_decode_failures + o.stage2_decode_failures]
+        assert row == ",".join(cli._fmt(v) for v in expected), f"trial {i}"
+        stem = out_dir / "transcripts" / f"trial_{i:05d}"
+        assert stem.with_suffix(".transcript").read_text(encoding="ascii") == \
+            dump_transcript(art.transcript), f"trial {i}"
+        key = "-" if o.bob_final_key is None else str(o.bob_final_key)
+        bob = (f"BASES {''.join(str(x) for x in art.bob_bases)}\n"
+               f"BITS {''.join(str(x) for x in art.bob_bits)}\nKEY {key}\n")
+        assert stem.with_suffix(".bob").read_text(encoding="ascii") == bob, f"trial {i}"
+    # the cases reach what they are there for
+    reasons = {o.abort_reason for o in outcomes}
+    if name == "steane:bitflip":
+        assert any(o.restarts and i % chunk for i, o in enumerate(outcomes))
+    if name == "steane:intercept_resend":
+        assert reasons == {"security", None}
+    if name == "simplex:bitflip:strict":
+        assert reasons == {"decode_failure", None}
+
+
+@pytest.mark.parametrize("name", ["simplex/simplex:bitflip:strict", "steane/steane:bitflip:fixed",
+                                  "golay/golay:correlated_positions:fixed",
+                                  "steane/golay:intercept_resend"])
+def test_chunk_trials_equal_single_trials(name):
+    # settings `bb84sim run` cannot make, in one chunk of many trials
+    stage1, stage2, kind, _, overrides, _ = CASES[name]
+    base = ProtocolConfig(pair(stage1), pair(stage2), abort_threshold=0.124, delta=0.1,
+                          **overrides)
+    attack = attack_for(kind, base.transmitted_count)
+    chunk = run_chunk(base, range(100, 160), attack)
+    for i in range(len(chunk.aborted)):
+        single = run_protocol_full(replace(base, rng_seed=100 + i), attack)
+        assert _artifact_parts(chunk.artifacts(i)) == _artifact_parts(single), f"trial {i}"
+
+
+def test_chunk_aborting_at_every_step_equals_single_trials():
+    # strict simplex at bitflip 0.1: trials abort at the check and on decode
+    # failures at either stage, between trials that finish
+    config = ProtocolConfig(simplex_pair(), simplex_pair(), abort_threshold=0.124, delta=0.1,
+                            strict_decode=True)
+    attack = AttackModel.bitflip(0.1)
+    chunk = run_chunk(config, range(100, 300), attack)
+    steps = set()
+    for i in range(200):
+        art = chunk.artifacts(i)
+        o, t = art.outcome, art.transcript
+        steps.add((o.abort_reason, bool(t.stage1_blocks), bool(t.stage2_blocks)))
+        if o.aborted:  # an aborted run reports no failures and no keys
+            assert (o.stage1_decode_failures, o.stage2_decode_failures) == (0, 0)
+            assert o.alice_final_key is o.bob_final_key is None
+        single = run_protocol_full(replace(config, rng_seed=100 + i), attack)
+        assert _artifact_parts(art) == _artifact_parts(single), f"trial {i}"
+    assert steps == {("security", False, False), ("decode_failure", True, False),
+                     ("decode_failure", True, True), (None, True, True)}
+
+
+def test_chunk_injects_per_trial_block_indices():
+    # a stateless injector, so that each trial alone sees the same flips;
+    # four flips a block are beyond golay's radius, so they change the keys
+    def inject(stage, block, n):
+        return [(block + j) % n for j in range(4)]
+
+    config = ProtocolConfig(pair("golay"), pair("steane"), abort_threshold=0.124, delta=0.1)
+    chunk = run_chunk(config, range(30), AttackModel.bitflip(0.02), inject)
+    assert not chunk.keys_equal.all()
+    for i in range(30):
+        single = run_protocol_full(replace(config, rng_seed=i), AttackModel.bitflip(0.02), inject)
+        assert _artifact_parts(chunk.artifacts(i)) == _artifact_parts(single), f"trial {i}"
+
+
+def test_exhausted_restarts_mid_chunk_is_a_config_error(tmp_path, monkeypatch, capsys):
+    _with_config(monkeypatch, max_restarts=0)
+    config = ProtocolConfig(pair("steane"), pair("steane"), abort_threshold=0.124, delta=0.1,
+                            max_restarts=0)
+    chunk = cli.QUBITS_PER_CHUNK // config.transmitted_count
+    base = 500
+    first = next(i for i in range(1000) if _needs_restart(replace(config, rng_seed=base + i)))
+    assert first % chunk and first < chunk
+    code = cli.main(_run_argv("steane", "bitflip", 0.04, base, chunk, tmp_path))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def _needs_restart(config):
+    try:
+        run_protocol_full(config, AttackModel.bitflip(0.04))
+    except InsufficientSiftAbort:
+        return True
+    return False
 
 
 if __name__ == "__main__":

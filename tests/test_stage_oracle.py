@@ -1,9 +1,9 @@
 """The array stage functions against the scalar oracle in bb84sim.codes.
 
 `_alice_stage` and `stage_correct_and_amplify` work on (B, n) arrays; each
-row must match what the per-block functions `random_codeword`,
-`decode_to_codeword`, `coset_label` and `project_label` give for that block,
-decode failures included.  The nested pairs are random, built here, and
+row, with the coefficients drawn as one (B, k) draw, must match what the
+per-block functions `random_codeword`, `decode_to_codeword`, `coset_label`
+and `project_label` give for that block, decode failures included.  The nested pairs are random, built here, and
 their declared distances are checked by enumeration.
 """
 
@@ -95,7 +95,9 @@ def vectors(rows):
 def test_alice_stage_matches_per_block_draws(pair_seed, blocks):
     pair, seed = pair_seed
     values = np.random.default_rng(seed + 1).integers(0, 2, (blocks, pair.n), dtype=np.uint8)
-    masked, labels = _alice_stage(pair, values, np.random.default_rng(seed))
+    # the engine draws a stage's coefficients as one (B, k) draw
+    coeffs = np.random.default_rng(seed).integers(0, 2, size=(blocks, pair.outer.k))
+    masked, labels = _alice_stage(pair, values, coeffs)
     oracle = np.random.default_rng(seed)
     for v, m, label in zip(vectors(values), vectors(masked), vectors(labels)):
         u = random_codeword(pair.outer, oracle)
@@ -109,7 +111,7 @@ def test_receiver_stage_matches_per_block_decode(pair_seed, blocks):
     pair, seed = pair_seed
     rng = np.random.default_rng(seed)
     values = rng.integers(0, 2, (blocks, pair.n), dtype=np.uint8)
-    masked, _ = _alice_stage(pair, values, rng)
+    masked, _ = _alice_stage(pair, values, rng.integers(0, 2, size=(blocks, pair.outer.k)))
     # errors of every weight, so that non-perfect codes fail to decode
     weights = rng.integers(0, pair.n + 1, size=blocks)
     noisy = values ^ (rng.random((blocks, pair.n)).argsort(axis=1) < weights[:, None])
@@ -149,8 +151,8 @@ def test_labelling_a_non_codeword_raises():
     steane = builtin_pair("steane")
     words = words_to_rows([0b1111111, 0b0000001], 7)
     with pytest.raises(NotInCodeError, match="1 stage words"):
-        _labels(steane, words)
-    labels = _labels(steane, words, np.array([False, True]))
+        _labels(steane, words @ steane.check_label_t & 1)
+    labels = _labels(steane, words @ steane.check_label_t & 1, np.array([False, True]))
     assert vectors(labels) == [steane.coset_label(BitVector(7, 0b1111111)),
                                steane.project_label(BitVector(7, 0b0000001))]
 
