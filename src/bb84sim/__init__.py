@@ -8,21 +8,17 @@ from .codes import (
     LinearCode,
     SyndromeTable,
     builtin_pair,
-    decode_to_codeword,
     load_pair,
     make_golay_23_12,
     make_hamming_7_4,
-    random_codeword,
 )
-from .gf2 import BitMatrix, BitVector, mat_vec, row_reduce, solve_membership
+from .gf2 import BitMatrix, BitVector, row_reduce, solve_membership
 from .protocol import (
     ProtocolConfig,
     RunOutcome,
-    check_and_decide,
     replay_bob,
     run_protocol,
     run_protocol_full,
-    sift,
     stage_correct_and_amplify,
 )
 from .stats import (

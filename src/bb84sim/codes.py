@@ -6,17 +6,19 @@ syndrome decoding, and the quotient outer/inner compresses a corrected
 codeword to a short coset label, which is the key material.
 
 Decoding is strict bounded-distance: only error patterns of weight up to
-t = floor((d-1)/2) are tabulated, and a syndrome outside the table raises
-DecodeFailure instead of guessing.  An auditable failure beats a silent
-miscorrection in a security simulator; the protocol layer decides policy.
+t = floor((d-1)/2) are tabulated, and a syndrome outside the table is
+reported as a failure instead of guessing.  An auditable failure beats a
+silent miscorrection in a security simulator; the protocol layer decides
+policy.
 
-Codes and pairs also hold their matrices as dense uint8 arrays (built on
-first use and cached on the object), so that callers can syndrome, decode
-and label many blocks at once: `LinearCode.generator_array`,
+Codes and pairs hold their matrices as dense uint8 arrays (built on first
+use and cached on the object), so that callers syndrome, decode and label
+many blocks at once: `LinearCode.generator_array`,
 `LinearCode.parity_check_t`, `CssPair.check_label_t`,
 `CssPair.generator_check_labels` and `CssPair.error_check_labels`, with
 `SyndromeTable.lookup_rows` as the table lookup for many syndromes.  The
-scalar functions below stay the reference.
+protocol's stage functions are the only decoder and labeller; the tests keep
+a scalar one-block-at-a-time reference of both.
 """
 
 from __future__ import annotations
@@ -27,11 +29,10 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DecodeFailure, DimensionError, InvalidPairError, NotInCodeError
+from .errors import DimensionError, InvalidPairError
 from .gf2 import (
     BitMatrix,
     BitVector,
-    mat_vec,
     row_reduce,
     rows_to_words,
     solve_membership,
@@ -48,8 +49,6 @@ __all__ = [
     "make_golay_dual_23_11",
     "builtin_pair",
     "BUILTIN_PAIR_NAMES",
-    "random_codeword",
-    "decode_to_codeword",
     "parse_code",
     "format_code",
     "parse_pair",
@@ -76,11 +75,6 @@ class LinearCode:
             raise ValueError(f"generator of {name or 'code'} does not have rank {k}")
         if row_reduce(parity_check)[1] != n - k:
             raise ValueError(f"parity check of {name or 'code'} does not have rank {n - k}")
-        for i in range(k):
-            if not mat_vec(parity_check, generator.row(i)).is_zero():
-                raise ValueError(f"generator row {i} has nonzero syndrome")
-        if d < 1:
-            raise ValueError(f"declared distance {d} < 1")
         self.n = n
         self.k = k
         self.d = d
@@ -88,17 +82,16 @@ class LinearCode:
         self.parity_check = parity_check
         self.name = name
         self._table: Optional[SyndromeTable] = None
+        bad = (self.generator_array @ self.parity_check_t & 1).any(axis=1)
+        if bad.any():
+            raise ValueError(f"generator row {bad.argmax()} has nonzero syndrome")
+        if d < 1:
+            raise ValueError(f"declared distance {d} < 1")
 
     @property
     def t(self) -> int:
         """Guaranteed correction radius floor((d-1)/2)."""
         return (self.d - 1) // 2
-
-    def syndrome(self, v: BitVector) -> BitVector:
-        return mat_vec(self.parity_check, v)
-
-    def contains(self, v: BitVector) -> bool:
-        return self.syndrome(v).is_zero()
 
     def codewords(self) -> Iterator[BitVector]:
         """All 2^k codewords; only sensible for small k (guarded at 20)."""
@@ -150,12 +143,11 @@ class SyndromeTable:
     zero row after them.
     """
 
-    __slots__ = ("t", "n", "_width", "_index", "_rows")
+    __slots__ = ("t", "n", "_index", "_rows")
 
-    def __init__(self, t: int, n: int, width: int, index: dict[bytes, int], rows: np.ndarray):
+    def __init__(self, t: int, n: int, index: dict[bytes, int], rows: np.ndarray):
         self.t = t
         self.n = n
-        self._width = width
         self._index = index
         self._rows = np.concatenate([rows, np.zeros((1, n), dtype=np.uint8)])
 
@@ -183,13 +175,7 @@ class SyndromeTable:
                         index[key] = len(index)
                         fresh.append(i)
                 rows.append(errors[fresh])
-        return cls(code.t, n, width, index, np.concatenate(rows))
-
-    def lookup(self, syndrome: BitVector) -> Optional[BitVector]:
-        i = self._index.get(syndrome.word.to_bytes(self._width, "little"))
-        if i is None:
-            return None
-        return BitVector(self.n, rows_to_words(self._rows[i:i + 1])[0])
+        return cls(code.t, n, index, np.concatenate(rows))
 
     @property
     def errors(self) -> np.ndarray:
@@ -198,7 +184,7 @@ class SyndromeTable:
         return self._rows
 
     def lookup_rows(self, syndromes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`lookup` for each row of a (B, n-k) 0/1 array of syndromes.
+        """Look up each row of a (B, n-k) 0/1 array of syndromes.
 
         Returns:
             (rows, failed): the (B,) row indices into `errors` of each
@@ -231,31 +217,6 @@ def _syndrome_keys(syndromes: np.ndarray) -> list[bytes]:
     return packed.view(f"V{packed.shape[1]}").ravel().tolist()
 
 
-def decode_to_codeword(code: LinearCode, received: BitVector) -> tuple[BitVector, BitVector]:
-    """Bounded-distance decode: returns (codeword, corrected_error).
-
-    Raises:
-        DecodeFailure: syndrome of `received` is outside the table, i.e. the
-            error weight exceeded t and no correction is guaranteed.
-    """
-    if received.n != code.n:
-        raise DimensionError(f"received length {received.n} != block length {code.n}")
-    err = code.syndrome_table().lookup(code.syndrome(received))
-    if err is None:
-        raise DecodeFailure(f"syndrome outside radius-{code.t} table of {code!r}")
-    return received + err, err
-
-
-def random_codeword(code: LinearCode, rng) -> BitVector:
-    """Uniform draw over the 2^k codewords (rng is a numpy Generator)."""
-    coeffs = rng.integers(0, 2, size=code.k)
-    w = 0
-    for i in range(code.k):
-        if coeffs[i]:
-            w ^= code.generator.row_words[i]
-    return BitVector(code.n, w)
-
-
 class CssPair:
     """A nested pair inner < outer of equal-length codes, one stage of keying.
 
@@ -269,10 +230,11 @@ class CssPair:
     def __init__(self, outer: LinearCode, inner: LinearCode):
         if outer.n != inner.n:
             raise DimensionError(f"block length mismatch: {outer.n} vs {inner.n}")
-        for i in range(inner.k):
-            if not outer.contains(inner.generator.row(i)):
-                raise InvalidPairError(
-                    f"inner generator row {i} ({inner.generator.row(i)}) is not in the outer code")
+        bad = (inner.generator_array @ outer.parity_check_t & 1).any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            raise InvalidPairError(
+                f"inner generator row {i} ({inner.generator.row(i)}) is not in the outer code")
         self.outer = outer
         self.inner = inner
         self.key_width = outer.k - inner.k
@@ -309,24 +271,6 @@ class CssPair:
         projected label gives those of the word corrected by error i."""
         return self.outer.syndrome_table().errors @ self.check_label_t & 1
 
-    def coset_label(self, codeword: BitVector) -> BitVector:
-        """Label of the coset codeword + inner, as key_width bits.
-
-        Raises:
-            NotInCodeError: the input is not an outer-code codeword.
-        """
-        if not self.outer.contains(codeword):
-            raise NotInCodeError(f"{codeword} is not in the outer code")
-        return mat_vec(self._label_matrix, codeword)
-
-    def project_label(self, word: BitVector) -> BitVector:
-        """Linear extension of coset_label to arbitrary words.
-
-        Agrees with coset_label on the outer code; used by the best-effort
-        policy after a decode failure (label the raw block as if error-free).
-        """
-        return mat_vec(self._label_matrix, word)
-
     def __repr__(self) -> str:
         return (f"CssPair(outer=[{self.outer.n},{self.outer.k},{self.outer.d}], "
                 f"inner=[{self.inner.n},{self.inner.k},{self.inner.d}], "
@@ -348,36 +292,20 @@ def _build_label_matrix(outer: LinearCode, inner: LinearCode) -> BitMatrix:
     if len(extension) != k1 - r2:
         raise InvalidPairError("could not extend inner basis to outer basis")
 
-    # Right inverse of the stacked basis M (k1 x n): reduce [M | I] so that
-    # the tag rows T satisfy T.M = rref(M), whose pivot columns carry the
-    # identity; coefficients of w over M are then read off w's pivot bits.
-    m_words = basis + extension
-    aug = [m_words[i] | (1 << (n + i)) for i in range(k1)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        if r == k1:
-            break
-        mask = 1 << col
-        pivot_row = next((i for i in range(r, k1) if aug[i] & mask), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        for i in range(k1):
-            if i != r and aug[i] & mask:
-                aug[i] ^= aug[r]
-        pivots.append(col)
-        r += 1
-    if r != k1:
+    # A word w of the outer code is the sum of the rows of rref(M), for the
+    # stacked basis M (k1 x n), at w's pivot bits; so its coefficients over
+    # M, whose last key_width are its label, sum those of each such row.
+    stacked = BitMatrix(k1, n, basis + extension)
+    reduced, rank, pivots = row_reduce(stacked)
+    if rank != k1:
         raise InvalidPairError("stacked basis is rank deficient")
     key_width = k1 - r2
-    label_rows = []
-    for j in range(key_width):
-        mask = 0
-        for l in range(k1):
-            if (aug[l] >> (n + r2 + j)) & 1:
-                mask |= 1 << pivots[l]
-        label_rows.append(mask)
+    label_rows = [0] * key_width
+    for l, col in enumerate(pivots):
+        coeff = solve_membership(stacked, reduced.row(l)).word
+        for j in range(key_width):
+            if (coeff >> (r2 + j)) & 1:
+                label_rows[j] |= 1 << col
     return BitMatrix(key_width, n, label_rows)
 
 
@@ -492,8 +420,9 @@ def parse_code(text: str, name: str = "") -> LinearCode:
     for row in lines[1:]:
         if len(row) != n or set(row) - {"0", "1"}:
             raise ValueError(f"bad matrix row {row!r} (need {n} characters of 0/1)")
-    gen = BitMatrix.from_strings(lines[1:1 + k])
-    chk = BitMatrix.from_strings(lines[1 + k:])
+    # sized by the header, so that an empty matrix (k = 0 or k = n) has n columns
+    gen = BitMatrix(k, n, (BitVector.from_string(r).word for r in lines[1:1 + k]))
+    chk = BitMatrix(n - k, n, (BitVector.from_string(r).word for r in lines[1 + k:]))
     return LinearCode(n, k, d, gen, chk, name=name)
 
 

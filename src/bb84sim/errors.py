@@ -5,10 +5,6 @@ class DimensionError(ValueError):
     """Operands have incompatible lengths or shapes."""
 
 
-class DecodeFailure(Exception):
-    """Received word lies outside the decoding radius of the syndrome table."""
-
-
 class InvalidPairError(ValueError):
     """Two codes do not form a valid nested pair."""
 

@@ -5,7 +5,8 @@ bit ``i`` of the backing word is logical index ``i``, so XOR-heavy loops run
 at machine-word speed while the interface stays in terms of bit indices.
 Row reduction always picks the leftmost pivot, which makes reduced forms
 canonical; both protocol parties therefore derive identical coset labels
-from the public matrices without communicating.
+from the public matrices without communicating.  `row_reduce` and
+`solve_membership` share one elimination loop.
 
 All indices are zero-based.  `rows_to_words` and `words_to_rows` convert
 between packed words and rows of (m, n) uint8 arrays under the same bit
@@ -23,7 +24,6 @@ from .errors import DimensionError
 __all__ = [
     "BitVector",
     "BitMatrix",
-    "mat_vec",
     "row_reduce",
     "solve_membership",
     "rows_to_words",
@@ -142,29 +142,12 @@ class BitMatrix:
         self.row_words = words
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
-        vecs = [BitVector.from_bits(r) for r in rows]
-        if not vecs:
-            return cls(0, 0, ())
-        cols = vecs[0].n
-        for v in vecs:
-            if v.n != cols:
-                raise DimensionError("ragged rows")
-        return cls(len(vecs), cols, (v.word for v in vecs))
-
-    @classmethod
     def from_strings(cls, rows: Iterable[str]) -> "BitMatrix":
-        return cls.from_rows([int(c) for c in r] for r in rows)
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[BitVector]) -> "BitMatrix":
-        vecs = list(vectors)
-        if not vecs:
-            return cls(0, 0, ())
-        cols = vecs[0].n
-        for v in vecs:
-            if v.n != cols:
-                raise DimensionError("ragged rows")
+        """Matrix of 0/1 strings, one per row, character j being column j."""
+        vecs = [BitVector.from_string(r) for r in rows]
+        cols = vecs[0].n if vecs else 0
+        if any(v.n != cols for v in vecs):
+            raise DimensionError("ragged rows")
         return cls(len(vecs), cols, (v.word for v in vecs))
 
     @classmethod
@@ -207,29 +190,14 @@ class BitMatrix:
         return f"BitMatrix({self.rows}x{self.cols})"
 
 
-def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
-    """Matrix-vector product; result bit i is the parity of row i AND v."""
-    if m.cols != v.n:
-        raise DimensionError(f"matrix has {m.cols} columns, vector length {v.n}")
-    word = 0
-    for i, row in enumerate(m.row_words):
-        word |= ((row & v.word).bit_count() & 1) << i
-    return BitVector(m.rows, word)
-
-
-def row_reduce(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
-    """Reduced row-echelon form with deterministic leftmost-pivot selection.
-
-    Returns:
-        (reduced, rank, pivot_columns).  The reduced matrix has the same
-        shape as the input (zero rows sink to the bottom), its row space is
-        unchanged, and reducing it again returns it unchanged.
-    """
-    words = list(m.row_words)
-    nrows = m.rows
+def _eliminate(words: list[int], ncols: int) -> list[int]:
+    """Reduce the low `ncols` bits of `words`, in place, to reduced
+    row-echelon form, taking the leftmost pivot each time; bits above them
+    ride along with their rows.  Returns the pivot columns."""
+    nrows = len(words)
     pivots: list[int] = []
     r = 0
-    for col in range(m.cols):
+    for col in range(ncols):
         if r == nrows:
             break
         mask = 1 << col
@@ -242,7 +210,20 @@ def row_reduce(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
                 words[i] ^= words[r]
         pivots.append(col)
         r += 1
-    return BitMatrix(nrows, m.cols, words), r, pivots
+    return pivots
+
+
+def row_reduce(m: BitMatrix) -> tuple[BitMatrix, int, list[int]]:
+    """Reduced row-echelon form with deterministic leftmost-pivot selection.
+
+    Returns:
+        (reduced, rank, pivot_columns).  The reduced matrix has the same
+        shape as the input (zero rows sink to the bottom), its row space is
+        unchanged, and reducing it again returns it unchanged.
+    """
+    words = list(m.row_words)
+    pivots = _eliminate(words, m.cols)
+    return BitMatrix(m.rows, m.cols, words), len(pivots), pivots
 
 
 def solve_membership(m: BitMatrix, v: BitVector) -> Optional[BitVector]:
@@ -254,35 +235,17 @@ def solve_membership(m: BitMatrix, v: BitVector) -> Optional[BitVector]:
     """
     if m.cols != v.n:
         raise DimensionError(f"matrix has {m.cols} columns, vector length {v.n}")
-    ncols = m.cols
-    # Augment each row with an identity tag in the high bits so the
-    # elimination tracks which original rows combine into each reduced row.
-    aug = [m.row_words[i] | (1 << (ncols + i)) for i in range(m.rows)]
-    col_mask = (1 << ncols) - 1
-    pivot_of: list[tuple[int, int]] = []  # (reduced row index, pivot column)
-    r = 0
-    for col in range(ncols):
-        if r == m.rows:
-            break
-        mask = 1 << col
-        pivot_row = next((i for i in range(r, m.rows) if aug[i] & mask), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        for i in range(m.rows):
-            if i != r and aug[i] & mask:
-                aug[i] ^= aug[r]
-        pivot_of.append((r, col))
-        r += 1
-    residual = v.word
-    coeff = 0
-    for row_idx, col in pivot_of:
-        if (residual >> col) & 1:
-            residual ^= aug[row_idx] & col_mask
-            coeff ^= aug[row_idx] >> ncols
-    if residual:
+    # Tag each row with its index in the high bits, so the elimination
+    # tracks which original rows combine into each reduced row; clearing v's
+    # pivot bits then leaves its coefficients in the tag bits.
+    aug = [w | (1 << (m.cols + i)) for i, w in enumerate(m.row_words)]
+    word = v.word
+    for i, col in enumerate(_eliminate(aug, m.cols)):
+        if (word >> col) & 1:
+            word ^= aug[i]
+    if word & ((1 << m.cols) - 1):
         return None
-    return BitVector(m.rows, coeff)
+    return BitVector(m.rows, word >> m.cols)
 
 
 def rows_to_words(rows: np.ndarray) -> list[int]:

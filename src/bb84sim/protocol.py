@@ -25,16 +25,18 @@ trial that passed the check, the permutation of the code positions, the
 stage-1 coefficients, the permutation of the stage-1 key bits and the
 stage-2 coefficients.  Everything after the draws runs once per chunk over
 (trials x n) arrays: measurement, the check comparison and the abort
-decision, and both correction stages, whose blocks are the rows of
-(trials*blocks x n) arrays, against the dense matrices each code pair caches
-(see codes.py).  A stage's masking coefficients are one (blocks x k) draw,
-which consumes the party stream exactly as one draw per block does;
-syndromes, codewords and labels are matrix products over all rows, and
-decoding is one syndrome-table lookup per row.  The stage-1 key is the
+decision (`_check_and_abort`, which replay calls too), and both correction
+stages, whose blocks are the rows of (trials*blocks x n) arrays, against the
+dense matrices each code pair caches (see codes.py).  A stage's masking
+coefficients are one (blocks x k) draw, which consumes the party stream
+exactly as one draw per block does; syndromes, codewords and labels are
+matrix products over all rows, and decoding is one syndrome-table lookup per
+row.  The stage-1 key is the
 row-major flattening of a trial's stage-1 labels.  The objects of a trial
 (transcript, block announcements, sift positions and keys) are built only
-when asked for (`TrialChunk.artifacts`).  Replay runs the same receiver
-stage function as a live run.
+when asked for (`TrialChunk.artifacts`).  Replay runs the same check and
+receiver stage functions as a live run, on one row.  Each protocol step has
+this one implementation; the tests hold a scalar per-block reference.
 """
 
 from __future__ import annotations
@@ -59,20 +61,15 @@ from .transcript import BlockAnnouncement, Transcript
 
 __all__ = [
     "ProtocolConfig",
-    "AliceState",
-    "SiftSelection",
     "RunOutcome",
     "RunArtifacts",
     "ReplayResult",
-    "sift",
-    "check_and_decide",
     "stage_correct_and_amplify",
     "TrialChunk",
     "run_chunk",
     "run_protocol",
     "run_protocol_full",
     "replay_bob",
-    "one_error_per_block",
 ]
 
 # injector(stage, block_index, block_length) -> positions to flip in Bob's block
@@ -156,24 +153,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class AliceState:
-    """Alice's private record of one transmission attempt."""
-
-    bits: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
-class SiftSelection:
-    """Alice's announced position choices after sifting."""
-
-    kept: tuple[int, ...]
-    check_positions: tuple[int, ...]
-    code_positions: tuple[int, ...]
-    matched_count: int
-
-
-@dataclass(frozen=True)
 class RunOutcome:
     aborted: bool
     abort_reason: Optional[str]  # None | "security" | "decode_failure"
@@ -216,6 +195,12 @@ def _pack(bits: np.ndarray) -> BitVector:
                                                "little"))
 
 
+def _unpack(v: BitVector) -> np.ndarray:
+    """The bits of v as a uint8 array; the inverse of `_pack`."""
+    raw = np.frombuffer(v.word.to_bytes((v.n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=v.n, bitorder="little")
+
+
 def _draw_preparation(config: ProtocolConfig, rng: np.random.Generator):
     """Preparation draws, in the fixed order the runner consumes them."""
     n = config.transmitted_count
@@ -253,39 +238,17 @@ def _select(matched: np.ndarray, config: ProtocolConfig, rng: np.random.Generato
     return kept, np.sort(kept[picks]), kept[in_code]
 
 
-def sift(alice: AliceState, bob_bases: np.ndarray, config: ProtocolConfig,
-         rng: np.random.Generator) -> SiftSelection:
-    """Discard mismatched bases and let Alice pick working and check sets.
+def _check_and_abort(alice_check: np.ndarray, bob_check: np.ndarray, config: ProtocolConfig):
+    """The check comparison and the abort rule, over (T, c) 0/1 arrays of
+    Alice's and Bob's check bits, one trial per row, or (c,) arrays of one
+    trial's.
 
-    Bob's bases must be committed before this is called; the caller enforces
-    the announcement ordering by construction.
-
-    Raises:
-        InsufficientSiftAbort: fewer than 2*n1*n2 matched positions remain.
+    Returns:
+        (rate, abort): the (T,) observed check-bit error rates and the (T,)
+        bool mask of trials whose rate exceeds the abort threshold (scalars
+        for one trial).
     """
-    matched = np.flatnonzero(bob_bases == alice.b)
-    kept, check, code = _select(matched, config, rng)
-    return SiftSelection(
-        kept=tuple(kept.tolist()),
-        check_positions=tuple(check.tolist()),
-        code_positions=tuple(code.tolist()),
-        matched_count=int(matched.size),
-    )
-
-
-def check_and_decide(alice_check: BitVector, bob_check: BitVector,
-                     config: ProtocolConfig) -> tuple[float, bool]:
-    """Observed check-bit error rate and the abort decision.
-
-    Raises:
-        ProtocolDesyncError: the two check strings differ in length.
-    """
-    if alice_check.n != bob_check.n:
-        raise ProtocolDesyncError(
-            f"check strings differ in length: {alice_check.n} vs {bob_check.n}")
-    if alice_check.n == 0:
-        raise ProtocolDesyncError("empty check string")
-    rate = (alice_check + bob_check).weight / alice_check.n
+    rate = (alice_check ^ bob_check).sum(axis=-1) / alice_check.shape[-1]
     return rate, rate > config.abort_threshold
 
 
@@ -295,7 +258,7 @@ def _labels(pair: CssPair, product: np.ndarray,
     their `words @ pair.check_label_t & 1` product.
 
     Rows flagged in the optional (B,) mask `projected` need not be codewords:
-    they get the projected label (`CssPair.project_label`).
+    they get the projected label, the label matrix applied to the raw word.
 
     Raises:
         NotInCodeError: an unflagged row is not an outer-code codeword.
@@ -378,8 +341,9 @@ def _inject(injector: Optional[ErrorInjector], stage: int, words: np.ndarray,
 class TrialChunk:
     """The results of a chunk of trials, one trial per row of its arrays.
 
-    The per-trial outcome fields are arrays: `aborted`, `check_error_rate`,
-    `keys_equal` (False where aborted), and `stage1_decode_failures` and
+    The per-trial outcome fields are arrays: `aborted`, `check_failed` (the
+    trials that aborted at the check), `check_error_rate`, `keys_equal`
+    (False where aborted), and `stage1_decode_failures` and
     `stage2_decode_failures` (0 where aborted, as in `RunOutcome`).  The
     objects of one trial (outcome, transcript, keys) are built by
     `artifacts` only when asked for.
@@ -391,9 +355,10 @@ class TrialChunk:
         self.draws = draws
         self.bob_bits = bob_bits
         count = len(bob_bits)
-        wrong = (draws["bits"] ^ bob_bits)[np.arange(count)[:, None], draws["check"]]
-        self.check_error_rate = wrong.sum(axis=1) / config.check_count
-        self.aborted = self.check_error_rate > config.abort_threshold
+        rows, check = np.arange(count)[:, None], draws["check"]
+        self.check_error_rate, self.check_failed = _check_and_abort(
+            draws["bits"][rows, check], bob_bits[rows, check], config)
+        self.aborted = self.check_failed.copy()
         self.keys_equal = np.zeros(count, dtype=bool)
         self.stage1_decode_failures, self.stage2_decode_failures = np.zeros((2, count), np.int64)
         # the row in the stage-1 and stage-2 arrays below of each trial that
@@ -454,8 +419,7 @@ class TrialChunk:
         stage2 = () if k is None else _announce(2, self.order2[k].reshape(-1, c.n2),
                                                  self.masked2[k])
         if aborted:
-            security = self.check_error_rate[i] > c.abort_threshold
-            reason = "security" if security else "decode_failure"
+            reason = "security" if self.check_failed[i] else "decode_failure"
             alice_key = bob_key = None
         else:
             reason = None
@@ -668,7 +632,7 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
         raise TranscriptError(
             f"measurement record length {bob_bases.shape} does not match transmission {n}")
     kept = np.asarray(transcript.kept_positions, dtype=np.int64)
-    announced = words_to_rows([transcript.b.word], n)[0]
+    announced = _unpack(transcript.b)
     p = _first_invalid(kept, n, bob_bases == announced)
     if p is not None:
         if not 0 <= p < n:
@@ -686,8 +650,9 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
         if not 0 <= p < n:
             raise TranscriptError(f"check position {p} outside transmission length {n}")
         raise TranscriptError(f"check position {p} is not a kept position")
-    bob_check = _pack(bob_bits[check])
-    rate, abort = check_and_decide(transcript.alice_check_values, bob_check, config)
+    rate, abort = _check_and_abort(_unpack(transcript.alice_check_values), bob_bits[check], config)
+    # a Python float, whose repr `bb84sim replay` prints
+    rate = float(rate)
     if abort:
         return ReplayResult(None, rate, True, 0, 0)
     _check_block_geometry(1, transcript.stage1_blocks, config.stage1_block_count, config.n1)
@@ -736,12 +701,3 @@ def _block_positions(blocks: Sequence[BlockAnnouncement]) -> np.ndarray:
 def _block_words(blocks: Sequence[BlockAnnouncement], n: int) -> np.ndarray:
     """(B, n) masked words of announced blocks of length n."""
     return words_to_rows([blk.masked.word for blk in blocks], n)
-
-
-def one_error_per_block(rng: np.random.Generator) -> ErrorInjector:
-    """Injector flipping one uniformly placed bit in every block, both stages."""
-
-    def inject(stage: int, block_index: int, block_len: int):
-        return [int(rng.integers(0, block_len))]
-
-    return inject

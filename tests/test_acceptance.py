@@ -23,14 +23,16 @@ import pytest
 
 from bb84sim.channel import AttackModel
 from bb84sim.cli import _read_bob_file, main as cli_main
-from bb84sim.codes import builtin_pair, decode_to_codeword
-from bb84sim.gf2 import BitVector
+from bb84sim.codes import builtin_pair
+from bb84sim.gf2 import words_to_rows
 from bb84sim.protocol import (
     ProtocolConfig,
-    one_error_per_block,
+    _alice_stage,
+    _labels,
     replay_bob,
     run_protocol,
     run_protocol_full,
+    stage_correct_and_amplify,
 )
 from bb84sim.stats import (
     RecursionModel,
@@ -43,6 +45,7 @@ from bb84sim.stats import (
     sigma,
 )
 from bb84sim.transcript import parse_transcript
+from oracle import one_error_per_block
 
 STEANE = builtin_pair("steane")
 GOLAY = builtin_pair("golay")
@@ -104,16 +107,22 @@ def test_03_clean_channel_correctness():
            f"{elapsed:.1f}s (<10s)")
 
 
+def steane_codewords():
+    """The 16 codewords of the steane outer code as the rows of an array."""
+    return words_to_rows([cw.word for cw in STEANE.outer.codewords()], 7)
+
+
 def test_04_half_distance_robustness():
     start = time.perf_counter()
-    exhaustive_ok = True
-    for u in STEANE.outer.codewords():
-        for j in range(7):
-            decoded, err = decode_to_codeword(STEANE.outer, u + BitVector.unit(7, j))
-            if decoded != u or err != BitVector.unit(7, j):
-                exhaustive_ok = False
-            if STEANE.coset_label(decoded) != STEANE.coset_label(u):
-                exhaustive_ok = False
+    # every single-bit error on every codeword u, as the 7x16 blocks of one
+    # stage call: Alice announces u (her bits v are zero), Bob holds the error
+    coeffs = np.repeat(words_to_rows(range(16), 4), 7, axis=0)
+    values = np.zeros((len(coeffs), 7), dtype=np.uint8)
+    masked, alice_labels = _alice_stage(STEANE, values, coeffs)
+    errors = np.tile(np.eye(7, dtype=np.uint8), (16, 1))
+    labels, failed = stage_correct_and_amplify(STEANE, values ^ errors, masked)
+    exhaustive_ok = (len(np.unique(masked, axis=0)) == 16 and not failed.any()
+                     and bool((labels == alice_labels).all()))
     agreements = 0
     for seed in range(100):
         inject = one_error_per_block(np.random.default_rng(10_000 + seed))
@@ -128,10 +137,13 @@ def test_04_half_distance_robustness():
 
 
 def test_05_coset_label_oracle():
+    # the engine's labels of all 16 codewords against the brute-force cosets
     inner_words = {cw.word for cw in STEANE.inner.codewords()}
+    codewords = list(STEANE.outer.codewords())
+    labels = _labels(STEANE, steane_codewords() @ STEANE.check_label_t & 1)
     by_label = {}
-    for cw in STEANE.outer.codewords():
-        by_label.setdefault(STEANE.coset_label(cw).word, []).append(cw)
+    for cw, label in zip(codewords, labels.tolist()):
+        by_label.setdefault(tuple(label), []).append(cw)
     ok = len(by_label) == 2
     for group in by_label.values():
         ok &= len(group) == 8
@@ -224,17 +236,16 @@ def test_08_recursion_collapse():
 
 
 def weight2_label_mismatch_fixture():
-    # exhaustive: every weight-2 error pattern, every codeword; returns the
-    # fraction that decodes to a wrong coset label
-    mismatches = 0
-    total = 0
-    for u in STEANE.outer.codewords():
-        for pos in itertools.combinations(range(7), 2):
-            err = BitVector.from_bits([1 if i in pos else 0 for i in range(7)])
-            decoded, _ = decode_to_codeword(STEANE.outer, u + err)
-            total += 1
-            mismatches += STEANE.coset_label(decoded) != STEANE.coset_label(u)
-    return mismatches / total
+    # exhaustive: every weight-2 error pattern on every codeword u, as the
+    # 21x16 blocks of one stage call (Alice's bits are zero, so she announces
+    # u); returns the fraction that decodes to a wrong coset label
+    pairs = words_to_rows([(1 << a) | (1 << b) for a, b in itertools.combinations(range(7), 2)],
+                          7)
+    codewords = np.repeat(steane_codewords(), len(pairs), axis=0)
+    errors = np.tile(pairs, (16, 1))
+    labels, _ = stage_correct_and_amplify(STEANE, errors, codewords)
+    wrong = labels != _labels(STEANE, codewords @ STEANE.check_label_t & 1)
+    return int(wrong.any(axis=1).sum()) / len(codewords)
 
 
 def test_09_randomness_necessity():

@@ -6,7 +6,8 @@ import subprocess
 import pytest
 
 from bb84sim.cli import main
-from bb84sim.codes import builtin_pair, format_pair
+from bb84sim.codes import CssPair, LinearCode, builtin_pair, format_pair, make_hamming_dual_7_3
+from bb84sim.gf2 import BitMatrix
 
 
 def run_cli(capsys, *argv):
@@ -249,6 +250,14 @@ class TestCodesValidate:
         assert code == 0
         assert "OK" in out
         assert "distance verified" in out
+
+    def test_pair_with_zero_inner_code(self, capsys, tmp_path):
+        zero = LinearCode(7, 0, 7, BitMatrix(0, 7, ()), BitMatrix.identity(7))
+        path = tmp_path / "simplex-zero.pair"
+        path.write_text(format_pair(CssPair(make_hamming_dual_7_3(), zero)))
+        code, out, _ = run_cli(capsys, "codes", "validate", str(path))
+        assert code == 0
+        assert "valid pair: key_width=3" in out and "inner: [7,0,7]" in out
 
     def test_invalid_pair_exit_one(self, capsys, tmp_path):
         text = format_pair(builtin_pair("steane"))

@@ -9,7 +9,6 @@ from bb84sim.codes import (
     CssPair,
     SyndromeTable,
     builtin_pair,
-    decode_to_codeword,
     format_code,
     format_pair,
     make_golay_23_12,
@@ -18,11 +17,22 @@ from bb84sim.codes import (
     make_hamming_dual_7_3,
     parse_code,
     parse_pair,
-    random_codeword,
 )
-from bb84sim.errors import DecodeFailure, InvalidPairError, NotInCodeError
-from bb84sim.gf2 import BitMatrix, BitVector, mat_vec, row_reduce
+from bb84sim.errors import InvalidPairError, NotInCodeError
+from bb84sim.gf2 import BitMatrix, BitVector, row_reduce, words_to_rows
 from bb84sim.codes import LinearCode
+from oracle import (
+    DecodeFailure,
+    build_label_matrix,
+    contains,
+    coset_label,
+    decode_to_codeword,
+    mat_vec,
+    project_label,
+    random_codeword,
+    scalar_table_items,
+    syndrome,
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +70,11 @@ class TestHamming:
         assert row_reduce(hamming.generator)[1] == 4
 
     def test_zero_and_ones_are_codewords(self, hamming):
-        assert hamming.contains(BitVector.zeros(7))
+        assert contains(hamming, BitVector.zeros(7))
         # all-ones has zero syndrome under the numeral parity check
         ones = BitVector.from_string("1111111")
         assert mat_vec(hamming.parity_check, ones).is_zero()
-        assert hamming.contains(ones)
+        assert contains(hamming, ones)
 
     def test_parity_check_columns_are_numerals(self, hamming):
         for j in range(7):
@@ -79,7 +89,7 @@ class TestHamming:
         dual = make_hamming_dual_7_3()
         assert dual.verify_distance()
         for i in range(dual.k):
-            assert hamming.contains(dual.generator.row(i))
+            assert contains(hamming, dual.generator.row(i))
 
 
 class TestGolay:
@@ -109,24 +119,26 @@ class TestGolay:
         # proves half-distance correction for every codeword
         golay = make_golay_23_12()
         table = golay.syndrome_table()
-        import itertools
-        for w in range(1, 4):
-            for pos in itertools.combinations(range(23), w):
-                err = BitVector.from_bits([1 if i in pos else 0 for i in range(23)])
-                assert table.lookup(golay.syndrome(err)) == err
+        errors = words_to_rows([sum(1 << p for p in pos) for w in range(1, 4)
+                                for pos in itertools.combinations(range(23), w)], 23)
+        assert len(errors) == 2047
+        rows, failed = table.lookup_rows(errors @ golay.parity_check_t & 1)
+        assert not failed.any()
+        assert (table.errors[rows] == errors).all()
 
 
 class TestSyndromeTable:
     def test_zero_maps_to_zero(self, hamming):
         table = hamming.syndrome_table()
-        assert table.lookup(BitVector.zeros(3)) == BitVector.zeros(7)
+        rows, failed = table.lookup_rows(np.zeros((1, 3), dtype=np.uint8))
+        assert not failed.any() and not table.errors[rows].any()
 
     def test_entries_within_radius_and_consistent(self, hamming):
         table = hamming.syndrome_table()
         for synd_word, err_word in table.items():
             err = BitVector(7, err_word)
             assert err.weight <= hamming.t
-            assert hamming.syndrome(err).word == synd_word
+            assert syndrome(hamming, err).word == synd_word
 
     @pytest.mark.parametrize("slice_bytes", [None, 50])
     @pytest.mark.parametrize("name", ["steane", "golay", "simplex", "wide"])
@@ -144,23 +156,6 @@ class TestSyndromeTable:
         if slice_bytes is not None:
             monkeypatch.setattr(codes_module, "_BUILD_SLICE_BYTES", slice_bytes)
         assert list(SyndromeTable.build(code).items()) == scalar_table_items(code)
-
-
-def scalar_table_items(code):
-    """The table as built one error at a time: weights 1..t in
-    itertools.combinations order, the first error kept for each syndrome."""
-    leaders = {0: 0}
-    h_rows = code.parity_check.row_words
-    for weight in range(1, code.t + 1):
-        for positions in itertools.combinations(range(code.n), weight):
-            err = 0
-            for p in positions:
-                err |= 1 << p
-            synd = 0
-            for i, row in enumerate(h_rows):
-                synd |= ((row & err).bit_count() & 1) << i
-            leaders.setdefault(synd, err)
-    return list(leaders.items())
 
 
 class TestDecode:
@@ -186,7 +181,7 @@ class TestDecode:
         cw = next(iter(hamming.codewords()))
         noisy = cw + BitVector.unit(7, 1) + BitVector.unit(7, 2)
         out, _ = decode_to_codeword(hamming, noisy)
-        assert hamming.contains(out)
+        assert contains(hamming, out)
         assert out != cw  # weight-2 exceeds t=1, so this miscorrects
 
     def test_decode_failure_outside_radius(self):
@@ -194,7 +189,6 @@ class TestDecode:
         # with no tabulated leader
         simplex = make_hamming_dual_7_3()
         failures = 0
-        import itertools
         for pos in itertools.combinations(range(7), 2):
             err = BitVector.from_bits([1 if i in pos else 0 for i in range(7)])
             try:
@@ -230,27 +224,47 @@ class TestCssPair:
         with pytest.raises(Exception):
             CssPair(golay, hamming)
 
+    def test_generator_outside_null_space_names_row(self):
+        # H checks bits 2..6, so row 0 (bits 0, 1) passes and row 1 (bit 2) fails
+        generator = BitMatrix(2, 7, [0b11, 0b100])
+        parity_check = BitMatrix(5, 7, [1 << i for i in range(2, 7)])
+        with pytest.raises(ValueError, match="generator row 1 has nonzero syndrome"):
+            LinearCode(7, 2, 1, generator, parity_check)
+
+    @pytest.mark.parametrize("name", ["steane", "golay", "simplex", "wide"])
+    def test_label_matrix_matches_reference_construction(self, name):
+        # canonical labels depend on the reduced forms bit for bit
+        from test_engine_equivalence import simplex_pair, wide_pair_text
+
+        pair = {
+            "steane": lambda: builtin_pair("steane"),
+            "golay": lambda: builtin_pair("golay"),
+            "simplex": simplex_pair,
+            "wide": lambda: parse_pair(wide_pair_text()),
+        }[name]()
+        assert pair._label_matrix == build_label_matrix(pair.outer, pair.inner)
+
 
 class TestCosetLabel:
     def test_inner_codewords_label_zero(self, steane):
         for cw in steane.inner.codewords():
-            assert steane.coset_label(cw).is_zero()
+            assert coset_label(steane, cw).is_zero()
 
     def test_all_ones_labels_one(self, steane):
         # all-ones has odd weight while every simplex codeword has even
         # weight, so it lies outside the inner code
-        assert str(steane.coset_label(BitVector.from_string("1111111"))) == "1"
+        assert str(coset_label(steane, BitVector.from_string("1111111"))) == "1"
 
     def test_coset_invariance(self, steane):
         rng = np.random.default_rng(5)
         for _ in range(20):
             v = random_codeword(steane.outer, rng)
             w = random_codeword(steane.inner, rng)
-            assert steane.coset_label(v) == steane.coset_label(v + w)
+            assert coset_label(steane, v) == coset_label(steane, v + w)
 
     def test_rejects_non_codeword(self, steane):
         with pytest.raises(NotInCodeError):
-            steane.coset_label(BitVector.from_string("1000000"))
+            coset_label(steane, BitVector.from_string("1000000"))
 
     def test_matches_brute_force_partition(self, steane):
         # oracle: partition the 16 outer codewords by membership of their
@@ -259,7 +273,7 @@ class TestCosetLabel:
         outer_words = list(steane.outer.codewords())
         by_label: dict[str, list[BitVector]] = {}
         for cw in outer_words:
-            by_label.setdefault(str(steane.coset_label(cw)), []).append(cw)
+            by_label.setdefault(str(coset_label(steane, cw)), []).append(cw)
         assert len(by_label) == 2 ** steane.key_width
         for group in by_label.values():
             for a in group:
@@ -277,13 +291,13 @@ class TestCosetLabel:
         for _ in range(30):
             a = random_codeword(steane.outer, rng)
             b = random_codeword(steane.outer, rng)
-            assert steane.coset_label(a + b) == steane.coset_label(a) + steane.coset_label(b)
+            assert coset_label(steane, a + b) == coset_label(steane, a) + coset_label(steane, b)
 
     def test_project_label_extends_coset_label(self, steane):
         rng = np.random.default_rng(17)
         for _ in range(20):
             cw = random_codeword(steane.outer, rng)
-            assert steane.project_label(cw) == steane.coset_label(cw)
+            assert project_label(steane, cw) == coset_label(steane, cw)
 
     def test_count_identity(self, steane):
         n_outer = sum(1 for _ in steane.outer.codewords())
@@ -295,7 +309,7 @@ class TestCosetLabel:
         for _ in range(10):
             v = random_codeword(golay_pair.outer, rng)
             w = random_codeword(golay_pair.inner, rng)
-            assert golay_pair.coset_label(v) == golay_pair.coset_label(v + w)
+            assert coset_label(golay_pair, v) == coset_label(golay_pair, v + w)
 
 
 class TestRandomCodeword:
@@ -308,7 +322,7 @@ class TestRandomCodeword:
     def test_membership_by_construction(self, hamming):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            assert hamming.contains(random_codeword(hamming, rng))
+            assert contains(hamming, random_codeword(hamming, rng))
 
     def test_uniformity(self, hamming):
         rng = np.random.default_rng(42)
@@ -338,6 +352,22 @@ class TestFileFormat:
         assert back.key_width == 1
         assert back.outer.generator == steane.outer.generator
         assert back.inner.generator == steane.inner.generator
+
+    def test_zero_inner_code_round_trip(self):
+        zero = LinearCode(7, 0, 7, BitMatrix(0, 7, ()), BitMatrix.identity(7), name="zero")
+        pair = CssPair(make_hamming_dual_7_3(), zero)
+        back = parse_pair(format_pair(pair))
+        assert (back.inner.n, back.inner.k, back.key_width) == (7, 0, 3)
+        assert back.inner.generator == zero.generator
+        assert back.inner.parity_check == zero.parity_check
+        assert back.outer.generator == pair.outer.generator
+
+    def test_full_code_round_trip(self):
+        full = LinearCode(3, 3, 1, BitMatrix.identity(3), BitMatrix(0, 3, ()), name="full")
+        back = parse_code(format_code(full))
+        assert (back.n, back.k, back.d) == (3, 3, 1)
+        assert back.generator == full.generator
+        assert back.parity_check == full.parity_check
 
     def test_comments_and_blanks_skipped(self):
         text = "# hamming\n\n" + format_code(make_hamming_7_4())

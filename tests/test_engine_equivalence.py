@@ -38,12 +38,12 @@ from bb84sim.errors import InsufficientSiftAbort, TranscriptError
 from bb84sim.gf2 import BitMatrix
 from bb84sim.protocol import (
     ProtocolConfig,
-    one_error_per_block,
     replay_bob,
     run_chunk,
     run_protocol_full,
 )
 from bb84sim.transcript import dump_transcript
+from oracle import one_error_per_block
 
 DIGESTS_PATH = Path(__file__).resolve().parent / "engine_digests.json"
 REPLAY_EVERY = 10

@@ -8,12 +8,12 @@ from bb84sim.errors import DimensionError
 from bb84sim.gf2 import (
     BitMatrix,
     BitVector,
-    mat_vec,
     row_reduce,
     rows_to_words,
     solve_membership,
     words_to_rows,
 )
+from oracle import mat_vec
 
 # Canonical parity-check matrix of the [7,4] Hamming code: column j is the
 # binary numeral j+1 (used here as a known-answer fixture).

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bb84sim.channel import AttackModel
-from bb84sim.codes import builtin_pair, random_codeword
+from bb84sim.codes import builtin_pair
 from bb84sim.errors import (
     ConfigError,
     InsufficientSiftAbort,
@@ -14,18 +14,17 @@ from bb84sim.errors import (
 )
 from bb84sim.gf2 import BitVector, rows_to_words, words_to_rows
 from bb84sim.protocol import (
-    AliceState,
     ProtocolConfig,
+    _check_and_abort,
     _draw_preparation,
-    check_and_decide,
-    one_error_per_block,
+    _select,
     replay_bob,
     run_protocol,
     run_protocol_full,
-    sift,
     stage_correct_and_amplify,
 )
 from bb84sim.transcript import BlockAnnouncement
+from oracle import coset_label, one_error_per_block, random_codeword
 
 STEANE = builtin_pair("steane")
 
@@ -93,25 +92,29 @@ class TestAlicePrepare:
         assert abs(ones / total - 0.5) < tol
 
 
+def matched_positions(alice_bases, bob_bases):
+    # the positions sifting keeps, as the engine finds them
+    return (bob_bases == alice_bases).nonzero()[0]
+
+
 class TestSift:
     def test_all_bases_equal_keeps_everything(self):
         cfg = steane_config()
         rng = np.random.default_rng(0)
         b = np.zeros(cfg.transmitted_count, dtype=np.uint8)
-        alice = AliceState(bits=np.zeros_like(b), b=b)
-        sel = sift(alice, b.copy(), cfg, rng)
-        assert sel.matched_count == cfg.transmitted_count
-        assert len(sel.kept) == cfg.kept_target
-        assert len(sel.check_positions) == cfg.check_count
-        assert len(sel.code_positions) == cfg.check_count
+        matched = matched_positions(b, b.copy())
+        kept, check, code = _select(matched, cfg, rng)
+        assert matched.size == cfg.transmitted_count
+        assert len(kept) == cfg.kept_target
+        assert len(check) == cfg.check_count
+        assert len(code) == cfg.check_count
 
     def test_all_bases_opposite_aborts(self):
         cfg = steane_config()
         rng = np.random.default_rng(0)
         b = np.zeros(cfg.transmitted_count, dtype=np.uint8)
-        alice = AliceState(bits=np.zeros_like(b), b=b)
         with pytest.raises(InsufficientSiftAbort):
-            sift(alice, np.ones_like(b), cfg, rng)
+            _select(matched_positions(b, np.ones_like(b)), cfg, rng)
 
     def test_matched_count_binomial(self):
         # basis agreement is a fair coin per position
@@ -128,34 +131,38 @@ class TestSift:
         cfg = steane_config()
         rng = np.random.default_rng(3)
         b = rng.integers(0, 2, cfg.transmitted_count, dtype=np.uint8)
-        alice = AliceState(bits=np.zeros_like(b), b=b)
         bob = b.copy()  # force full agreement so selection is exercised
-        sel = sift(alice, bob, cfg, rng)
-        assert set(sel.check_positions) | set(sel.code_positions) == set(sel.kept)
-        assert not set(sel.check_positions) & set(sel.code_positions)
+        kept, check, code = _select(matched_positions(b, bob), cfg, rng)
+        assert set(check.tolist()) | set(code.tolist()) == set(kept.tolist())
+        assert not set(check.tolist()) & set(code.tolist())
+
+
+def check_rows(*strings):
+    # one trial's check bits per row, as the check takes them
+    return np.array([[int(c) for c in s] for s in strings], dtype=np.uint8)
 
 
 class TestCheckAndDecide:
     def test_identical(self):
-        rate, abort = check_and_decide(BitVector.from_string("0101"),
-                                       BitVector.from_string("0101"), steane_config())
-        assert rate == 0.0 and not abort
+        rate, abort = _check_and_abort(check_rows("0101"), check_rows("0101"), steane_config())
+        assert rate.tolist() == [0.0] and abort.tolist() == [False]
 
     def test_complementary(self):
-        rate, abort = check_and_decide(BitVector.from_string("0101"),
-                                       BitVector.from_string("1010"), steane_config())
-        assert rate == 1.0 and abort
+        rate, abort = _check_and_abort(check_rows("0101"), check_rows("1010"), steane_config())
+        assert rate.tolist() == [1.0] and abort.tolist() == [True]
 
     def test_seven_of_fortynine_aborts_at_reference_threshold(self):
-        alice = BitVector.zeros(49)
-        bob = BitVector(49, (1 << 7) - 1)  # 7 disagreements
-        rate, abort = check_and_decide(alice, bob, steane_config())
-        assert abs(rate - 1 / 7) < 1e-12
-        assert abort
+        alice = check_rows("0" * 49)
+        bob = check_rows("1" * 7 + "0" * 42)  # 7 disagreements
+        rate, abort = _check_and_abort(alice, bob, steane_config())
+        assert abs(rate[0] - 1 / 7) < 1e-12
+        assert abort.tolist() == [True]
 
     def test_length_mismatch(self):
-        with pytest.raises(ProtocolDesyncError):
-            check_and_decide(BitVector.zeros(4), BitVector.zeros(5), steane_config())
+        # the two check strings of a transcript must have equal lengths
+        _, transcript = run_protocol(steane_config())
+        with pytest.raises(ValueError, match="check value strings differ in length"):
+            replace(transcript, bob_check_values=BitVector.zeros(48))
 
 
 def rows(*vectors):
@@ -174,7 +181,7 @@ class TestStageCorrectAndAmplify:
             u = random_codeword(STEANE.outer, rng)
             v = BitVector(7, int(rng.integers(0, 128)))
             labels, failed = stage_correct_and_amplify(STEANE, rows(v), rows(u + v))
-            assert vectors(labels) == [STEANE.coset_label(u)]
+            assert vectors(labels) == [coset_label(STEANE, u)]
             assert failed.tolist() == [False]
 
     def test_single_error_exhaustive(self):
@@ -184,7 +191,7 @@ class TestStageCorrectAndAmplify:
                 v = BitVector.zeros(7)
                 noisy = v + BitVector.unit(7, j)
                 labels, failed = stage_correct_and_amplify(STEANE, rows(noisy), rows(u + v))
-                assert vectors(labels) == [STEANE.coset_label(u)]
+                assert vectors(labels) == [coset_label(STEANE, u)]
                 assert failed.tolist() == [False]
 
     def test_weight_two_mismatch_fixture(self):
@@ -199,7 +206,7 @@ class TestStageCorrectAndAmplify:
                 err = BitVector.from_bits([1 if i in pos else 0 for i in range(7)])
                 labels, _ = stage_correct_and_amplify(STEANE, rows(err), rows(u))
                 total += 1
-                mismatches += vectors(labels)[0] != STEANE.coset_label(u)
+                mismatches += vectors(labels)[0] != coset_label(STEANE, u)
         assert total == 336
         assert mismatches / total == 1.0
 
@@ -369,6 +376,8 @@ class TestReplay:
         result = replay_bob(art.transcript, art.bob_bases, art.bob_bits, cfg)
         assert result.key == art.outcome.bob_final_key
         assert result.check_error_rate == art.outcome.observed_check_error_rate
+        # `bb84sim replay` prints its repr, which a numpy float would change
+        assert type(result.check_error_rate) is float
 
     def test_replay_reproduces_noisy_runs(self):
         for seed in range(15):

@@ -1,25 +1,24 @@
-"""The array stage functions against the scalar oracle in bb84sim.codes.
+"""The array stage functions against the scalar oracle in tests/oracle.py.
 
 `_alice_stage` and `stage_correct_and_amplify` work on (B, n) arrays; each
 row, with the coefficients drawn as one (B, k) draw, must match what the
 per-block functions `random_codeword`, `decode_to_codeword`, `coset_label`
-and `project_label` give for that block, decode failures included.  The nested pairs are random, built here, and
-their declared distances are checked by enumeration.
+and `project_label` give for that block, decode failures included.  The
+nested pairs are random, built here, and their declared distances are
+checked by enumeration.  The oracle builds its own syndrome table and label
+matrix, and a test below keeps it from using the engine's.
 """
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bb84sim.channel import AttackModel
-from bb84sim.codes import (
-    CssPair,
-    LinearCode,
-    builtin_pair,
-    decode_to_codeword,
-    random_codeword,
-)
-from bb84sim.errors import DecodeFailure, NotInCodeError
+from bb84sim.codes import CssPair, LinearCode, builtin_pair
+from bb84sim.errors import NotInCodeError
 from bb84sim.gf2 import BitMatrix, BitVector, row_reduce, rows_to_words, words_to_rows
 from bb84sim.protocol import (
     ProtocolConfig,
@@ -27,6 +26,14 @@ from bb84sim.protocol import (
     _labels,
     run_protocol,
     stage_correct_and_amplify,
+)
+from oracle import (
+    DecodeFailure,
+    build_label_matrix,
+    coset_label,
+    decode_to_codeword,
+    project_label,
+    random_codeword,
 )
 
 
@@ -83,7 +90,9 @@ def pairs_and_seed(draw):
     k_inner = draw(st.integers(0, k_outer - 1))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    return random_pair(rng, n, k_outer, k_inner), seed
+    pair = random_pair(rng, n, k_outer, k_inner)
+    assert pair._label_matrix == build_label_matrix(pair.outer, pair.inner)
+    return pair, seed
 
 
 def vectors(rows):
@@ -102,7 +111,7 @@ def test_alice_stage_matches_per_block_draws(pair_seed, blocks):
     for v, m, label in zip(vectors(values), vectors(masked), vectors(labels)):
         u = random_codeword(pair.outer, oracle)
         assert m == u + v
-        assert label == pair.coset_label(u)
+        assert label == coset_label(pair, u)
 
 
 @settings(max_examples=150, deadline=None)
@@ -122,10 +131,10 @@ def test_receiver_stage_matches_per_block_decode(pair_seed, blocks):
             codeword, _ = decode_to_codeword(pair.outer, w + a)
         except DecodeFailure:
             assert flag
-            assert label == pair.project_label(w + a)
+            assert label == project_label(pair, w + a)
         else:
             assert not flag
-            assert label == pair.coset_label(codeword)
+            assert label == coset_label(pair, codeword)
 
 
 def test_every_word_of_a_non_perfect_pair():
@@ -140,21 +149,21 @@ def test_every_word_of_a_non_perfect_pair():
         try:
             codeword, _ = decode_to_codeword(pair.outer, w)
         except DecodeFailure:
-            assert flag and label == pair.project_label(w)
+            assert flag and label == project_label(pair, w)
         else:
-            assert not flag and label == pair.coset_label(codeword)
+            assert not flag and label == coset_label(pair, codeword)
 
 
 def test_labelling_a_non_codeword_raises():
-    # as CssPair.coset_label does; only rows flagged as decode failures may
-    # be labelled by projection
+    # as the oracle's coset_label does; only rows flagged as decode failures
+    # may be labelled by projection
     steane = builtin_pair("steane")
     words = words_to_rows([0b1111111, 0b0000001], 7)
     with pytest.raises(NotInCodeError, match="1 stage words"):
         _labels(steane, words @ steane.check_label_t & 1)
     labels = _labels(steane, words @ steane.check_label_t & 1, np.array([False, True]))
-    assert vectors(labels) == [steane.coset_label(BitVector(7, 0b1111111)),
-                               steane.project_label(BitVector(7, 0b0000001))]
+    assert vectors(labels) == [coset_label(steane, BitVector(7, 0b1111111)),
+                               project_label(steane, BitVector(7, 0b0000001))]
 
 
 @pytest.mark.parametrize("stage", [1, 2])
@@ -168,3 +177,26 @@ def test_injected_flip_outside_block_raises_index_error(stage, flip):
 
     with pytest.raises(IndexError, match=f"injected flip {flip} out of range"):
         run_protocol(config, AttackModel.none(), error_injection=inject)
+
+
+# what the engine decodes and labels with; the oracle must build its own
+ENGINE_NAMES = {"SyndromeTable", "check_label_t", "generator_check_labels",
+                "error_check_labels", "generator_array", "parity_check_t"}
+
+
+def test_oracle_is_independent_of_the_engine():
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            used.add(node.module)
+            used.update(alias.name for alias in node.names)
+            used.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert "bb84sim.protocol" not in used
+    assert not used & ENGINE_NAMES
