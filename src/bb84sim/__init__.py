@@ -12,7 +12,7 @@ from .codes import (
     make_golay_23_12,
     make_hamming_7_4,
 )
-from .gf2 import BitMatrix, BitVector, row_reduce, solve_membership
+from .gf2 import row_reduce, solve_membership
 from .protocol import (
     ProtocolConfig,
     RunOutcome,

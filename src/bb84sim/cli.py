@@ -23,6 +23,7 @@ import numpy as np
 from .channel import AttackModel
 from .codes import load_pair, parse_code, parse_pair
 from .errors import ConfigError, InsufficientSiftAbort, TranscriptError
+from .gf2 import format_bits, parse_bits
 from .protocol import ProtocolConfig, replay_bob, run_chunk
 from .stats import (
     RecursionModel,
@@ -95,23 +96,11 @@ def _merge_settings(args) -> dict:
     settings = dict(_DEFAULTS)
     if args.config:
         settings.update(_read_config_file(args.config))
-    overrides = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "attack": args.attack,
-        "noise_p": args.noise_p,
-        "attack_positions": args.attack_positions,
-        "threshold": args.threshold,
-        "delta": args.delta,
-        "stage1_pair": args.stage1_pair,
-        "stage2_pair": args.stage2_pair,
-        "out_dir": args.out_dir,
-    }
-    for key, value in overrides.items():
+    # a flag left unset keeps the file's value; replay has no batch flags
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
-    if args.dump_transcripts:
-        settings["dump_transcripts"] = 1
     return settings
 
 
@@ -165,8 +154,8 @@ def _dump_trial(stem: str, art) -> None:
         fh.write(dump_transcript(art.transcript))
     key = art.outcome.bob_final_key
     with open(stem + ".bob", "w", encoding="ascii") as fh:
-        fh.write(f"BASES {(art.bob_bases + 48).tobytes().decode('ascii')}\n")
-        fh.write(f"BITS {(art.bob_bits + 48).tobytes().decode('ascii')}\n")
+        fh.write(f"BASES {format_bits(art.bob_bases)}\n")
+        fh.write(f"BITS {format_bits(art.bob_bits)}\n")
         fh.write(f"KEY {'-' if key is None else key}\n")
 
 
@@ -294,8 +283,8 @@ def _read_bob_file(path: str) -> _BobRecord:
     if len(fields["BASES"]) != len(fields["BITS"]):
         raise TranscriptError("BASES and BITS differ in length")
     return _BobRecord(
-        bases=np.frombuffer(fields["BASES"].encode("ascii"), dtype=np.uint8) - 48,
-        bits=np.frombuffer(fields["BITS"].encode("ascii"), dtype=np.uint8) - 48,
+        bases=parse_bits(fields["BASES"]),
+        bits=parse_bits(fields["BITS"]),
         key=None if fields["KEY"] == "-" else fields["KEY"],
     )
 
@@ -307,7 +296,7 @@ def cmd_replay(args) -> int:
         transcript = parse_transcript(fh.read())
     bob = _read_bob_file(args.bob_record)
     result = replay_bob(transcript, bob.bases, bob.bits, config)
-    recomputed = str(result.key) if result.key is not None else "-"
+    recomputed = result.key if result.key is not None else "-"
     recorded = bob.key if bob.key is not None else "-"
     match = recomputed == recorded
     print(f"check_error_rate={result.check_error_rate!r} aborted={int(result.aborted)}")
@@ -348,26 +337,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_flags(p):
+    def add_settings_flags(p, batch):
+        """Flags for the config keys: all of them when `batch`, otherwise
+        only those that build the ProtocolConfig."""
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--seed", type=int, default=None, help="base seed (trial i uses seed+i)")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--attack", default=None,
-                       choices=["none", "bitflip", "intercept_resend", "correlated_positions"])
-        p.add_argument("--noise-p", dest="noise_p", type=float, default=None,
-                       help="flip probability / intercept fraction")
-        p.add_argument("--attack-positions", dest="attack_positions", default=None,
-                       help="comma-separated transmitted positions for correlated_positions")
+        if batch:
+            p.add_argument("--seed", type=int, default=None,
+                           help="base seed (trial i uses seed+i)")
+            p.add_argument("--trials", type=int, default=None)
+            p.add_argument("--attack", default=None,
+                           choices=["none", "bitflip", "intercept_resend", "correlated_positions"])
+            p.add_argument("--noise-p", dest="noise_p", type=float, default=None,
+                           help="flip probability / intercept fraction")
+            p.add_argument("--attack-positions", dest="attack_positions", default=None,
+                           help="comma-separated transmitted positions for correlated_positions")
         p.add_argument("--threshold", type=float, default=None, help="abort threshold")
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--stage1-pair", dest="stage1_pair", default=None,
                        help="built-in pair name or file:PATH")
         p.add_argument("--stage2-pair", dest="stage2_pair", default=None)
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--dump-transcripts", dest="dump_transcripts", action="store_true")
+        if batch:
+            p.add_argument("--out-dir", dest="out_dir", default=None)
+            p.add_argument("--dump-transcripts", dest="dump_transcripts", action="store_const",
+                           const=1, default=None)
 
     run_p = sub.add_parser("run", help="run a batch of protocol trials")
-    add_run_flags(run_p)
+    add_settings_flags(run_p, batch=True)
 
     stats_p = sub.add_parser("stats", help="sampling statistics and the rate recursion")
     stats_sub = stats_p.add_subparsers(dest="stats_command", required=True)
@@ -393,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p = sub.add_parser("replay", help="recompute Bob's key from a dumped transcript")
     replay_p.add_argument("transcript")
     replay_p.add_argument("bob_record")
-    add_run_flags(replay_p)
+    add_settings_flags(replay_p, batch=False)
 
     codes_p = sub.add_parser("codes", help="code file utilities")
     codes_sub = codes_p.add_subparsers(dest="codes_command", required=True)

@@ -11,12 +11,13 @@ reported as a failure instead of guessing.  An auditable failure beats a
 silent miscorrection in a security simulator; the protocol layer decides
 policy.
 
-Codes and pairs hold their matrices as dense uint8 arrays (built on first
-use and cached on the object), so that callers syndrome, decode and label
-many blocks at once: `LinearCode.generator_array`,
-`LinearCode.parity_check_t`, `CssPair.check_label_t`,
-`CssPair.generator_check_labels` and `CssPair.error_check_labels`, with
-`SyndromeTable.lookup_rows` as the table lookup for many syndromes.  The
+A code's generator and parity-check matrices are (k, n) and (n-k, n) uint8
+arrays of 0/1 entries (see gf2.py), read-only once the code is built.  Codes
+and pairs also cache the derived arrays with which callers syndrome, decode
+and label many blocks at once: `LinearCode.parity_check_t`,
+`CssPair.check_label_t`, `CssPair.generator_check_labels` and
+`CssPair.error_check_labels`, with `SyndromeTable.lookup_rows` as the table
+lookup for many syndromes.  Code files hold the matrices as 0/1 text.  The
 protocol's stage functions are the only decoder and labeller; the tests keep
 a scalar one-block-at-a-time reference of both.
 """
@@ -25,19 +26,12 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError, InvalidPairError
-from .gf2 import (
-    BitMatrix,
-    BitVector,
-    row_reduce,
-    rows_to_words,
-    solve_membership,
-    words_to_rows,
-)
+from .gf2 import format_bits, parse_bits, row_reduce
 
 __all__ = [
     "LinearCode",
@@ -60,17 +54,20 @@ __all__ = [
 class LinearCode:
     """An [n, k, d] binary linear code with generator and parity-check matrices.
 
-    The minimum distance d is declared, not derived; `verify_distance` checks
-    it by enumeration for codes small enough to enumerate.
+    n and k are read from the shapes of the (k, n) generator and the
+    (n-k, n) parity check.  The minimum distance d is declared, not
+    derived; `verify_distance` checks it by enumeration for codes small
+    enough to enumerate.
     """
 
-    def __init__(self, n: int, k: int, d: int, generator: BitMatrix,
-                 parity_check: BitMatrix, name: str = ""):
-        if generator.rows != k or generator.cols != n:
-            raise DimensionError(f"generator must be {k}x{n}, got {generator.rows}x{generator.cols}")
-        if parity_check.rows != n - k or parity_check.cols != n:
-            raise DimensionError(
-                f"parity check must be {n - k}x{n}, got {parity_check.rows}x{parity_check.cols}")
+    def __init__(self, generator: np.ndarray, parity_check: np.ndarray, d: int,
+                 name: str = ""):
+        generator = _bit_matrix(generator, "generator")
+        parity_check = _bit_matrix(parity_check, "parity check")
+        k, n = generator.shape
+        if parity_check.shape != (n - k, n):
+            raise DimensionError(f"parity check must be {n - k}x{n}, got "
+                                 f"{parity_check.shape[0]}x{parity_check.shape[1]}")
         if row_reduce(generator)[1] != k:
             raise ValueError(f"generator of {name or 'code'} does not have rank {k}")
         if row_reduce(parity_check)[1] != n - k:
@@ -82,7 +79,7 @@ class LinearCode:
         self.parity_check = parity_check
         self.name = name
         self._table: Optional[SyndromeTable] = None
-        bad = (self.generator_array @ self.parity_check_t & 1).any(axis=1)
+        bad = (generator @ self.parity_check_t & 1).any(axis=1)
         if bad.any():
             raise ValueError(f"generator row {bad.argmax()} has nonzero syndrome")
         if d < 1:
@@ -93,25 +90,20 @@ class LinearCode:
         """Guaranteed correction radius floor((d-1)/2)."""
         return (self.d - 1) // 2
 
-    def codewords(self) -> Iterator[BitVector]:
-        """All 2^k codewords; only sensible for small k (guarded at 20)."""
+    def codewords(self) -> np.ndarray:
+        """All 2^k codewords as the rows of a (2^k, n) array, row c being
+        the sum of the generator rows at the set bits of c; only sensible
+        for small k (guarded at 20)."""
         if self.k > 20:
             raise ValueError(f"refusing to enumerate 2^{self.k} codewords")
-        rows = self.generator.row_words
-        for coeff in range(1 << self.k):
-            w = 0
-            c = coeff
-            i = 0
-            while c:
-                if c & 1:
-                    w ^= rows[i]
-                c >>= 1
-                i += 1
-            yield BitVector(self.n, w)
+        words = np.zeros((1, self.n), dtype=np.uint8)
+        for row in self.generator:
+            words = np.concatenate([words, words ^ row])
+        return words
 
     def verify_distance(self) -> bool:
         """Check by enumeration that every nonzero codeword has weight >= d."""
-        return all(cw.weight >= self.d for cw in self.codewords() if not cw.is_zero())
+        return bool(self.codewords()[1:].sum(axis=1).min(initial=self.d) >= self.d)
 
     def syndrome_table(self) -> "SyndromeTable":
         if self._table is None:
@@ -119,19 +111,26 @@ class LinearCode:
         return self._table
 
     @cached_property
-    def generator_array(self) -> np.ndarray:
-        """G as a (k, n) uint8 array: coefficient rows @ G & 1 are codewords."""
-        return words_to_rows(self.generator.row_words, self.n)
-
-    @cached_property
     def parity_check_t(self) -> np.ndarray:
         """H transposed, an (n, n-k) uint8 array: words @ H^T & 1 are their
         syndromes."""
-        return np.ascontiguousarray(words_to_rows(self.parity_check.row_words, self.n).T)
+        return np.ascontiguousarray(self.parity_check.T)
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"LinearCode([{self.n},{self.k},{self.d}]{label})"
+
+
+def _bit_matrix(a, what: str) -> np.ndarray:
+    """A read-only uint8 copy of a 2-D array of 0/1 entries."""
+    a = np.array(a)
+    if a.ndim != 2:
+        raise DimensionError(f"{what} must be a 2-D array, got shape {a.shape}")
+    if ((a != 0) & (a != 1)).any():
+        raise ValueError(f"{what} has entries other than 0 and 1")
+    a = a.astype(np.uint8)
+    a.flags.writeable = False
+    return a
 
 
 class SyndromeTable:
@@ -199,11 +198,6 @@ class SyndromeTable:
     def __len__(self) -> int:
         return len(self._index)
 
-    def items(self):
-        """(syndrome word, error word) pairs, in the order they were tabulated."""
-        words = rows_to_words(self._rows[:-1])
-        return ((int.from_bytes(key, "little"), words[i]) for key, i in self._index.items())
-
 
 # bound on the error rows `SyndromeTable.build` holds at once
 _BUILD_SLICE_BYTES = 1 << 20
@@ -230,11 +224,11 @@ class CssPair:
     def __init__(self, outer: LinearCode, inner: LinearCode):
         if outer.n != inner.n:
             raise DimensionError(f"block length mismatch: {outer.n} vs {inner.n}")
-        bad = (inner.generator_array @ outer.parity_check_t & 1).any(axis=1)
+        bad = (inner.generator @ outer.parity_check_t & 1).any(axis=1)
         if bad.any():
             i = int(bad.argmax())
-            raise InvalidPairError(
-                f"inner generator row {i} ({inner.generator.row(i)}) is not in the outer code")
+            raise InvalidPairError(f"inner generator row {i} ({format_bits(inner.generator[i])}) "
+                                   f"is not in the outer code")
         self.outer = outer
         self.inner = inner
         self.key_width = outer.k - inner.k
@@ -253,15 +247,15 @@ class CssPair:
         code's H and the label matrix L: the first n-k columns of
         words @ check_label_t & 1 are the words' outer syndromes, the rest
         their projected labels."""
-        label_t = words_to_rows(self._label_matrix.row_words, self.n).T
-        return np.ascontiguousarray(np.hstack([self.outer.parity_check_t, label_t]))
+        return np.ascontiguousarray(np.hstack([self.outer.parity_check_t,
+                                               self._label_matrix.T]))
 
     @cached_property
     def generator_check_labels(self) -> np.ndarray:
         """[G | G @ check_label_t & 1] for the outer code's G: coefficient
         rows @ generator_check_labels & 1 are codewords followed by their
         syndromes and projected labels."""
-        g = self.outer.generator_array
+        g = self.outer.generator
         return np.ascontiguousarray(np.hstack([g, g @ self.check_label_t & 1]))
 
     @cached_property
@@ -277,55 +271,51 @@ class CssPair:
                 f"key_width={self.key_width})")
 
 
-def _build_label_matrix(outer: LinearCode, inner: LinearCode) -> BitMatrix:
-    """key_width x n matrix L with L.w = canonical coset label for w in outer."""
+def _build_label_matrix(outer: LinearCode, inner: LinearCode) -> np.ndarray:
+    """(key_width, n) matrix L with L @ w & 1 = canonical coset label for w
+    in outer."""
     n = outer.n
     reduced_inner, r2, _ = row_reduce(inner.generator)
-    basis = [reduced_inner.row_words[i] for i in range(r2)]
     reduced_outer, k1, _ = row_reduce(outer.generator)
-    extension: list[int] = []
-    for i in range(k1):
-        candidate = reduced_outer.row_words[i]
-        span = BitMatrix(len(basis) + len(extension), n, basis + extension)
-        if solve_membership(span, BitVector(n, candidate)) is None:
-            extension.append(candidate)
-    if len(extension) != k1 - r2:
+    # The basis M: the reduced inner rows, then each reduced outer row not in
+    # the span of the rows before it.  Those are the rows whose columns in the
+    # transpose are pivots.
+    candidates = np.vstack([reduced_inner[:r2], reduced_outer[:k1]])
+    stacked = candidates[row_reduce(candidates.T)[2]]
+    if len(stacked) != k1:
         raise InvalidPairError("could not extend inner basis to outer basis")
 
-    # A word w of the outer code is the sum of the rows of rref(M), for the
-    # stacked basis M (k1 x n), at w's pivot bits; so its coefficients over
-    # M, whose last key_width are its label, sum those of each such row.
-    stacked = BitMatrix(k1, n, basis + extension)
-    reduced, rank, pivots = row_reduce(stacked)
-    if rank != k1:
-        raise InvalidPairError("stacked basis is rank deficient")
-    key_width = k1 - r2
-    label_rows = [0] * key_width
-    for l, col in enumerate(pivots):
-        coeff = solve_membership(stacked, reduced.row(l)).word
-        for j in range(key_width):
-            if (coeff >> (r2 + j)) & 1:
-                label_rows[j] |= 1 << col
-    return BitMatrix(key_width, n, label_rows)
+    # Reducing [M | I] gives [rref(M) | C] with C @ M = rref(M).  A word w of
+    # the outer code is the sum of the rows of rref(M) at w's pivot bits; so
+    # its coefficients over M, whose last key_width are its label, sum the
+    # rows of C at those bits.
+    reduced, _, pivots = row_reduce(np.hstack([stacked, np.eye(k1, dtype=np.uint8)]))
+    label = np.zeros((k1 - r2, n), dtype=np.uint8)
+    label[:, pivots] = reduced[:, n + r2:].T
+    return label
 
 
 # ---------------------------------------------------------------------------
 # Built-in code catalog
 
+def _rows(texts: list[str]) -> np.ndarray:
+    """The matrix whose rows are the 0/1 strings `texts`."""
+    return np.array([parse_bits(t) for t in texts])
+
+
 def make_hamming_7_4() -> LinearCode:
     """The [7,4,3] Hamming code; parity-check column j is the numeral j+1
-    (row i holds bit i, so the packed syndrome of a single error at position
-    j is the integer j+1)."""
-    h = BitMatrix.from_strings(["1010101", "0110011", "0001111"])
-    g = BitMatrix.from_strings(["1110000", "1001100", "0101010", "1101001"])
-    return LinearCode(7, 4, 3, g, h, name="hamming[7,4]")
+    (row i holds bit i, so the syndrome of a single error at position j is
+    the binary numeral j+1, least significant bit first)."""
+    h = _rows(["1010101", "0110011", "0001111"])
+    g = _rows(["1110000", "1001100", "0101010", "1101001"])
+    return LinearCode(g, h, 3, name="hamming[7,4]")
 
 
 def make_hamming_dual_7_3() -> LinearCode:
     """The [7,3,4] dual (simplex) code, contained in the Hamming code."""
     hamming = make_hamming_7_4()
-    return LinearCode(7, 3, 4, hamming.parity_check, hamming.generator,
-                      name="simplex[7,3]")
+    return LinearCode(hamming.parity_check, hamming.generator, 4, name="simplex[7,3]")
 
 
 # 12x12 circulant-style block of the extended-Golay generator [I | B]; the
@@ -346,36 +336,23 @@ _GOLAY_B = [
 ]
 
 
-def _golay_matrices() -> tuple[BitMatrix, BitMatrix]:
-    a_rows = [row[:-1] for row in _GOLAY_B]
-    gen = []
-    for i in range(12):
-        word = 1 << i
-        for j, c in enumerate(a_rows[i]):
-            if c == "1":
-                word |= 1 << (12 + j)
-        gen.append(word)
-    chk = []
-    for j in range(11):
-        word = 1 << (12 + j)
-        for i in range(12):
-            if a_rows[i][j] == "1":
-                word |= 1 << i
-        chk.append(word)
-    return BitMatrix(12, 23, gen), BitMatrix(11, 23, chk)
+def _golay_matrices() -> tuple[np.ndarray, np.ndarray]:
+    """[I | A] and [A^T | I] for A the block B without its last column."""
+    a = _rows(_GOLAY_B)[:, :-1]
+    return (np.hstack([np.eye(12, dtype=np.uint8), a]),
+            np.hstack([a.T, np.eye(11, dtype=np.uint8)]))
 
 
 def make_golay_23_12() -> LinearCode:
     """The perfect [23,12,7] binary Golay code in standard form."""
     g, h = _golay_matrices()
-    return LinearCode(23, 12, 7, g, h, name="golay[23,12]")
+    return LinearCode(g, h, 7, name="golay[23,12]")
 
 
 def make_golay_dual_23_11() -> LinearCode:
     """The [23,11,8] dual of the Golay code, contained in it."""
     golay = make_golay_23_12()
-    return LinearCode(23, 11, 8, golay.parity_check, golay.generator,
-                      name="golay-dual[23,11]")
+    return LinearCode(golay.parity_check, golay.generator, 8, name="golay-dual[23,11]")
 
 
 def builtin_pair(name: str) -> CssPair:
@@ -414,22 +391,22 @@ def parse_code(text: str, name: str = "") -> LinearCode:
     if len(header) != 3:
         raise ValueError(f"header must be 'n k d', got {lines[0]!r}")
     n, k, d = (int(x) for x in header)
-    expected = 1 + k + (n - k)
-    if len(lines) != expected:
-        raise ValueError(f"expected {expected} lines for [{n},{k}] code, got {len(lines)}")
+    if n < 1 or not 0 <= k <= n:
+        raise ValueError(f"header {lines[0]!r} needs n >= 1 and 0 <= k <= n")
+    if len(lines) != 1 + n:
+        raise ValueError(f"expected {1 + n} lines for [{n},{k}] code, got {len(lines)}")
     for row in lines[1:]:
         if len(row) != n or set(row) - {"0", "1"}:
             raise ValueError(f"bad matrix row {row!r} (need {n} characters of 0/1)")
-    # sized by the header, so that an empty matrix (k = 0 or k = n) has n columns
-    gen = BitMatrix(k, n, (BitVector.from_string(r).word for r in lines[1:1 + k]))
-    chk = BitMatrix(n - k, n, (BitVector.from_string(r).word for r in lines[1 + k:]))
-    return LinearCode(n, k, d, gen, chk, name=name)
+    # the k generator rows, then the n-k parity-check rows
+    rows = _rows(lines[1:])
+    return LinearCode(rows[:k], rows[k:], d, name=name)
 
 
 def format_code(code: LinearCode) -> str:
     lines = [f"{code.n} {code.k} {code.d}"]
-    lines += [str(code.generator.row(i)) for i in range(code.k)]
-    lines += [str(code.parity_check.row(i)) for i in range(code.n - code.k)]
+    lines += [format_bits(row) for row in code.generator]
+    lines += [format_bits(row) for row in code.parity_check]
     return "\n".join(lines) + "\n"
 
 

@@ -34,9 +34,11 @@ matrix products over all rows, and decoding is one syndrome-table lookup per
 row.  The stage-1 key is the
 row-major flattening of a trial's stage-1 labels.  The objects of a trial
 (transcript, block announcements, sift positions and keys) are built only
-when asked for (`TrialChunk.artifacts`).  Replay runs the same check and
-receiver stage functions as a live run, on one row.  Each protocol step has
-this one implementation; the tests hold a scalar per-block reference.
+when asked for (`TrialChunk.artifacts`); their bits are 0/1 strings
+(`gf2.format_bits`), as transcripts are dumped.  Replay parses those strings
+back to arrays and runs the same check and receiver stage functions as a
+live run, on one row.  Each protocol step has this one implementation; the
+tests hold a scalar per-block reference.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .errors import (
     ProtocolDesyncError,
     TranscriptError,
 )
-from .gf2 import BitVector, rows_to_words, words_to_rows
+from .gf2 import format_bits, parse_bits
 from .transcript import BlockAnnouncement, Transcript
 
 __all__ = [
@@ -102,9 +104,6 @@ class ProtocolConfig:
             raise ConfigError(f"abort threshold {self.abort_threshold} outside [0, 1]")
         if self.max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
-        # stage-1 output must tile exactly into stage-2 blocks
-        if self.stage1_key_bits != self.stage2_block_count * self.n2:
-            raise ProtocolDesyncError("stage-1 key bits do not tile into stage-2 blocks")
 
     @property
     def n1(self) -> int:
@@ -157,8 +156,8 @@ class RunOutcome:
     aborted: bool
     abort_reason: Optional[str]  # None | "security" | "decode_failure"
     observed_check_error_rate: Optional[float]
-    alice_final_key: Optional[BitVector]
-    bob_final_key: Optional[BitVector]
+    alice_final_key: Optional[str]
+    bob_final_key: Optional[str]
     stage1_decode_failures: int
     stage2_decode_failures: int
     sifted_count: int
@@ -183,22 +182,11 @@ class RunArtifacts:
 
 @dataclass(frozen=True)
 class ReplayResult:
-    key: Optional[BitVector]
+    key: Optional[str]
     check_error_rate: float
     aborted: bool
     stage1_decode_failures: int
     stage2_decode_failures: int
-
-
-def _pack(bits: np.ndarray) -> BitVector:
-    return BitVector(len(bits), int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
-                                               "little"))
-
-
-def _unpack(v: BitVector) -> np.ndarray:
-    """The bits of v as a uint8 array; the inverse of `_pack`."""
-    raw = np.frombuffer(v.word.to_bytes((v.n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=v.n, bitorder="little")
 
 
 def _draw_preparation(config: ProtocolConfig, rng: np.random.Generator):
@@ -317,10 +305,9 @@ def _alice_stage(pair: CssPair, values: np.ndarray, coeffs: np.ndarray):
 def _announce(stage: int, positions: np.ndarray, masked: np.ndarray):
     """One BlockAnnouncement per row of (B, n) positions and masked words."""
     n = positions.shape[1]
-    return tuple(
-        BlockAnnouncement(stage, i, tuple(pos), BitVector(n, word))
-        for i, (pos, word) in enumerate(zip(positions.tolist(), rows_to_words(masked)))
-    )
+    text = format_bits(masked.reshape(-1))
+    return tuple(BlockAnnouncement(stage, i, tuple(pos), text[i * n:(i + 1) * n])
+                 for i, pos in enumerate(positions.tolist()))
 
 
 def _inject(injector: Optional[ErrorInjector], stage: int, words: np.ndarray,
@@ -423,7 +410,7 @@ class TrialChunk:
             alice_key = bob_key = None
         else:
             reason = None
-            alice_key, bob_key = _pack(self.alice_key[k]), _pack(self.bob_key[k])
+            alice_key, bob_key = format_bits(self.alice_key[k]), format_bits(self.bob_key[k])
         outcome = RunOutcome(
             aborted=aborted,
             abort_reason=reason,
@@ -437,11 +424,11 @@ class TrialChunk:
         )
         check = d["check"][i]
         transcript = Transcript(
-            b=_pack(d["b"][i]),
+            b=format_bits(d["b"][i]),
             kept_positions=tuple(d["kept"][i].tolist()),
             check_positions=tuple(check.tolist()),
-            alice_check_values=_pack(d["bits"][i][check]),
-            bob_check_values=_pack(self.bob_bits[i][check]),
+            alice_check_values=format_bits(d["bits"][i][check]),
+            bob_check_values=format_bits(self.bob_bits[i][check]),
             stage1_blocks=stage1,
             stage2_blocks=stage2,
         )
@@ -625,14 +612,14 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
         TranscriptError: the transcript is inconsistent with the measurement
             record or with the configured code pair geometry.
     """
-    n = transcript.b.n
+    n = len(transcript.b)
     bob_bases = np.asarray(bob_bases, dtype=np.uint8)
     bob_bits = np.asarray(bob_bits, dtype=np.uint8)
     if bob_bases.shape != (n,) or bob_bits.shape != (n,):
         raise TranscriptError(
             f"measurement record length {bob_bases.shape} does not match transmission {n}")
     kept = np.asarray(transcript.kept_positions, dtype=np.int64)
-    announced = _unpack(transcript.b)
+    announced = parse_bits(transcript.b)
     p = _first_invalid(kept, n, bob_bases == announced)
     if p is not None:
         if not 0 <= p < n:
@@ -650,7 +637,8 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
         if not 0 <= p < n:
             raise TranscriptError(f"check position {p} outside transmission length {n}")
         raise TranscriptError(f"check position {p} is not a kept position")
-    rate, abort = _check_and_abort(_unpack(transcript.alice_check_values), bob_bits[check], config)
+    rate, abort = _check_and_abort(parse_bits(transcript.alice_check_values), bob_bits[check],
+                                   config)
     # a Python float, whose repr `bb84sim replay` prints
     rate = float(rate)
     if abort:
@@ -689,7 +677,7 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     labels2, failed2 = stage_correct_and_amplify(
         config.stage2_pair, bob_key1[_block_positions(transcript.stage2_blocks)],
         _block_words(transcript.stage2_blocks, config.n2))
-    return ReplayResult(_pack(labels2.reshape(-1)), rate, False,
+    return ReplayResult(format_bits(labels2.reshape(-1)), rate, False,
                         int(failed1.sum()), int(failed2.sum()))
 
 
@@ -700,4 +688,4 @@ def _block_positions(blocks: Sequence[BlockAnnouncement]) -> np.ndarray:
 
 def _block_words(blocks: Sequence[BlockAnnouncement], n: int) -> np.ndarray:
     """(B, n) masked words of announced blocks of length n."""
-    return words_to_rows([blk.masked.word for blk in blocks], n)
+    return parse_bits("".join(blk.masked for blk in blocks)).reshape(-1, n)

@@ -1,7 +1,9 @@
 """Public classical transcript of one protocol run and its text serialization.
 
 Line format: one record per line, ``TAG field=value ...``; bit strings are
-0/1 text, position lists comma-separated zero-based integers.  Tags in dump
+0/1 text, position lists comma-separated zero-based decimal integers.  The
+bit fields of a transcript are held as that same 0/1 text (`str`),
+character i being bit i, so dumping writes them as they are.  Tags in dump
 order: B, KEEP, CHECKPOS, ACHK, BCHK, then one BLK1 line per first-stage
 block and one BLK2 line per second-stage block (absent when the run aborted
 at the check).  Round-trips bit-exactly: parse(dump(t)) == t.
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TranscriptError
-from .gf2 import BitVector
 
 __all__ = ["BlockAnnouncement", "Transcript", "dump_transcript", "parse_transcript"]
 
@@ -25,32 +26,32 @@ class BlockAnnouncement:
     stage: int
     index: int
     positions: tuple[int, ...]
-    masked: BitVector
+    masked: str
 
     def __post_init__(self):
         if self.stage not in (1, 2):
             raise ValueError(f"stage must be 1 or 2, got {self.stage}")
-        if len(self.positions) != self.masked.n:
+        if len(self.positions) != len(self.masked):
             raise ValueError(
-                f"masked word length {self.masked.n} != position count {len(self.positions)}")
+                f"masked word length {len(self.masked)} != position count {len(self.positions)}")
 
 
 @dataclass(frozen=True)
 class Transcript:
     """Everything publicly announced in one run, in announcement order."""
 
-    b: BitVector
+    b: str
     kept_positions: tuple[int, ...]
     check_positions: tuple[int, ...]
-    alice_check_values: BitVector
-    bob_check_values: BitVector
+    alice_check_values: str
+    bob_check_values: str
     stage1_blocks: tuple[BlockAnnouncement, ...] = ()
     stage2_blocks: tuple[BlockAnnouncement, ...] = ()
 
     def __post_init__(self):
-        if len(self.check_positions) != self.alice_check_values.n:
+        if len(self.check_positions) != len(self.alice_check_values):
             raise ValueError("check positions and alice check values differ in length")
-        if self.alice_check_values.n != self.bob_check_values.n:
+        if len(self.alice_check_values) != len(self.bob_check_values):
             raise ValueError("check value strings differ in length")
 
     def code_positions(self) -> tuple[int, ...]:
@@ -89,22 +90,25 @@ def _parse_fields(body: str, line_no: int) -> dict[str, str]:
     return fields
 
 
-def _parse_bits(value: str, line_no: int) -> BitVector:
-    if set(value) - {"0", "1"}:
+def _parse_bits(value: str, line_no: int) -> str:
+    if value.strip("01"):
         raise TranscriptError(f"bit string {value!r} has characters outside 0/1", line=line_no)
-    return BitVector.from_string(value)
+    return value
+
+
+def _is_decimal(text: str) -> bool:
+    """True for a nonempty run of ASCII digits; int() also takes signs,
+    underscores, spaces and other scripts' digits."""
+    return text.isascii() and text.isdigit()
 
 
 def _parse_positions(value: str, line_no: int) -> tuple[int, ...]:
     if value == "":
         return ()
-    try:
-        out = tuple(int(p) for p in value.split(","))
-    except ValueError:
-        raise TranscriptError(f"bad position list {value!r}", line=line_no) from None
-    if any(p < 0 for p in out):
-        raise TranscriptError("negative position", line=line_no)
-    return out
+    parts = value.split(",")
+    if "" in parts or not _is_decimal(value.replace(",", "")):
+        raise TranscriptError(f"bad position list {value!r}", line=line_no)
+    return tuple(map(int, parts))
 
 
 _HEADER_TAGS = ("B", "KEEP", "CHECKPOS", "ACHK", "BCHK")
@@ -157,18 +161,17 @@ def parse_transcript(text: str) -> Transcript:
         for key in ("id", "pos", "masked"):
             if key not in fields:
                 raise TranscriptError(f"tag {tag} is missing field {key!r}", line=line_no)
-        try:
-            block_id = int(fields["id"])
-        except ValueError:
-            raise TranscriptError(f"bad block id {fields['id']!r}", line=line_no) from None
+        if not _is_decimal(fields["id"]):
+            raise TranscriptError(f"bad block id {fields['id']!r}", line=line_no)
+        block_id = int(fields["id"])
         if block_id != len(blocks[stage]):
             raise TranscriptError(
                 f"block id {block_id} out of order (expected {len(blocks[stage])})", line=line_no)
         positions = _parse_positions(fields["pos"], line_no)
         masked = _parse_bits(fields["masked"], line_no)
-        if len(positions) != masked.n:
+        if len(positions) != len(masked):
             raise TranscriptError(
-                f"masked length {masked.n} != position count {len(positions)}", line=line_no)
+                f"masked length {len(masked)} != position count {len(positions)}", line=line_no)
         blocks[stage].append(BlockAnnouncement(stage, block_id, positions, masked))
 
     try:

@@ -3,11 +3,12 @@ import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
 from bb84sim.cli import main
 from bb84sim.codes import CssPair, LinearCode, builtin_pair, format_pair, make_hamming_dual_7_3
-from bb84sim.gf2 import BitMatrix
+from test_transcript import respelled
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +225,28 @@ class TestReplayErrors:
                                str(tmp_path / "nope.bob"))
         assert code == 2
 
+    @pytest.mark.parametrize("how", ["underscore", "plus", "id"])
+    def test_non_decimal_number_exit_three(self, capsys, tmp_path, how):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--trials", "1", "--seed", "1", "--out-dir", str(out_dir),
+                "--dump-transcripts")
+        tpath = next((out_dir / "transcripts").glob("*.transcript"))
+        bpath = next((out_dir / "transcripts").glob("*.bob"))
+        tpath.write_text(respelled(tpath.read_text(), how))
+        code, _, err = run_cli(capsys, "replay", str(tpath), str(bpath))
+        assert code == 3
+        assert err.startswith("parse error:")
+
+    @pytest.mark.parametrize("flags", ["--seed 5", "--trials 5", "--attack none",
+                                       "--noise-p 0.1", "--attack-positions 5", "--out-dir out",
+                                       "--dump-transcripts"])
+    def test_batch_flags_are_usage_errors(self, capsys, flags):
+        # replay takes only the flags that build its ProtocolConfig
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "t.transcript", "t.bob", *flags.split()])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flags}" in capsys.readouterr().err
+
     def test_corrupted_masked_word_reports_mismatch(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
         run_cli(capsys, "run", "--trials", "1", "--seed", "9", "--out-dir", str(out_dir),
@@ -252,7 +275,7 @@ class TestCodesValidate:
         assert "distance verified" in out
 
     def test_pair_with_zero_inner_code(self, capsys, tmp_path):
-        zero = LinearCode(7, 0, 7, BitMatrix(0, 7, ()), BitMatrix.identity(7))
+        zero = LinearCode(np.zeros((0, 7), dtype=np.uint8), np.eye(7, dtype=np.uint8), 7)
         path = tmp_path / "simplex-zero.pair"
         path.write_text(format_pair(CssPair(make_hamming_dual_7_3(), zero)))
         code, out, _ = run_cli(capsys, "codes", "validate", str(path))
@@ -272,6 +295,13 @@ class TestCodesValidate:
     def test_missing_file_exit_two(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "codes", "validate", str(tmp_path / "nope.code"))
         assert code == 2
+
+    def test_bad_header_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "wide.code"
+        path.write_text("3 5 1\n111\n")
+        code, _, err = run_cli(capsys, "codes", "validate", str(path))
+        assert code == 1
+        assert err.startswith("config error:") and "'3 5 1'" in err
 
     def test_run_with_pair_file(self, capsys, tmp_path):
         path = tmp_path / "steane.pair"

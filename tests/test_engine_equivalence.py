@@ -35,7 +35,6 @@ from bb84sim import cli
 from bb84sim.channel import AttackModel
 from bb84sim.codes import CssPair, LinearCode, builtin_pair, make_hamming_dual_7_3, parse_pair
 from bb84sim.errors import InsufficientSiftAbort, TranscriptError
-from bb84sim.gf2 import BitMatrix
 from bb84sim.protocol import (
     ProtocolConfig,
     replay_bob,
@@ -54,7 +53,8 @@ VARIANT_SEEDS = 200
 def simplex_pair():
     # a non-perfect outer code ([7,3,4] simplex over the zero code), so that
     # bounded-distance decoding fails on reachable syndromes
-    zero = LinearCode(7, 0, 7, BitMatrix(0, 7, ()), BitMatrix.identity(7), name="zero[7,0]")
+    zero = LinearCode(np.zeros((0, 7), dtype=np.uint8), np.eye(7, dtype=np.uint8), 7,
+                      name="zero[7,0]")
     return CssPair(make_hamming_dual_7_3(), zero)
 
 

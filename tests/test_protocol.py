@@ -12,7 +12,7 @@ from bb84sim.errors import (
     ProtocolDesyncError,
     TranscriptError,
 )
-from bb84sim.gf2 import BitVector, rows_to_words, words_to_rows
+from bb84sim.gf2 import parse_bits
 from bb84sim.protocol import (
     ProtocolConfig,
     _check_and_abort,
@@ -33,9 +33,9 @@ def simplex_pair():
     # non-perfect outer code (the simplex [7,3,4]) over the zero code, so
     # bounded-distance decoding has reachable failure syndromes
     from bb84sim.codes import CssPair, LinearCode, make_hamming_dual_7_3
-    from bb84sim.gf2 import BitMatrix
 
-    zero = LinearCode(7, 0, 7, BitMatrix(0, 7, ()), BitMatrix.identity(7), name="zero[7,0]")
+    zero = LinearCode(np.zeros((0, 7), dtype=np.uint8), np.eye(7, dtype=np.uint8), 7,
+                      name="zero[7,0]")
     return CssPair(make_hamming_dual_7_3(), zero)
 
 
@@ -162,16 +162,12 @@ class TestCheckAndDecide:
         # the two check strings of a transcript must have equal lengths
         _, transcript = run_protocol(steane_config())
         with pytest.raises(ValueError, match="check value strings differ in length"):
-            replace(transcript, bob_check_values=BitVector.zeros(48))
+            replace(transcript, bob_check_values="0" * 48)
 
 
 def rows(*vectors):
     # one block per row, as the stage functions take them
-    return words_to_rows([v.word for v in vectors], vectors[0].n)
-
-
-def vectors(labels):
-    return [BitVector(labels.shape[1], w) for w in rows_to_words(labels)]
+    return np.array(vectors, dtype=np.uint8)
 
 
 class TestStageCorrectAndAmplify:
@@ -179,19 +175,19 @@ class TestStageCorrectAndAmplify:
         rng = np.random.default_rng(5)
         for _ in range(20):
             u = random_codeword(STEANE.outer, rng)
-            v = BitVector(7, int(rng.integers(0, 128)))
-            labels, failed = stage_correct_and_amplify(STEANE, rows(v), rows(u + v))
-            assert vectors(labels) == [coset_label(STEANE, u)]
+            v = rng.integers(0, 2, size=7, dtype=np.uint8)
+            labels, failed = stage_correct_and_amplify(STEANE, rows(v), rows(u ^ v))
+            assert labels.tolist() == [coset_label(STEANE, u).tolist()]
             assert failed.tolist() == [False]
 
     def test_single_error_exhaustive(self):
         # every single-bit error in every block, for every codeword u
         for u in STEANE.outer.codewords():
             for j in range(7):
-                v = BitVector.zeros(7)
-                noisy = v + BitVector.unit(7, j)
-                labels, failed = stage_correct_and_amplify(STEANE, rows(noisy), rows(u + v))
-                assert vectors(labels) == [coset_label(STEANE, u)]
+                v = np.zeros(7, dtype=np.uint8)
+                noisy = v ^ np.eye(7, dtype=np.uint8)[j]
+                labels, failed = stage_correct_and_amplify(STEANE, rows(noisy), rows(u ^ v))
+                assert labels.tolist() == [coset_label(STEANE, u).tolist()]
                 assert failed.tolist() == [False]
 
     def test_weight_two_mismatch_fixture(self):
@@ -203,10 +199,10 @@ class TestStageCorrectAndAmplify:
         total = 0
         for u in STEANE.outer.codewords():
             for pos in itertools.combinations(range(7), 2):
-                err = BitVector.from_bits([1 if i in pos else 0 for i in range(7)])
+                err = np.array([1 if i in pos else 0 for i in range(7)], dtype=np.uint8)
                 labels, _ = stage_correct_and_amplify(STEANE, rows(err), rows(u))
                 total += 1
-                mismatches += vectors(labels)[0] != coset_label(STEANE, u)
+                mismatches += labels[0].tolist() != coset_label(STEANE, u).tolist()
         assert total == 336
         assert mismatches / total == 1.0
 
@@ -226,7 +222,7 @@ class TestRunProtocol:
         outcome, transcript = run_protocol(steane_config(rng_seed=42))
         assert not outcome.aborted
         assert outcome.alice_final_key == outcome.bob_final_key
-        assert outcome.alice_final_key.n == 1
+        assert len(outcome.alice_final_key) == 1
         assert outcome.observed_check_error_rate == 0.0
         assert outcome.stage1_decode_failures == 0
         assert outcome.stage2_decode_failures == 0
@@ -322,7 +318,7 @@ class TestRunProtocol:
         outcome, transcript = run_protocol(cfg)
         assert not outcome.aborted
         assert outcome.keys_equal
-        assert outcome.alice_final_key.n == 1
+        assert len(outcome.alice_final_key) == 1
         assert len(transcript.stage1_blocks) == 23
         assert all(len(b.positions) == 7 for b in transcript.stage1_blocks)
         assert len(transcript.stage2_blocks[0].positions) == 23
@@ -332,8 +328,7 @@ class TestFixedAssignmentHook:
     def test_selection_is_first_positions_in_order(self):
         cfg = steane_config(random_assignment=False, rng_seed=4)
         art = run_protocol_full(cfg)
-        matched = np.flatnonzero(art.bob_bases == np.asarray(
-            [int(c) for c in str(art.transcript.b)], dtype=np.uint8))
+        matched = np.flatnonzero(art.bob_bases == parse_bits(art.transcript.b))
         kept = np.asarray(art.transcript.kept_positions)
         assert np.array_equal(kept, matched[:98])
         assert art.transcript.check_positions == tuple(int(p) for p in kept[:49])
@@ -401,8 +396,7 @@ class TestReplay:
 
 def _shortened(blk):
     # the same block announcement with its last position dropped
-    masked = BitVector.from_bits(blk.masked[i] for i in range(blk.masked.n - 1))
-    return BlockAnnouncement(blk.stage, blk.index, blk.positions[:-1], masked)
+    return BlockAnnouncement(blk.stage, blk.index, blk.positions[:-1], blk.masked[:-1])
 
 
 class TestReplayGeometry:
@@ -436,9 +430,9 @@ class TestReplayGeometry:
     def test_stage2_block_count(self):
         # a key-width-4 stage-1 pair keeps steane's geometry up to stage 2
         from bb84sim.codes import CssPair, LinearCode, make_hamming_7_4
-        from bb84sim.gf2 import BitMatrix
 
-        zero = LinearCode(7, 0, 7, BitMatrix(0, 7, ()), BitMatrix.identity(7), name="zero[7,0]")
+        zero = LinearCode(np.zeros((0, 7), dtype=np.uint8), np.eye(7, dtype=np.uint8), 7,
+                          name="zero[7,0]")
         art = run_protocol_full(steane_config(rng_seed=31))
         wide = steane_config(rng_seed=31, stage1_pair=CssPair(make_hamming_7_4(), zero))
         with pytest.raises(TranscriptError, match="1 stage-2 blocks.* use 4"):

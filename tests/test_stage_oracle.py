@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from bb84sim.channel import AttackModel
 from bb84sim.codes import CssPair, LinearCode, builtin_pair
 from bb84sim.errors import NotInCodeError
-from bb84sim.gf2 import BitMatrix, BitVector, row_reduce, rows_to_words, words_to_rows
+from bb84sim.gf2 import row_reduce
 from bb84sim.protocol import (
     ProtocolConfig,
     _alice_stage,
@@ -34,53 +34,41 @@ from oracle import (
     decode_to_codeword,
     project_label,
     random_codeword,
+    word_rows,
 )
 
 
 def full_rank_rows(rng, k, n):
-    """k random linearly independent n-bit words."""
+    """k random linearly independent rows of n bits."""
     while True:
-        words = [int(w) for w in rng.integers(0, 1 << n, size=k)]
-        if row_reduce(BitMatrix(k, n, words))[1] == k:
-            return words
+        rows = word_rows(rng.integers(0, 1 << n, size=k), n)
+        if row_reduce(rows)[1] == k:
+            return rows
 
 
-def null_space(words, n):
-    """A basis of {x : <w, x> = 0 for every w} (n - rank words)."""
-    reduced, rank, pivots = row_reduce(BitMatrix(len(words), n, words))
-    basis = []
-    for free in (c for c in range(n) if c not in pivots):
-        x = 1 << free
-        for i, p in enumerate(pivots):
-            if (reduced.row_words[i] >> free) & 1:
-                x |= 1 << p
-        basis.append(x)
+def null_space(rows, n):
+    """A basis of {x : <w, x> = 0 for every row w} (n - rank rows)."""
+    reduced, rank, pivots = row_reduce(rows)
+    basis = np.zeros((n - rank, n), dtype=np.uint8)
+    for row, free in zip(basis, (c for c in range(n) if c not in pivots)):
+        row[free] = 1
+        row[pivots] = reduced[:rank, free]
     return basis
 
 
-def code_of(words, n, name):
-    """The code spanned by `words`, its d the enumerated minimum distance."""
-    k = len(words)
-    check = null_space(words, n)
-    probe = LinearCode(n, k, 1, BitMatrix(k, n, words), BitMatrix(n - k, n, check))
-    weights = [cw.weight for cw in probe.codewords() if not cw.is_zero()]
-    code = LinearCode(n, k, min(weights, default=n), BitMatrix(k, n, words),
-                      BitMatrix(n - k, n, check), name=name)
+def code_of(rows, n, name):
+    """The code spanned by `rows`, its d the enumerated minimum distance."""
+    check = null_space(rows, n)
+    weights = LinearCode(rows, check, 1).codewords()[1:].sum(axis=1)
+    code = LinearCode(rows, check, int(weights.min(initial=n)), name=name)
     assert code.verify_distance()
     return code
 
 
 def random_pair(rng, n, k_outer, k_inner):
-    outer_words = full_rank_rows(rng, k_outer, n)
-    coeffs = full_rank_rows(rng, k_inner, k_outer)
-    inner_words = []
-    for c in coeffs:
-        w = 0
-        for i in range(k_outer):
-            if (c >> i) & 1:
-                w ^= outer_words[i]
-        inner_words.append(w)
-    return CssPair(code_of(outer_words, n, "outer"), code_of(inner_words, n, "inner"))
+    outer_rows = full_rank_rows(rng, k_outer, n)
+    inner_rows = full_rank_rows(rng, k_inner, k_outer) @ outer_rows & 1
+    return CssPair(code_of(outer_rows, n, "outer"), code_of(inner_rows, n, "inner"))
 
 
 @st.composite
@@ -91,12 +79,8 @@ def pairs_and_seed(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     pair = random_pair(rng, n, k_outer, k_inner)
-    assert pair._label_matrix == build_label_matrix(pair.outer, pair.inner)
+    assert np.array_equal(pair._label_matrix, build_label_matrix(pair.outer, pair.inner))
     return pair, seed
-
-
-def vectors(rows):
-    return [BitVector(rows.shape[1], w) for w in rows_to_words(rows)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -108,10 +92,10 @@ def test_alice_stage_matches_per_block_draws(pair_seed, blocks):
     coeffs = np.random.default_rng(seed).integers(0, 2, size=(blocks, pair.outer.k))
     masked, labels = _alice_stage(pair, values, coeffs)
     oracle = np.random.default_rng(seed)
-    for v, m, label in zip(vectors(values), vectors(masked), vectors(labels)):
+    for v, m, label in zip(values, masked, labels):
         u = random_codeword(pair.outer, oracle)
-        assert m == u + v
-        assert label == coset_label(pair, u)
+        assert (m == u ^ v).all()
+        assert (label == coset_label(pair, u)).all()
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,15 +110,15 @@ def test_receiver_stage_matches_per_block_decode(pair_seed, blocks):
     noisy = values ^ (rng.random((blocks, pair.n)).argsort(axis=1) < weights[:, None])
     labels, failed = stage_correct_and_amplify(pair, noisy, masked)
     assert labels.shape == (blocks, pair.key_width) and failed.shape == (blocks,)
-    for w, a, label, flag in zip(vectors(noisy), vectors(masked), vectors(labels), failed):
+    for w, a, label, flag in zip(noisy, masked, labels, failed):
         try:
-            codeword, _ = decode_to_codeword(pair.outer, w + a)
+            codeword, _ = decode_to_codeword(pair.outer, w ^ a)
         except DecodeFailure:
             assert flag
-            assert label == project_label(pair, w + a)
+            assert (label == project_label(pair, w ^ a)).all()
         else:
             assert not flag
-            assert label == coset_label(pair, codeword)
+            assert (label == coset_label(pair, codeword)).all()
 
 
 def test_every_word_of_a_non_perfect_pair():
@@ -142,28 +126,28 @@ def test_every_word_of_a_non_perfect_pair():
     # failure branch is certain to be taken
     pair = random_pair(np.random.default_rng(0), 10, 4, 1)
     assert len(pair.outer.syndrome_table()) < 2 ** (pair.n - pair.outer.k)
-    words = words_to_rows(range(1 << pair.n), pair.n)
+    words = word_rows(range(1 << pair.n), pair.n)
     labels, failed = stage_correct_and_amplify(pair, words, np.zeros_like(words))
     assert failed.any() and not failed.all()
-    for w, label, flag in zip(vectors(words), vectors(labels), failed):
+    for w, label, flag in zip(words, labels, failed):
         try:
             codeword, _ = decode_to_codeword(pair.outer, w)
         except DecodeFailure:
-            assert flag and label == project_label(pair, w)
+            assert flag and (label == project_label(pair, w)).all()
         else:
-            assert not flag and label == coset_label(pair, codeword)
+            assert not flag and (label == coset_label(pair, codeword)).all()
 
 
 def test_labelling_a_non_codeword_raises():
     # as the oracle's coset_label does; only rows flagged as decode failures
     # may be labelled by projection
     steane = builtin_pair("steane")
-    words = words_to_rows([0b1111111, 0b0000001], 7)
+    words = word_rows([0b1111111, 0b0000001], 7)
     with pytest.raises(NotInCodeError, match="1 stage words"):
         _labels(steane, words @ steane.check_label_t & 1)
     labels = _labels(steane, words @ steane.check_label_t & 1, np.array([False, True]))
-    assert vectors(labels) == [coset_label(steane, BitVector(7, 0b1111111)),
-                               project_label(steane, BitVector(7, 0b0000001))]
+    assert labels.tolist() == [coset_label(steane, words[0]).tolist(),
+                               project_label(steane, words[1]).tolist()]
 
 
 @pytest.mark.parametrize("stage", [1, 2])

@@ -3,7 +3,6 @@ import pytest
 from bb84sim.channel import AttackModel
 from bb84sim.codes import builtin_pair
 from bb84sim.errors import TranscriptError
-from bb84sim.gf2 import BitVector
 from bb84sim.protocol import ProtocolConfig, replay_bob, run_protocol_full
 from bb84sim.transcript import (
     BlockAnnouncement,
@@ -15,13 +14,13 @@ from bb84sim.transcript import (
 
 def small_transcript():
     return Transcript(
-        b=BitVector.from_string("0110"),
+        b="0110",
         kept_positions=(0, 2),
         check_positions=(0,),
-        alice_check_values=BitVector.from_string("1"),
-        bob_check_values=BitVector.from_string("1"),
-        stage1_blocks=(BlockAnnouncement(1, 0, (2,), BitVector.from_string("0")),),
-        stage2_blocks=(BlockAnnouncement(2, 0, (0,), BitVector.from_string("1")),),
+        alice_check_values="1",
+        bob_check_values="1",
+        stage1_blocks=(BlockAnnouncement(1, 0, (2,), "0"),),
+        stage2_blocks=(BlockAnnouncement(2, 0, (0,), "1"),),
     )
 
 
@@ -34,6 +33,12 @@ def run_config(seed=0):
 class TestRoundTrip:
     def test_synthetic(self):
         t = small_transcript()
+        assert parse_transcript(dump_transcript(t)) == t
+
+    def test_empty_bit_strings(self):
+        t = Transcript(b="", kept_positions=(), check_positions=(), alice_check_values="",
+                       bob_check_values="")
+        assert dump_transcript(t).startswith("B bits=\nKEEP pos=\n")
         assert parse_transcript(dump_transcript(t)) == t
 
     def test_dump_is_stable(self):
@@ -89,6 +94,38 @@ class TestParseErrors:
         text = dump_transcript(small_transcript()) + "WHAT is=this\n"
         with pytest.raises(TranscriptError, match="unexpected tag"):
             parse_transcript(text)
+
+    @pytest.mark.parametrize("bits", ["0_10", "+110", "0x10", "01 10", "0b10"])
+    def test_rejects_what_int_would_parse_as_bits(self, bits):
+        text = dump_transcript(small_transcript()).replace("B bits=0110", f"B bits={bits}")
+        with pytest.raises(TranscriptError, match="line 1"):
+            parse_transcript(text)
+
+    @pytest.mark.parametrize("how", ["underscore", "plus", "id"])
+    def test_numbers_are_decimal_digits_only(self, how):
+        text = dump_transcript(run_protocol_full(run_config(0)).transcript)
+        assert parse_transcript(text)
+        with pytest.raises(TranscriptError, match="line (2: bad position list|7: bad block id)"):
+            parse_transcript(respelled(text, how))
+
+
+def respelled(text, how):
+    """A dumped transcript with one number written as int() reads it but a
+    decimal field must not: 1_0 for 10 or +2 for 2 in KEEP, or BLK1 id=+1."""
+    lines = text.splitlines()
+    if how == "id":
+        assert lines[5].startswith("BLK1 id=0 ") and lines[6].startswith("BLK1 id=1 ")
+        lines[6] = lines[6].replace("id=1", "id=+1")
+    else:
+        head, value = lines[1].split("=")
+        positions = value.split(",")
+        if how == "underscore":
+            j = next(j for j, p in enumerate(positions) if len(p) > 1)
+            positions[j] = positions[j][0] + "_" + positions[j][1:]
+        else:
+            positions[0] = "+" + positions[0]
+        lines[1] = head + "=" + ",".join(positions)
+    return "\n".join(lines) + "\n"
 
 
 class TestCorruptionSensitivity:
