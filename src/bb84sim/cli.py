@@ -23,7 +23,7 @@ import numpy as np
 from .channel import AttackModel
 from .codes import load_pair, parse_code, parse_pair
 from .errors import ConfigError, InsufficientSiftAbort, TranscriptError
-from .gf2 import format_bits, parse_bits
+from .gf2 import format_bits, parse_bits, parse_decimals
 from .protocol import ProtocolConfig, replay_bob, run_chunk
 from .stats import (
     RecursionModel,
@@ -118,7 +118,7 @@ def _build_attack(settings: dict) -> AttackModel:
         if not raw:
             raise ConfigError("correlated_positions attack needs attack_positions")
         try:
-            positions = [int(x) for x in raw.split(",")]
+            positions = parse_decimals(raw).tolist()
         except ValueError:
             raise ConfigError(f"bad attack_positions {raw!r}") from None
         return AttackModel.correlated_positions(positions, p)

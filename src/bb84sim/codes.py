@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, InvalidPairError
-from .gf2 import format_bits, parse_bits, row_reduce
+from .gf2 import format_bits, parse_bits, parse_decimal, row_reduce
 
 __all__ = [
     "LinearCode",
@@ -369,7 +369,8 @@ BUILTIN_PAIR_NAMES = ("steane", "golay")
 
 
 # ---------------------------------------------------------------------------
-# Code and pair file format: header line "n k d", then k generator rows as
+# Code and pair file format: header line "n k d" in decimal digits (read by
+# gf2.parse_decimal, as transcript numbers are), then k generator rows as
 # 0/1 strings, then n-k parity-check rows.  Pair files hold two code blocks
 # separated by a line containing only '%'.  Blank lines and '#' comments are
 # skipped.
@@ -390,9 +391,13 @@ def parse_code(text: str, name: str = "") -> LinearCode:
     header = lines[0].split()
     if len(header) != 3:
         raise ValueError(f"header must be 'n k d', got {lines[0]!r}")
-    n, k, d = (int(x) for x in header)
-    if n < 1 or not 0 <= k <= n:
-        raise ValueError(f"header {lines[0]!r} needs n >= 1 and 0 <= k <= n")
+    try:
+        n, k, d = map(parse_decimal, header)
+        valid = n >= 1 and k <= n
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"header {lines[0]!r} needs n >= 1 and 0 <= k <= n, in decimal digits")
     if len(lines) != 1 + n:
         raise ValueError(f"expected {1 + n} lines for [{n},{k}] code, got {len(lines)}")
     for row in lines[1:]:

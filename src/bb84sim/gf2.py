@@ -11,19 +11,32 @@ loop.
 
 Outside the program, in transcripts, keys, code files and Bob's record,
 bits are 0/1 text with character i holding bit i; `format_bits` and
-`parse_bits` are the one conversion between the two forms.  All indices
-are zero-based.
+`parse_bits` are the one conversion between the two forms.  The numbers
+in those files (positions, block ids, code-file headers) and in the
+`attack_positions` setting are ASCII decimal digits, at most 18 to a
+number so that each fits an int64; `parse_decimal` and `parse_decimals`
+(a comma-separated list) are their one reader.  All indices are
+zero-based.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["row_reduce", "solve_membership", "format_bits", "parse_bits"]
+__all__ = ["row_reduce", "solve_membership", "format_bits", "parse_bits", "parse_decimal",
+           "parse_decimals"]
+
+_BITS = re.compile("[01]*")
+# a number is 1 to 18 ASCII digits: no sign, space or underscore, and nothing
+# an int64 cannot hold; a list of them is comma-separated, with no empty entry
+_NUMBER = "[0-9]{1,18}"
+_DECIMAL = re.compile(_NUMBER)
+_DECIMALS = re.compile(f"{_NUMBER}(?:,{_NUMBER})*")
 
 
 def format_bits(bits: np.ndarray) -> str:
@@ -38,9 +51,36 @@ def parse_bits(text: str) -> np.ndarray:
     Raises:
         ValueError: the string has a character other than 0 and 1.
     """
-    if text.strip("01"):
+    if _BITS.fullmatch(text) is None:
         raise ValueError(f"bit string {text!r} has characters outside 0/1")
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - 48
+
+
+def parse_decimal(text: str) -> int:
+    """The number an ASCII decimal of at most 18 digits spells.
+
+    Raises:
+        ValueError: the text is not such a number.
+    """
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"bad decimal {text!r}")
+    return int(text)
+
+
+def parse_decimals(text: str) -> np.ndarray:
+    """The int64 numbers of a comma-separated list of ASCII decimal numbers
+    of at most 18 digits each; "" gives an empty array.
+
+    The pattern check comes first, and the conversion is one C call.
+
+    Raises:
+        ValueError: the text is not such a list.
+    """
+    if text == "":
+        return np.zeros(0, dtype=np.int64)
+    if _DECIMALS.fullmatch(text) is None:
+        raise ValueError(f"bad decimal list {text!r}")
+    return np.fromstring(text, dtype=np.int64, sep=",")
 
 
 def _eliminate(a: np.ndarray, ncols: int) -> list[int]:

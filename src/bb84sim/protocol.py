@@ -37,8 +37,9 @@ row-major flattening of a trial's stage-1 labels.  The objects of a trial
 when asked for (`TrialChunk.artifacts`); their bits are 0/1 strings
 (`gf2.format_bits`), as transcripts are dumped.  Replay parses those strings
 back to arrays and runs the same check and receiver stage functions as a
-live run, on one row.  Each protocol step has this one implementation; the
-tests hold a scalar per-block reference.
+live run, on one row, after checking the transcript's positions with array
+passes (see `replay_bob`).  Each protocol step has this one implementation;
+the tests hold a scalar per-block reference.
 """
 
 from __future__ import annotations
@@ -594,19 +595,41 @@ def _check_block_geometry(stage: int, blocks: Sequence[BlockAnnouncement],
                 f"but the configured code pair has n={n}")
 
 
-def _first_invalid(positions: np.ndarray, n: int, valid: np.ndarray) -> Optional[int]:
-    """The first of `positions` that lies outside [0, n) or where the (n,)
-    mask `valid` is False; None if there is none."""
-    bad = (positions < 0) | (positions >= n)
-    inside = ~bad
-    bad[inside] = ~valid[positions[inside]]
-    return int(positions[np.argmax(bad)]) if bad.any() else None
+def _first_invalid(positions: np.ndarray, n: int, valid: Optional[np.ndarray] = None,
+                   distinct: bool = False) -> Optional[int]:
+    """The flat index, in row-major order, of the first of `positions` that
+    lies outside [0, n), where the (n,) mask `valid` (if given) is False,
+    or, with `distinct`, that repeats an earlier position; None if there is
+    none.
+
+    One array pass decides; only when it fails does a Python scan find that
+    first position.
+    """
+    flat = positions.reshape(-1)
+    # in range first, so that `valid` and bincount see only [0, n)
+    if (flat.min(initial=0) >= 0 and flat.max(initial=-1) < n
+            and (valid is None or valid[flat].all())
+            and (not distinct or np.bincount(flat).max(initial=0) <= 1)):
+        return None
+    seen = set()
+    for i, p in enumerate(flat.tolist()):
+        if not 0 <= p < n or (valid is not None and not valid[p]) or (distinct and p in seen):
+            return i
+        seen.add(p)
 
 
 def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarray,
                config: ProtocolConfig) -> ReplayResult:
     """Recompute Bob's entire post-processing from his measurement record and
     the public transcript alone.
+
+    Every position is checked before anything is indexed with it: the kept
+    positions were measured in the announced basis, the check positions are
+    kept, the stage-1 blocks and the check positions partition the kept
+    positions, and the stage-2 blocks permute the stage-1 key bits.  Each
+    check is one array pass over the (blocks x n) positions, with
+    `np.bincount` for repeats; only a failed pass is followed by a Python
+    scan, which names the first offending position in block order.
 
     Raises:
         TranscriptError: the transcript is inconsistent with the measurement
@@ -619,9 +642,9 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
         raise TranscriptError(
             f"measurement record length {bob_bases.shape} does not match transmission {n}")
     kept = np.asarray(transcript.kept_positions, dtype=np.int64)
-    announced = parse_bits(transcript.b)
-    p = _first_invalid(kept, n, bob_bases == announced)
-    if p is not None:
+    i = _first_invalid(kept, n, bob_bases == parse_bits(transcript.b))
+    if i is not None:
+        p = int(kept[i])
         if not 0 <= p < n:
             raise TranscriptError(f"kept position {p} outside transmission length {n}")
         raise TranscriptError(f"kept position {p} was not measured in the announced basis")
@@ -632,8 +655,9 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     check = np.asarray(transcript.check_positions, dtype=np.int64)
     is_kept = np.zeros(n, dtype=bool)
     is_kept[kept] = True
-    p = _first_invalid(check, n, is_kept)
-    if p is not None:
+    i = _first_invalid(check, n, is_kept)
+    if i is not None:
+        p = int(check[i])
         if not 0 <= p < n:
             raise TranscriptError(f"check position {p} outside transmission length {n}")
         raise TranscriptError(f"check position {p} is not a kept position")
@@ -646,36 +670,34 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     _check_block_geometry(1, transcript.stage1_blocks, config.stage1_block_count, config.n1)
     _check_block_geometry(2, transcript.stage2_blocks, config.stage2_block_count, config.n2)
 
-    kept_set = set(transcript.kept_positions)
-    check_set = set(transcript.check_positions)
-    covered: set[int] = set()
-    for blk in transcript.stage1_blocks:
-        for p in blk.positions:
-            if p not in kept_set or p in check_set or p in covered:
-                raise TranscriptError(
-                    f"stage-1 block {blk.index} position {p} violates the check/code partition")
-            covered.add(p)
-    if covered | check_set != kept_set:
+    # distinct code positions (kept, not check) that cover every code position
+    is_code = is_kept.copy()
+    is_code[check] = False
+    positions1 = _block_positions(transcript.stage1_blocks)
+    i = _first_invalid(positions1, n, is_code, distinct=True)
+    if i is not None:
+        raise TranscriptError(
+            f"stage-1 block {transcript.stage1_blocks[i // config.n1].index} position "
+            f"{positions1.flat[i]} violates the check/code partition")
+    if positions1.size != np.count_nonzero(is_code):
         raise TranscriptError("stage-1 blocks and check bits do not partition the kept positions")
 
     labels1, failed1 = stage_correct_and_amplify(
-        config.stage1_pair, bob_bits[_block_positions(transcript.stage1_blocks)],
+        config.stage1_pair, bob_bits[positions1],
         _block_words(transcript.stage1_blocks, config.n1))
     bob_key1 = labels1.reshape(-1)
 
-    total1 = bob_key1.size
-    seen2: set[int] = set()
-    for blk in transcript.stage2_blocks:
-        for p in blk.positions:
-            if p >= total1 or p in seen2:
-                raise TranscriptError(
-                    f"stage-2 block {blk.index} position {p} invalid over {total1} key bits")
-            seen2.add(p)
-    if len(seen2) != total1:
-        raise TranscriptError("stage-2 blocks do not consume every stage-1 key bit")
+    # distinct key-bit indices; the geometry fixes their count at the key
+    # length, so they are a permutation of the stage-1 key
+    positions2 = _block_positions(transcript.stage2_blocks)
+    i = _first_invalid(positions2, bob_key1.size, distinct=True)
+    if i is not None:
+        raise TranscriptError(
+            f"stage-2 block {transcript.stage2_blocks[i // config.n2].index} position "
+            f"{positions2.flat[i]} invalid over {bob_key1.size} key bits")
 
     labels2, failed2 = stage_correct_and_amplify(
-        config.stage2_pair, bob_key1[_block_positions(transcript.stage2_blocks)],
+        config.stage2_pair, bob_key1[positions2],
         _block_words(transcript.stage2_blocks, config.n2))
     return ReplayResult(format_bits(labels2.reshape(-1)), rate, False,
                         int(failed1.sum()), int(failed2.sum()))

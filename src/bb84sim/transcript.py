@@ -3,17 +3,25 @@
 Line format: one record per line, ``TAG field=value ...``; bit strings are
 0/1 text, position lists comma-separated zero-based decimal integers.  The
 bit fields of a transcript are held as that same 0/1 text (`str`),
-character i being bit i, so dumping writes them as they are.  Tags in dump
-order: B, KEEP, CHECKPOS, ACHK, BCHK, then one BLK1 line per first-stage
-block and one BLK2 line per second-stage block (absent when the run aborted
-at the check).  Round-trips bit-exactly: parse(dump(t)) == t.
+character i being bit i, so dumping writes them as they are.  Positions
+and block ids are read by `gf2.parse_decimals` and `gf2.parse_decimal`:
+ASCII digits only, at most 18 to a number, so that every position fits an
+int64.  A position list is checked against one pattern and converted by
+one C call, and the transcript holds its numbers as a tuple of ints.
+
+Tags in dump order: B, KEEP, CHECKPOS, ACHK, BCHK, then one BLK1 line per
+first-stage block and one BLK2 line per second-stage block (absent when
+the run aborted at the check).  Round-trips bit-exactly:
+parse(dump(t)) == t.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import TranscriptError
+from .gf2 import parse_decimal, parse_decimals
 
 __all__ = ["BlockAnnouncement", "Transcript", "dump_transcript", "parse_transcript"]
 
@@ -90,25 +98,20 @@ def _parse_fields(body: str, line_no: int) -> dict[str, str]:
     return fields
 
 
+_BITS = re.compile("[01]*")
+
+
 def _parse_bits(value: str, line_no: int) -> str:
-    if value.strip("01"):
+    if _BITS.fullmatch(value) is None:
         raise TranscriptError(f"bit string {value!r} has characters outside 0/1", line=line_no)
     return value
 
 
-def _is_decimal(text: str) -> bool:
-    """True for a nonempty run of ASCII digits; int() also takes signs,
-    underscores, spaces and other scripts' digits."""
-    return text.isascii() and text.isdigit()
-
-
 def _parse_positions(value: str, line_no: int) -> tuple[int, ...]:
-    if value == "":
-        return ()
-    parts = value.split(",")
-    if "" in parts or not _is_decimal(value.replace(",", "")):
-        raise TranscriptError(f"bad position list {value!r}", line=line_no)
-    return tuple(map(int, parts))
+    try:
+        return tuple(parse_decimals(value).tolist())
+    except ValueError:
+        raise TranscriptError(f"bad position list {value!r}", line=line_no) from None
 
 
 _HEADER_TAGS = ("B", "KEEP", "CHECKPOS", "ACHK", "BCHK")
@@ -161,9 +164,10 @@ def parse_transcript(text: str) -> Transcript:
         for key in ("id", "pos", "masked"):
             if key not in fields:
                 raise TranscriptError(f"tag {tag} is missing field {key!r}", line=line_no)
-        if not _is_decimal(fields["id"]):
-            raise TranscriptError(f"bad block id {fields['id']!r}", line=line_no)
-        block_id = int(fields["id"])
+        try:
+            block_id = parse_decimal(fields["id"])
+        except ValueError:
+            raise TranscriptError(f"bad block id {fields['id']!r}", line=line_no) from None
         if block_id != len(blocks[stage]):
             raise TranscriptError(
                 f"block id {block_id} out of order (expected {len(blocks[stage])})", line=line_no)

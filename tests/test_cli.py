@@ -178,6 +178,15 @@ class TestRunCommand:
         assert "attack_positions" in err
 
 
+    @pytest.mark.parametrize("positions", ["+3", "3,1_0", "3, 5", "-3"])
+    def test_attack_positions_are_decimal_digits(self, capsys, tmp_path, positions):
+        code, _, err = run_cli(capsys, "run", "--trials", "1", "--attack",
+                               "correlated_positions", "--noise-p", "1.0",
+                               "--attack-positions", positions, "--out-dir", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("config error:")
+        assert not (tmp_path / "x").exists()
+
 class TestReplayErrors:
     def test_truncated_transcript_exit_three(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -236,6 +245,21 @@ class TestReplayErrors:
         code, _, err = run_cli(capsys, "replay", str(tpath), str(bpath))
         assert code == 3
         assert err.startswith("parse error:")
+
+    def test_position_too_long_for_int64_exit_three(self, capsys, tmp_path):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--trials", "1", "--seed", "1", "--out-dir", str(out_dir),
+                "--dump-transcripts")
+        tpath = next((out_dir / "transcripts").glob("*.transcript"))
+        bpath = next((out_dir / "transcripts").glob("*.bob"))
+        lines = tpath.read_text().splitlines()
+        assert lines[1].startswith("KEEP pos=")
+        lines[1] = "KEEP pos=123456789012345678901234567890," + lines[1].split(",", 1)[1]
+        tpath.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "replay", str(tpath), str(bpath))
+        assert code == 3
+        assert err.startswith("parse error: line 2: bad position list")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags", ["--seed 5", "--trials 5", "--attack none",
                                        "--noise-p 0.1", "--attack-positions 5", "--out-dir out",

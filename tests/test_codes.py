@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -401,6 +402,14 @@ class TestFileFormat:
         # n >= 1 and 0 <= k <= n, checked before any row is read
         header = text.splitlines()[0]
         with pytest.raises(ValueError, match=f"header '{header}' needs n >= 1 and 0 <= k <= n"):
+            parse_code(text)
+
+    @pytest.mark.parametrize("header", ["+7 0_4 3", "7 4 +3", "7 \u0664 3", "7 4 3.0"])
+    def test_header_is_decimal_digits(self, header):
+        # int() reads '+7 0_4 3' as 7 4 3
+        text = format_code(make_hamming_7_4()).replace("7 4 3", header, 1)
+        message = f"header '{header}' needs n >= 1 and 0 <= k <= n, in decimal digits"
+        with pytest.raises(ValueError, match=re.escape(message)):
             parse_code(text)
 
     def test_bad_row(self):

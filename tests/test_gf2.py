@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bb84sim.errors import DimensionError
-from bb84sim.gf2 import format_bits, parse_bits, row_reduce, solve_membership
+from bb84sim.gf2 import (
+    format_bits,
+    parse_bits,
+    parse_decimal,
+    parse_decimals,
+    row_reduce,
+    solve_membership,
+)
 from oracle import mat_vec, to_word, word_rows
 
 
@@ -70,6 +77,32 @@ class TestBitVector:
             assert format_bits(v) == text
             assert v.tolist() == [int(c) for c in text]
 
+
+
+class TestDecimals:
+    """Numbers outside the program are ASCII decimal digits, at most 18 to a
+    number: int() also takes signs, underscores, spaces and other scripts'
+    digits, and numpy clips a number that does not fit an int64."""
+
+    def test_numbers_and_lists(self):
+        assert parse_decimals("").dtype == np.int64 and parse_decimals("").shape == (0,)
+        assert parse_decimals("0,07,42").tolist() == [0, 7, 42]
+        assert parse_decimals("9" * 18 + ",1").tolist() == [10**18 - 1, 1]
+        assert parse_decimal("007") == 7 and parse_decimal("9" * 18) == 10**18 - 1
+
+    @pytest.mark.parametrize("text", ["", "+3", "-3", "1_0", " 3", "3 ", "\u0663", "0x1",
+                                      "1" * 19, "123456789012345678901234567890"])
+    def test_rejects_what_is_not_a_number(self, text):
+        with pytest.raises(ValueError, match="bad decimal"):
+            parse_decimal(text)
+        if text:
+            with pytest.raises(ValueError, match="bad decimal list"):
+                parse_decimals(text)
+
+    @pytest.mark.parametrize("text", ["3,", ",3", "1,,2", "1, 2", "1,-2", "1;2", "1,2," + "4" * 19])
+    def test_rejects_what_is_not_a_list(self, text):
+        with pytest.raises(ValueError, match="bad decimal list"):
+            parse_decimals(text)
 
 class TestMatVec:
     def test_identity(self):

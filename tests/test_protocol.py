@@ -489,3 +489,86 @@ class TestReplayPositions:
         bad = replace(t, kept_positions=t.kept_positions[:5] + (215,) + t.kept_positions[6:])
         with pytest.raises(TranscriptError, match="kept position 215 outside transmission"):
             self.replay(bad, bases)
+
+
+def _with_position(blocks, b, j, p):
+    """`blocks` with position j of block b replaced by p."""
+    blk = blocks[b]
+    positions = blk.positions[:j] + (p,) + blk.positions[j + 1:]
+    changed = BlockAnnouncement(blk.stage, blk.index, positions, blk.masked)
+    return blocks[:b] + (changed,) + blocks[b + 1:]
+
+
+class TestReplayPartitions:
+    """The stage-1 blocks and the check positions partition the kept
+    positions, and the stage-2 blocks permute the stage-1 key bits; the first
+    position in block order that breaks this is the one reported."""
+
+    def setup_method(self):
+        self.cfg = steane_config(rng_seed=31)
+        self.art = run_protocol_full(self.cfg)
+        assert not self.art.outcome.aborted
+
+    def replay(self, transcript):
+        return replay_bob(transcript, self.art.bob_bases, self.art.bob_bits, self.cfg)
+
+    def edited(self, stage, *edits):
+        """The transcript with position j of stage block b set to p, for
+        each (b, j, p) in `edits`."""
+        field = f"stage{stage}_blocks"
+        blocks = getattr(self.art.transcript, field)
+        for b, j, p in edits:
+            blocks = _with_position(blocks, b, j, p)
+        return replace(self.art.transcript, **{field: blocks})
+
+    def unkept(self):
+        return min(set(range(215)) - set(self.art.transcript.kept_positions))
+
+    def partition_error(self, block, p):
+        return f"stage-1 block {block} position {p} violates the check/code partition"
+
+    @pytest.mark.parametrize("what", ["check", "unkept", "repeat", "same block", "outside"])
+    def test_stage1_position_outside_the_code_positions(self, what):
+        t = self.art.transcript
+        p = {"check": t.check_positions[0], "unkept": self.unkept(),
+             "repeat": t.stage1_blocks[0].positions[4],
+             "same block": t.stage1_blocks[2].positions[0], "outside": 9999}[what]
+        with pytest.raises(TranscriptError, match=self.partition_error(2, p)):
+            self.replay(self.edited(1, (2, 3, p)))
+
+    def test_first_bad_stage1_position_in_block_order_is_reported(self):
+        t = self.art.transcript
+        check = t.check_positions[0]
+        with pytest.raises(TranscriptError, match=self.partition_error(1, check)):
+            self.replay(self.edited(1, (1, 4, check), (3, 0, 9999)))
+        with pytest.raises(TranscriptError, match=self.partition_error(1, 9999)):
+            self.replay(self.edited(1, (1, 4, 9999), (3, 0, check)))
+        # a repeat offends where it recurs, not where it first appears
+        p = t.stage1_blocks[5].positions[1]
+        with pytest.raises(TranscriptError, match=self.partition_error(3, check)):
+            self.replay(self.edited(1, (1, 2, p), (3, 6, check)))
+        with pytest.raises(TranscriptError, match=self.partition_error(5, p)):
+            self.replay(self.edited(1, (1, 2, p), (6, 6, check)))
+
+    def test_kept_position_no_block_covers(self):
+        t = self.art.transcript
+        matched = np.flatnonzero(self.art.bob_bases == parse_bits(t.b))
+        extra = int(min(set(matched.tolist()) - set(t.kept_positions)))
+        bad = replace(t, kept_positions=tuple(sorted(t.kept_positions + (extra,))))
+        with pytest.raises(TranscriptError,
+                           match="stage-1 blocks and check bits do not partition the kept"):
+            self.replay(bad)
+
+    @pytest.mark.parametrize("what", ["repeat", "too large"])
+    def test_stage2_index_outside_the_stage1_key(self, what):
+        p = {"repeat": self.art.transcript.stage2_blocks[0].positions[0], "too large": 7}[what]
+        with pytest.raises(TranscriptError,
+                           match=f"stage-2 block 0 position {p} invalid over 7 key bits"):
+            self.replay(self.edited(2, (0, 3, p)))
+
+    def test_first_bad_stage2_index_in_block_order_is_reported(self):
+        first = self.art.transcript.stage2_blocks[0].positions[0]
+        with pytest.raises(TranscriptError, match="stage-2 block 0 position 9 invalid"):
+            self.replay(self.edited(2, (0, 2, 9), (0, 5, first)))
+        with pytest.raises(TranscriptError, match=f"stage-2 block 0 position {first} invalid"):
+            self.replay(self.edited(2, (0, 2, first), (0, 5, 9)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from bb84sim.channel import AttackModel
@@ -107,6 +109,20 @@ class TestParseErrors:
         assert parse_transcript(text)
         with pytest.raises(TranscriptError, match="line (2: bad position list|7: bad block id)"):
             parse_transcript(respelled(text, how))
+
+
+    @pytest.mark.parametrize("digits", [19, 30])
+    def test_position_too_long_for_int64(self, digits):
+        # 30 digits crashed replay with an OverflowError once parsed
+        number = "123456789" * 4
+        text = dump_transcript(small_transcript()).replace("KEEP pos=0,2",
+                                                           f"KEEP pos={number[:digits]},2")
+        with pytest.raises(TranscriptError, match="line 2: bad position list"):
+            parse_transcript(text)
+
+    def test_eighteen_digit_position(self):
+        t = replace(small_transcript(), kept_positions=(0, 10**18 - 1))
+        assert parse_transcript(dump_transcript(t)) == t
 
 
 def respelled(text, how):
