@@ -7,14 +7,26 @@ the wrong basis re-randomizes the qubit.  No amplitude-level state is kept;
 the interceptor's re-prepared state is modeled by basis-conditional
 re-randomization at measurement time, which is statistically identical.
 
-Randomness contract (relied on for reproducibility): `attack_arrays` draws
-from the supplied generator in a fixed order and with shapes that depend
-only on the attack kind and transmission length, never on sampled values.
-`measure_bits` draws nothing; its random outcomes are the supplied coins.
+Randomness contract (relied on for reproducibility): the channel's draws for
+one transmission are raw 64-bit words of its PCG64 stream, taken in a fixed
+order and number that depend only on the attack kind and transmission
+length, never on sampled values (`channel_draws`).  First come the words
+`attack_arrays` reads as uniforms, each word w being the double
+``(w >> 11) * 2**-53`` that ``Generator.random`` makes of it.  Then come
+rows of n fair bits, each bit 7 of one byte of the stream's 32-bit halves,
+low half and low byte first, `ceil(n / 4)` halves to a row: exactly what
+``Generator.integers(0, 2, size=n)`` draws for uint8 or int8, since its
+sampling never rejects at range 2 and starts a fresh four-byte buffer at
+each call.  The rows are the interceptor's bases (`intercept_resend` only)
+and then the measurement coins.  A half left over after the last row, when
+the rows take an odd number, comes first in the rows of the trial's next
+attempt (a restart), as ``Generator`` keeps it.  `measure_bits` draws
+nothing; its random outcomes are the coins.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Sequence
@@ -23,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 
-__all__ = ["Basis", "AttackModel", "attack_arrays", "measure_bits"]
+__all__ = ["Basis", "AttackModel", "channel_draws", "attack_arrays", "measure_bits"]
 
 
 class Basis(IntEnum):
@@ -87,28 +99,54 @@ class AttackModel:
         return f"{self.kind}(p={self.probability})"
 
 
-def attack_arrays(attack: AttackModel, n: int, rng: np.random.Generator):
-    """Draw the channel's tampering for one transmission of n qubits.
+def channel_draws(attack: AttackModel, n: int) -> tuple[int, int]:
+    """The channel's draws for one transmission of n qubits, in stream order.
 
     Returns:
-        (flip, eve_basis): uint8 flip indicators and int8 interceptor bases
-        (-1 where not intercepted).
+        (words, rows): the number of raw words `attack_arrays` reads as
+        uniforms, and the number of rows of n fair bits drawn after them (the
+        interceptor's bases under intercept_resend, then the coins).
     """
+    if attack.kind in ("bitflip", "intercept_resend"):
+        return n, 1 + (attack.kind == "intercept_resend")
+    return len(attack.positions), 1
+
+
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    """Where the uniforms (w >> 11) * 2**-53 of raw words w fall below p,
+    compared as the integers w >> 11 < ceil(p * 2**53), which is exact."""
+    return words >> 11 < math.ceil(p * 2 ** 53)
+
+
+def attack_arrays(attack: AttackModel, n: int, words: np.ndarray, bases: np.ndarray):
+    """The channel's tampering for T transmissions of n qubits, one per row.
+
+    Args:
+        words: (T, words) uint64 raw words, as `channel_draws` counts them.
+        bases: (T, n) uint8 fair bits, the interceptor's bases; read only by
+            intercept_resend.
+
+    Returns:
+        (flip, eve_basis): (T, n) uint8 flip indicators and int8 interceptor
+        bases (-1 where not intercepted).
+
+    Raises:
+        ConfigError: a correlated position lies outside the transmission.
+    """
+    shape = (len(words), n)
     if attack.kind == "bitflip":
-        return (rng.random(n) < attack.probability).view(np.uint8), np.full(n, -1, dtype=np.int8)
-    flip = np.zeros(n, dtype=np.uint8)
+        return _below(words, attack.probability).view(np.uint8), np.full(shape, -1, np.int8)
+    flip = np.zeros(shape, dtype=np.uint8)
     if attack.kind == "intercept_resend":
-        intercepted = rng.random(n) < attack.probability
-        return flip, np.where(intercepted, rng.integers(0, 2, size=n, dtype=np.int8), -1)
-    eve = np.full(n, -1, dtype=np.int8)
+        return flip, np.where(_below(words, attack.probability), bases.view(np.int8), -1)
     if attack.kind == "correlated_positions":
         if any(p >= n for p in attack.positions):
             raise ConfigError(
                 f"attack position {max(attack.positions)} outside transmission length {n}")
-        hit = rng.random(len(attack.positions)) < attack.probability
+        rows, hit = _below(words, attack.probability).nonzero()
         # a position listed twice toggles twice
-        np.bitwise_xor.at(flip, np.array(attack.positions, dtype=np.intp)[hit], 1)
-    return flip, eve
+        np.bitwise_xor.at(flip, (rows, np.array(attack.positions, dtype=np.intp)[hit]), 1)
+    return flip, np.full(shape, -1, np.int8)
 
 
 def measure_bits(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin):

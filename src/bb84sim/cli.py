@@ -23,7 +23,7 @@ import numpy as np
 from .channel import AttackModel
 from .codes import load_pair, parse_code, parse_pair
 from .errors import ConfigError, InsufficientSiftAbort, TranscriptError
-from .gf2 import format_bits, parse_bits, parse_decimals
+from .gf2 import format_bits, parse_bits, parse_decimal, parse_decimals
 from .protocol import ProtocolConfig, replay_bob, run_chunk
 from .stats import (
     RecursionModel,
@@ -44,9 +44,11 @@ SUMMARY_COLUMNS = ["trials", "abort_fraction", "mean_check_error", "stddev_check
 # (at least one trial), so that its memory does not grow with the batch
 QUBITS_PER_CHUNK = 1 << 14
 
+# a config file's integer settings are ASCII decimal digits (no sign, space
+# or underscore), read as every number in the program's files is
 _CONFIG_KEYS = {
-    "seed": int,
-    "trials": int,
+    "seed": parse_decimal,
+    "trials": parse_decimal,
     "attack": str,
     "noise_p": float,
     "attack_positions": str,
@@ -55,7 +57,7 @@ _CONFIG_KEYS = {
     "stage1_pair": str,
     "stage2_pair": str,
     "out_dir": str,
-    "dump_transcripts": int,
+    "dump_transcripts": parse_decimal,
 }
 
 _DEFAULTS = {

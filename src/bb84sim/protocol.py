@@ -17,21 +17,39 @@ Too few basis matches is a restart, not a security abort: the attempt is
 discarded and the quantum phase repeats with fresh randomness, up to
 ``max_restarts`` (then InsufficientSiftAbort propagates).
 
-Trials run in chunks (`run_chunk`); a single run is a chunk of one.  The
-draws are taken one trial at a time, from the trial's own generators, in
-this order (restarts included): preparation bits and bases, Bob's bases,
-the channel's draws and coins, the two choices of sifting, then, for a
-trial that passed the check, the permutation of the code positions, the
-stage-1 coefficients, the permutation of the stage-1 key bits and the
-stage-2 coefficients.  Everything after the draws runs once per chunk over
-(trials x n) arrays: measurement, the check comparison and the abort
-decision (`_check_and_abort`, which replay calls too), and both correction
-stages, whose blocks are the rows of (trials*blocks x n) arrays, against the
-dense matrices each code pair caches (see codes.py).  A stage's masking
-coefficients are one (blocks x k) draw, which consumes the party stream
-exactly as one draw per block does; syndromes, codewords and labels are
-matrix products over all rows, and decoding is one syndrome-table lookup per
-row.  The stage-1 key is the
+Trials run in chunks (`run_chunk`); a single run is a chunk of one.  Each
+trial draws from its own generators in this order (restarts included):
+preparation bits and bases, Bob's bases, the channel's draws and coins, the
+two choices of sifting, then, for a trial that passed the check, the
+permutation of the code positions, the stage-1 coefficients, the
+permutation of the stage-1 key bits and the stage-2 coefficients.
+
+Randomness contract: the quantum phase is word draws, each bit-identical to
+the ``Generator`` calls that define the streams.  A party attempt is one
+``party.integers(0, 2**32, size=3*ceil(n/4), dtype=np.uint32)`` call; bit 7
+of each byte, low byte first, ``ceil(n/4)`` words to a row, gives the
+preparation bits, the bases and Bob's bases, which is what three
+``integers(0, 2, size=n, dtype=np.uint8)`` calls draw: that sampling never
+rejects at range 2, each call starts a fresh four-byte buffer, and numpy
+keeps PCG64's buffered half-word between calls, so the choices after it
+see the stream as before.  A channel attempt is one ``random_raw`` call on
+a bare PCG64; channel.py states how its words map to ``Generator.random``
+uniforms and int8/uint8 bits, and how a leftover half-word carries into the
+next attempt.  Sifting draws ``choice(matched.size, ...)`` and takes the
+matched positions at the sorted indices, which equals sorting
+``choice(matched, ...)``.
+
+Only the generator calls run per trial (per attempt, two word draws and, on
+success, the two choices); the bits, the tampering and the sifting's
+indexing are array passes over the chunk.  Everything after the draws runs
+once per chunk over (trials x n) arrays as well: measurement, the check
+comparison and the abort decision (`_check_and_abort`, which replay calls
+too), and both correction stages, whose blocks are the rows of
+(trials*blocks x n) arrays, against the dense matrices each code pair caches
+(see codes.py).  A stage's masking coefficients are one (blocks x k) draw,
+which consumes the party stream exactly as one draw per block does;
+syndromes, codewords and labels are matrix products over all rows, and
+decoding is one syndrome-table lookup per row.  The stage-1 key is the
 row-major flattening of a trial's stage-1 labels.  The objects of a trial
 (transcript, block announcements, sift positions and keys) are built only
 when asked for (`TrialChunk.artifacts`); their bits are 0/1 strings
@@ -50,7 +68,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .channel import AttackModel, attack_arrays, measure_bits
+from .channel import AttackModel, attack_arrays, channel_draws, measure_bits
 from .codes import CssPair
 from .errors import (
     ConfigError,
@@ -190,41 +208,36 @@ class ReplayResult:
     stage2_decode_failures: int
 
 
-def _draw_preparation(config: ProtocolConfig, rng: np.random.Generator):
-    """Preparation draws, in the fixed order the runner consumes them."""
-    n = config.transmitted_count
-    bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    b = rng.integers(0, 2, size=n, dtype=np.uint8)
-    return bits, b
+def _select(matched: np.ndarray, counts: np.ndarray, config: ProtocolConfig, parties: list):
+    """Sifting, one trial per row of the (T, n) bool mask of basis-matched
+    positions, given its (T,) row counts, each at least 2*n1*n2.
 
-
-def _select(matched: np.ndarray, config: ProtocolConfig, rng: np.random.Generator):
-    """The two `choice` draws of sifting: Alice's kept positions among the
-    basis-matched ones and her check positions among those.
-
-    The check positions are drawn as indices into the kept ones, which draws
-    exactly what choosing among the kept positions themselves does, since a
-    draw depends only on the population size.
+    Each trial's party generator makes two `choice` draws: the indices of
+    Alice's kept positions among its matched ones, and those of her check
+    positions among the kept ones.  Since the matched positions ascend,
+    taking them at the sorted indices gives the sorted kept positions.
 
     Returns:
-        (kept, check, code): sorted int64 arrays of the kept positions and of
-        their check and code (not check) positions.
-
-    Raises:
-        InsufficientSiftAbort: fewer than 2*n1*n2 matched positions remain.
+        (kept, check, code): (T, 2*n1*n2) int64 kept positions and (T, n1*n2)
+        check and code (not check) positions, each row ascending.
     """
     target, count = config.kept_target, config.check_count
-    if matched.size < target:
-        raise InsufficientSiftAbort(
-            f"{matched.size} basis-matched positions, need {target}")
+    # the matched positions of all trials as flat indices, row by row, where
+    # each row starts among them, and the flat index of each row's start
+    flat = matched.ravel().nonzero()[0]
+    starts = (counts.cumsum() - counts)[:, None]
+    offsets = np.arange(0, matched.size, matched.shape[1])[:, None]
     if not config.random_assignment:
-        kept = matched[:target]
-        return kept, kept[:count], kept[count:]
-    kept = np.sort(rng.choice(matched, size=target, replace=False))
-    picks = rng.choice(target, size=count, replace=False)
-    in_code = np.ones(target, dtype=bool)
-    in_code[picks] = False
-    return kept, np.sort(kept[picks]), kept[in_code]
+        kept = flat[starts + np.arange(target)] - offsets
+        return kept, kept[:, :count], kept[:, count:]
+    picks = np.empty((len(parties), target), dtype=np.int64)
+    in_code = np.ones((len(parties), target), dtype=bool)
+    for t, party in enumerate(parties):
+        picks[t] = party.choice(counts[t], size=target, replace=False)
+        in_code[t, party.choice(target, size=count, replace=False)] = False
+    picks.sort(axis=1)
+    kept = flat[starts + picks] - offsets
+    return kept, kept[~in_code].reshape(len(parties), -1), kept[in_code].reshape(len(parties), -1)
 
 
 def _check_and_abort(alice_check: np.ndarray, bob_check: np.ndarray, config: ProtocolConfig):
@@ -420,7 +433,7 @@ class TrialChunk:
             bob_final_key=bob_key,
             stage1_decode_failures=int(self.stage1_decode_failures[i]),
             stage2_decode_failures=int(self.stage2_decode_failures[i]),
-            sifted_count=d["matched"][i],
+            sifted_count=int(d["matched"][i]),
             restarts=d["restarts"][i],
         )
         check = d["check"][i]
@@ -455,58 +468,92 @@ def _run_stage(stage: int, pair: CssPair, alice_bits: np.ndarray, bob_bits: np.n
             bob_labels.reshape(m, -1), masked.reshape(m, blocks, n))
 
 
+def _bit_rows(words: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """(T, rows, n) fair bits from (T, rows*ceil(n/4)) uint32 words: bit 7
+    of each byte, low byte first, ceil(n/4) words to a row, as each
+    `integers(0, 2, size=n)` call for uint8 or int8 draws them."""
+    octets = words.astype("<u4", copy=False).view(np.uint8)
+    return octets.reshape(len(words), rows, -1)[:, :, :n] >> 7
+
+
+def _halves(raw: np.ndarray, uniforms: int) -> np.ndarray:
+    """The 32-bit halves, low half first, of the raw words of each row after
+    its first `uniforms`."""
+    return raw.astype("<u8", copy=False).view("<u4")[..., 2 * uniforms:]
+
+
 def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
     """Every draw up to and including sifting, one trial per row.
 
+    An attempt is one word draw per generator: 3*ceil(n/4) uint32 party
+    words (preparation bits, bases and Bob's bases, a row of n bits each),
+    and the raw channel words `channel_draws` counts, whose 32-bit halves
+    carry over from one attempt to the next (see channel.py).  Every
+    trial's first attempt is drawn, then only the trials with too few basis
+    matches draw again; the bits, the tampering and the sifting are array
+    passes over the chunk.
+
     Returns:
         (draws, parties): a dict of the (T, n) quantum-phase arrays, the
-        (T, n1*n2) check positions, and per-trial tuples of the kept and code
-        positions, match counts and restarts; and each trial's party
+        (T, 2*n1*n2) kept and (T, n1*n2) check and code positions, the (T,)
+        match counts and the list of restart counts; and each trial's party
         generator, which `_draw_stages` goes on drawing from.
 
     Raises:
         InsufficientSiftAbort: a trial had too few basis matches in
             max_restarts + 1 attempts.
     """
-    n = config.transmitted_count
-    trials, parties = [], []
+    n, target = config.transmitted_count, config.kept_target
+    quarter = -(-n // 4)
+    uniforms, channel_rows = channel_draws(attack, n)
+    halves, rows = channel_rows * quarter, 3 + channel_rows
+    parties, channels, party_words, channel_words = [], [], [], []
     for seed in seeds:
         # the two children of SeedSequence(seed), as its spawn(2) makes them
         party = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
-        channel = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,))))
-        restarts = 0
-        while True:
-            # steps 1-2: prepare; step 3: transmit under attack; step 4: Bob
-            # measures in random bases; step 5: only then is b announced (Bob's
-            # bases are drawn before the channel acts, so ordering holds by
-            # construction)
-            bits, b = _draw_preparation(config, party)
-            bob_bases = party.integers(0, 2, size=n, dtype=np.uint8)
-            flip, eve = attack_arrays(attack, n, channel)
-            coins = channel.integers(0, 2, size=n, dtype=np.uint8)
-            matched = (bob_bases == b).nonzero()[0]
-            try:
-                kept, check, code = _select(matched, config, party)
-                break
-            except InsufficientSiftAbort:
-                restarts += 1
-                if restarts > config.max_restarts:
-                    raise
-        trials.append(([bits, b, bob_bases, flip, coins], eve, kept, check, code,
-                       matched.size, restarts))
+        channel = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,)))
+        # steps 1-2: prepare; step 3: transmit under attack; step 4: Bob
+        # measures in random bases; step 5: only then is b announced (Bob's
+        # bases are drawn before the channel acts, so ordering holds by
+        # construction)
+        party_words.append(party.integers(0, 2**32, size=3 * quarter, dtype=np.uint32))
+        channel_words.append(channel.random_raw(uniforms + -(-halves // 2)))
         parties.append(party)
-    columns = list(zip(*trials))
-    draws = dict(zip(("bits", "b", "bob_bases", "flip", "coins"),
-                     np.array(columns[0]).swapaxes(0, 1)))
-    draws.update(eve=np.array(columns[1]), check=np.array(columns[3]))
-    draws.update(zip(("kept", "code", "matched", "restarts"), columns[2:3] + columns[4:]))
+        channels.append(channel)
+    raw = np.array(channel_words)
+    split = _halves(raw, uniforms)
+    # bit rows: preparation bits, bases, Bob's bases, then the channel's
+    bits = _bit_rows(np.concatenate((np.array(party_words), split[:, :halves]), axis=1), rows, n)
+    matched = bits[:, 1] == bits[:, 2]
+    counts = matched.sum(axis=1)
+    restarts = [0] * len(parties)
+    for t in (counts < target).nonzero()[0]:
+        carry = split[t, halves:]
+        while counts[t] < target:
+            restarts[t] += 1
+            if restarts[t] > config.max_restarts:
+                raise InsufficientSiftAbort(f"{counts[t]} basis-matched positions, need {target}")
+            words = parties[t].integers(0, 2**32, size=3 * quarter, dtype=np.uint32)
+            more = channels[t].random_raw(uniforms + (halves - carry.size + 1) // 2)
+            raw[t, :uniforms] = more[:uniforms]
+            more = np.concatenate((carry, _halves(more, uniforms)))
+            carry = more[halves:]
+            bits[t] = _bit_rows(np.concatenate((words, more[:halves]))[None], rows, n)[0]
+            matched[t] = bits[t, 1] == bits[t, 2]
+            counts[t] = np.count_nonzero(matched[t])
+
+    flip, eve = attack_arrays(attack, n, raw[:, :uniforms], bits[:, 3])
+    kept, check, code = _select(matched, counts, config, parties)
+    draws = dict(bits=bits[:, 0], b=bits[:, 1], bob_bases=bits[:, 2], flip=flip, eve=eve,
+                 coins=bits[:, -1], kept=kept, check=check, code=code, matched=counts,
+                 restarts=restarts)
     return draws, parties
 
 
-def _draw_stages(config: ProtocolConfig, parties: list, code: list):
+def _draw_stages(config: ProtocolConfig, parties: list, code: np.ndarray):
     """Alice's stage draws, one trial per row, from each trial's party
     generator in protocol order: the permutation of her code positions (one
-    array per trial in `code`), the stage-1 coefficients, the permutation of the
+    row per trial in `code`), the stage-1 coefficients, the permutation of the
     stage-1 key bits and the stage-2 coefficients.  A stage's coefficients
     are one int64 draw of B blocks by k, which consumes the stream as B
     per-block draws do.
@@ -557,9 +604,8 @@ def run_chunk(config: ProtocolConfig, seeds: Iterable[int],
     chunk = TrialChunk(config, draws, bob_bits)
     live = (~chunk.aborted).nonzero()[0]
     if live.size:
-        rows = live.tolist()
-        stage_draws = _draw_stages(config, [parties[t] for t in rows],
-                                   [draws["code"][t] for t in rows])
+        stage_draws = _draw_stages(config, [parties[t] for t in live.tolist()],
+                                   draws["code"][live])
         chunk._run_stages(live, stage_draws, error_injection)
     return chunk
 
@@ -641,7 +687,7 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     if bob_bases.shape != (n,) or bob_bits.shape != (n,):
         raise TranscriptError(
             f"measurement record length {bob_bases.shape} does not match transmission {n}")
-    kept = np.asarray(transcript.kept_positions, dtype=np.int64)
+    kept = _positions(transcript.kept_positions, "kept")
     i = _first_invalid(kept, n, bob_bases == parse_bits(transcript.b))
     if i is not None:
         p = int(kept[i])
@@ -652,7 +698,7 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
         raise TranscriptError(
             f"{len(transcript.check_positions)} check positions, but the configured "
             f"code pairs use {config.check_count}")
-    check = np.asarray(transcript.check_positions, dtype=np.int64)
+    check = _positions(transcript.check_positions, "check")
     is_kept = np.zeros(n, dtype=bool)
     is_kept[kept] = True
     i = _first_invalid(check, n, is_kept)
@@ -673,7 +719,7 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     # distinct code positions (kept, not check) that cover every code position
     is_code = is_kept.copy()
     is_code[check] = False
-    positions1 = _block_positions(transcript.stage1_blocks)
+    positions1 = _block_positions(1, transcript.stage1_blocks)
     i = _first_invalid(positions1, n, is_code, distinct=True)
     if i is not None:
         raise TranscriptError(
@@ -689,7 +735,7 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
 
     # distinct key-bit indices; the geometry fixes their count at the key
     # length, so they are a permutation of the stage-1 key
-    positions2 = _block_positions(transcript.stage2_blocks)
+    positions2 = _block_positions(2, transcript.stage2_blocks)
     i = _first_invalid(positions2, bob_key1.size, distinct=True)
     if i is not None:
         raise TranscriptError(
@@ -703,9 +749,22 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
                         int(failed1.sum()), int(failed2.sum()))
 
 
-def _block_positions(blocks: Sequence[BlockAnnouncement]) -> np.ndarray:
-    """(B, n) positions of announced blocks of equal length n."""
-    return np.array([blk.positions for blk in blocks], dtype=np.int64)
+def _positions(values, what: str) -> np.ndarray:
+    """The int64 array of transcript positions `values`.
+
+    Raises:
+        TranscriptError: a position does not fit an int64, which no
+            transmission or key reaches.
+    """
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise TranscriptError(f"a {what} position does not fit an int64") from None
+
+
+def _block_positions(stage: int, blocks: Sequence[BlockAnnouncement]) -> np.ndarray:
+    """(B, n) positions of a stage's announced blocks of equal length n."""
+    return _positions([blk.positions for blk in blocks], f"stage-{stage} block")
 
 
 def _block_words(blocks: Sequence[BlockAnnouncement], n: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Scalar reference for decoding, coset labels and codeword draws, one block
-at a time.
+at a time, and the Generator calls that define a trial's quantum-phase draws.
 
 The protocol decodes and labels (blocks x n) arrays against the dense
 matrices and the syndrome table each code and pair caches.  This module does
@@ -10,6 +10,14 @@ words it packs from the generator rows; and its own codeword draw.  A fault
 in the tables or matrices the protocol uses therefore shows up as a
 disagreement with it.  `test_stage_oracle.py` checks that this module stays
 independent of them.  Vectors in and out are 1-D uint8 arrays of 0/1 bits.
+
+`draw_quantum_reference` takes one trial's quantum phase, restarts
+included, as the sequence of ``Generator`` calls that defines the party and
+channel streams: three uint8 `integers` party draws, the channel's
+`attack_arrays_reference` draws and its uint8 coins per attempt, then the
+two `choice` draws of sifting.  The protocol derives the same values from
+one word draw per generator per attempt; `test_draws.py` checks that every
+value, and the state each party generator is left in, agree.
 """
 
 import functools
@@ -17,7 +25,7 @@ import itertools
 
 import numpy as np
 
-from bb84sim.errors import DimensionError, NotInCodeError
+from bb84sim.errors import ConfigError, DimensionError, InsufficientSiftAbort, NotInCodeError
 
 
 class DecodeFailure(Exception):
@@ -183,3 +191,83 @@ def one_error_per_block(rng):
         return [int(rng.integers(0, block_len))]
 
     return inject
+
+
+def attack_arrays_reference(attack, n: int, rng):
+    """The channel's tampering for one transmission of n qubits, drawn from
+    the Generator `rng`: `random` uniforms, then int8 interceptor bases.
+
+    Returns:
+        (flip, eve_basis): uint8 flip indicators and int8 interceptor bases
+        (-1 where not intercepted).
+    """
+    if attack.kind == "bitflip":
+        return (rng.random(n) < attack.probability).view(np.uint8), np.full(n, -1, dtype=np.int8)
+    flip = np.zeros(n, dtype=np.uint8)
+    if attack.kind == "intercept_resend":
+        intercepted = rng.random(n) < attack.probability
+        return flip, np.where(intercepted, rng.integers(0, 2, size=n, dtype=np.int8), -1)
+    eve = np.full(n, -1, dtype=np.int8)
+    if attack.kind == "correlated_positions":
+        if any(p >= n for p in attack.positions):
+            raise ConfigError(
+                f"attack position {max(attack.positions)} outside transmission length {n}")
+        hit = rng.random(len(attack.positions)) < attack.probability
+        # a position listed twice toggles twice
+        np.bitwise_xor.at(flip, np.array(attack.positions, dtype=np.intp)[hit], 1)
+    return flip, eve
+
+
+def select_reference(matched: np.ndarray, config, rng):
+    """Sifting of one trial from its ascending matched positions: kept
+    positions by `choice(matched, ...)`, check positions by a choice among
+    the kept ones.  Returns sorted (kept, check, code) arrays.
+
+    Raises:
+        InsufficientSiftAbort: fewer than 2*n1*n2 matched positions.
+    """
+    target, count = config.kept_target, config.check_count
+    if matched.size < target:
+        raise InsufficientSiftAbort(f"{matched.size} basis-matched positions, need {target}")
+    if not config.random_assignment:
+        kept = matched[:target]
+        return kept, kept[:count], kept[count:]
+    kept = np.sort(rng.choice(matched, size=target, replace=False))
+    picks = rng.choice(target, size=count, replace=False)
+    in_code = np.ones(target, dtype=bool)
+    in_code[picks] = False
+    return kept, np.sort(kept[picks]), kept[in_code]
+
+
+def draw_quantum_reference(config, attack, seed: int):
+    """One trial's quantum phase, restarts included, drawn call by call from
+    the two children of SeedSequence(seed).
+
+    Returns:
+        (draws, party): a dict of the trial's bits, b, bob_bases, flip, eve,
+        coins, kept, check and code arrays and its matched and restarts
+        counts; and its party generator, left as sifting leaves it.
+
+    Raises:
+        InsufficientSiftAbort: too few basis matches in max_restarts + 1
+            attempts.
+    """
+    party, channel = (np.random.Generator(np.random.PCG64(s))
+                      for s in np.random.SeedSequence(seed).spawn(2))
+    n = config.transmitted_count
+    restarts = 0
+    while True:
+        bits, b, bob_bases = (party.integers(0, 2, size=n, dtype=np.uint8) for _ in range(3))
+        flip, eve = attack_arrays_reference(attack, n, channel)
+        coins = channel.integers(0, 2, size=n, dtype=np.uint8)
+        matched = (bob_bases == b).nonzero()[0]
+        try:
+            kept, check, code = select_reference(matched, config, party)
+            break
+        except InsufficientSiftAbort:
+            restarts += 1
+            if restarts > config.max_restarts:
+                raise
+    draws = dict(bits=bits, b=b, bob_bases=bob_bases, flip=flip, eve=eve, coins=coins,
+                 kept=kept, check=check, code=code, matched=matched.size, restarts=restarts)
+    return draws, party

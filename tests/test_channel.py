@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bb84sim.channel import AttackModel, Basis, attack_arrays, measure_bits
+from bb84sim.channel import AttackModel, Basis, attack_arrays, channel_draws, measure_bits
 from bb84sim.errors import ConfigError
+from oracle import attack_arrays_reference
 
 
 def all_states():
@@ -12,6 +13,16 @@ def all_states():
     prep_basis = np.array([Basis.Z, Basis.Z, Basis.X, Basis.X], dtype=np.uint8)
     prep_bit = np.array([0, 1, 0, 1], dtype=np.uint8)
     return prep_basis, prep_bit
+
+
+def tamper(attack, n, seed):
+    """attack_arrays on one transmission of fresh channel words: raw words
+    for the uniforms, then fair bits for the interceptor's bases."""
+    bit_generator = np.random.PCG64(seed)
+    words = bit_generator.random_raw((1, channel_draws(attack, n)[0]))
+    bases = np.random.Generator(bit_generator).integers(0, 2, size=(1, n), dtype=np.uint8)
+    flip, eve = attack_arrays(attack, n, words, bases)
+    return flip[0], eve[0]
 
 
 def untouched(n):
@@ -48,41 +59,45 @@ class TestAttackModel:
 
     def test_correlated_position_bounds_checked_at_transmit(self):
         attack = AttackModel.correlated_positions([3, 9], 1.0)
-        rng = np.random.default_rng(0)
         with pytest.raises(ConfigError, match="outside transmission length"):
-            attack_arrays(attack, 4, rng)
+            tamper(attack, 4, 0)
 
 
 class TestTransmit:
     def test_none_is_identity(self):
-        rng = np.random.default_rng(0)
-        flip, eve = attack_arrays(AttackModel.none(), 4, rng)
+        flip, eve = tamper(AttackModel.none(), 4, 0)
         assert not flip.any()
         assert (eve == -1).all()
 
     def test_certain_bitflip(self):
-        rng = np.random.default_rng(1)
-        flip, eve = attack_arrays(AttackModel.bitflip(1.0), 4, rng)
+        flip, eve = tamper(AttackModel.bitflip(1.0), 4, 1)
         assert flip.all()
         assert (eve == -1).all()
 
     def test_zero_bitflip(self):
-        rng = np.random.default_rng(2)
-        flip, _ = attack_arrays(AttackModel.bitflip(0.0), 4, rng)
+        flip, _ = tamper(AttackModel.bitflip(0.0), 4, 2)
         assert not flip.any()
 
     def test_full_intercept_marks_every_record(self):
-        rng = np.random.default_rng(3)
-        flip, eve = attack_arrays(AttackModel.intercept_resend(1.0), 40, rng)
+        flip, eve = tamper(AttackModel.intercept_resend(1.0), 40, 3)
         assert (eve >= 0).all()
         assert not flip.any()
 
     def test_correlated_touches_only_listed_positions(self):
-        rng = np.random.default_rng(4)
         attack = AttackModel.correlated_positions([2, 11, 17], 1.0)
-        flip, eve = attack_arrays(attack, 20, rng)
+        flip, eve = tamper(attack, 20, 4)
         assert set(np.flatnonzero(flip)) == {2, 11, 17}
         assert (eve == -1).all()
+
+    @pytest.mark.parametrize("attack", [
+        AttackModel.none(), AttackModel.bitflip(0.3), AttackModel.intercept_resend(0.5),
+        AttackModel.correlated_positions([0, 7, 7, 30, 49], 0.5)])
+    def test_words_give_the_generator_draws(self, attack):
+        # the same stream drawn as words and as Generator calls
+        for seed in range(20):
+            reference = attack_arrays_reference(attack, 50, np.random.default_rng(seed))
+            for got, want in zip(tamper(attack, 50, seed), reference):
+                assert got.dtype == want.dtype and np.array_equal(got, want), seed
 
     def test_intercept_error_rate_oracle_and_monte_carlo(self):
         assert intercept_error_probability_oracle() == 0.25
@@ -90,7 +105,7 @@ class TestTransmit:
         n = 1_000_000
         prep_basis = rng.integers(0, 2, n, dtype=np.uint8)
         prep_bit = rng.integers(0, 2, n, dtype=np.uint8)
-        flip, eve = attack_arrays(AttackModel.intercept_resend(1.0), n, rng)
+        flip, eve = tamper(AttackModel.intercept_resend(1.0), n, 80)
         coin = rng.integers(0, 2, n, dtype=np.uint8)
         # receiver measures in the preparation basis (the sifted case)
         got = measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
@@ -135,9 +150,8 @@ class TestMeasure:
         assert abs(float(np.mean(got)) - 0.5) < tol
 
     def test_identity_on_clean_matched_channel(self):
-        rng = np.random.default_rng(0)
         prep_basis, prep_bit = all_states()
-        flip, eve = attack_arrays(AttackModel.none(), 4, rng)
+        flip, eve = tamper(AttackModel.none(), 4, 0)
         coin = 1 - prep_bit
         got = measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
         assert np.array_equal(got, prep_bit)
@@ -163,7 +177,7 @@ class TestChannelStatistics:
         n = 200_000
         prep_basis = rng.integers(0, 2, n, dtype=np.uint8)
         prep_bit = rng.integers(0, 2, n, dtype=np.uint8)
-        flip, eve = attack_arrays(AttackModel.bitflip(p), n, rng)
+        flip, eve = tamper(AttackModel.bitflip(p), n, 210)
         coin = rng.integers(0, 2, n, dtype=np.uint8)
         got = measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
         err = float(np.mean(got != prep_bit))
@@ -175,7 +189,7 @@ class TestChannelStatistics:
         n = 400_000
         prep_basis = rng.integers(0, 2, n, dtype=np.uint8)
         prep_bit = rng.integers(0, 2, n, dtype=np.uint8)
-        flip, eve = attack_arrays(AttackModel.intercept_resend(f), n, rng)
+        flip, eve = tamper(AttackModel.intercept_resend(f), n, 220)
         coin = rng.integers(0, 2, n, dtype=np.uint8)
         got = measure_bits(prep_basis, prep_bit, flip, eve, prep_basis, coin)
         err = float(np.mean(got != prep_bit))

@@ -166,6 +166,28 @@ class TestRunCommand:
         assert code == 1
         assert "unknown key" in err
 
+    @pytest.mark.parametrize("line", ["seed = 1_0", "trials = +3", "trials = 3.0",
+                                      "seed = -1", "dump_transcripts = yes",
+                                      "seed = 1234567890123456789"])
+    def test_config_integers_are_decimal_digits(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# integers\nattack = none\n{line}\n")
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith(f"config error: {cfg}:3: bad value for {line.split()[0]}")
+        assert not out_dir.exists()
+
+    def test_config_integers_read_as_written(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 010\ntrials = 3\ndump_transcripts = 1\n")
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "run", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert code == 0
+        rows = list(csv.DictReader((out_dir / "trials.csv").open()))
+        assert [row["seed"] for row in rows] == ["10", "11", "12"]
+        assert len(list((out_dir / "transcripts").glob("*.transcript"))) == 3
+
     def test_zero_trials_exit_one(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--trials", "0", "--out-dir", str(tmp_path / "x"))
         assert code == 1

@@ -16,7 +16,7 @@ from bb84sim.gf2 import parse_bits
 from bb84sim.protocol import (
     ProtocolConfig,
     _check_and_abort,
-    _draw_preparation,
+    _draw_quantum,
     _select,
     replay_bob,
     run_protocol,
@@ -74,27 +74,26 @@ class TestConfig:
 class TestAlicePrepare:
     def test_count_and_basis_by_construction(self):
         cfg = steane_config()
-        bits, b = _draw_preparation(cfg, np.random.default_rng(0))
-        assert bits.shape == b.shape == (215,)
+        draws, _ = _draw_quantum(cfg, AttackModel.none(), [0])
+        bits, b = draws["bits"], draws["b"]
+        assert bits.shape == b.shape == (1, 215)
         assert set(np.unique(bits)) <= {0, 1}
         assert set(np.unique(b)) <= {0, 1}
 
     def test_bit_values_balanced(self):
         cfg = steane_config()
-        rng = np.random.default_rng(7)
-        total = 0
-        ones = 0
-        while total < 100_000:
-            bits, _ = _draw_preparation(cfg, rng)
-            total += bits.size
-            ones += int(bits.sum())
-        tol = 3 * math.sqrt(0.25 / total)
-        assert abs(ones / total - 0.5) < tol
+        draws, _ = _draw_quantum(cfg, AttackModel.none(), range(7, 7 + 466))
+        for name in ("bits", "b", "bob_bases"):
+            bits = draws[name]
+            assert bits.size >= 100_000
+            tol = 3 * math.sqrt(0.25 / bits.size)
+            assert abs(bits.mean() - 0.5) < tol, name
 
 
-def matched_positions(alice_bases, bob_bases):
-    # the positions sifting keeps, as the engine finds them
-    return (bob_bases == alice_bases).nonzero()[0]
+def sift(alice_bases, bob_bases, cfg, rng):
+    # one trial's sifting, as the engine takes it from its bases
+    matched = (bob_bases == alice_bases)[None]
+    return _select(matched, matched.sum(axis=1), cfg, [rng])
 
 
 class TestSift:
@@ -102,19 +101,19 @@ class TestSift:
         cfg = steane_config()
         rng = np.random.default_rng(0)
         b = np.zeros(cfg.transmitted_count, dtype=np.uint8)
-        matched = matched_positions(b, b.copy())
-        kept, check, code = _select(matched, cfg, rng)
-        assert matched.size == cfg.transmitted_count
-        assert len(kept) == cfg.kept_target
-        assert len(check) == cfg.check_count
-        assert len(code) == cfg.check_count
+        kept, check, code = sift(b, b.copy(), cfg, rng)
+        assert kept.shape == (1, cfg.kept_target)
+        assert check.shape == (1, cfg.check_count)
+        assert code.shape == (1, cfg.check_count)
 
-    def test_all_bases_opposite_aborts(self):
-        cfg = steane_config()
-        rng = np.random.default_rng(0)
-        b = np.zeros(cfg.transmitted_count, dtype=np.uint8)
-        with pytest.raises(InsufficientSiftAbort):
-            _select(matched_positions(b, np.ones_like(b)), cfg, rng)
+    def test_too_few_matches_after_max_restarts_aborts(self):
+        # at delta 0.04 a steane attempt has 203 qubits for 98 kept ones,
+        # and some of these trials need a second attempt
+        cfg = steane_config(delta=0.04, max_restarts=0)
+        with pytest.raises(InsufficientSiftAbort, match="basis-matched positions, need 98"):
+            _draw_quantum(cfg, AttackModel.none(), range(20))
+        draws, _ = _draw_quantum(replace(cfg, max_restarts=100), AttackModel.none(), range(20))
+        assert max(draws["restarts"]) > 0
 
     def test_matched_count_binomial(self):
         # basis agreement is a fair coin per position
@@ -132,9 +131,20 @@ class TestSift:
         rng = np.random.default_rng(3)
         b = rng.integers(0, 2, cfg.transmitted_count, dtype=np.uint8)
         bob = b.copy()  # force full agreement so selection is exercised
-        kept, check, code = _select(matched_positions(b, bob), cfg, rng)
-        assert set(check.tolist()) | set(code.tolist()) == set(kept.tolist())
-        assert not set(check.tolist()) & set(code.tolist())
+        kept, check, code = (a[0].tolist() for a in sift(b, bob, cfg, rng))
+        assert set(check) | set(code) == set(kept)
+        assert not set(check) & set(code)
+        assert kept == sorted(kept) and check == sorted(check) and code == sorted(code)
+
+    def test_chunk_rows_partition_their_own_matches(self):
+        # several trials in one chunk, each sifting among its own matches
+        cfg = steane_config()
+        draws, _ = _draw_quantum(cfg, AttackModel.none(), range(40))
+        for i in range(40):
+            matched = set((draws["b"][i] == draws["bob_bases"][i]).nonzero()[0].tolist())
+            kept = draws["kept"][i].tolist()
+            assert set(kept) <= matched and len(set(kept)) == cfg.kept_target
+            assert sorted(draws["check"][i].tolist() + draws["code"][i].tolist()) == kept
 
 
 def check_rows(*strings):
@@ -489,6 +499,21 @@ class TestReplayPositions:
         bad = replace(t, kept_positions=t.kept_positions[:5] + (215,) + t.kept_positions[6:])
         with pytest.raises(TranscriptError, match="kept position 215 outside transmission"):
             self.replay(bad, bases)
+
+    @pytest.mark.parametrize("field", ["kept", "check", "stage-1 block", "stage-2 block"])
+    @pytest.mark.parametrize("p", [2**63, 10**30, -2**63 - 1])
+    def test_position_beyond_int64(self, field, p):
+        # a hand-built transcript can hold any int; parsed ones hold at most 18 digits
+        t = self.art.transcript
+        if field in ("kept", "check"):
+            name = f"{field}_positions"
+            bad = replace(t, **{name: (p,) + getattr(t, name)[1:]})
+        else:
+            stage = int(field[6])
+            blocks = getattr(t, f"stage{stage}_blocks")
+            bad = replace(t, **{f"stage{stage}_blocks": _with_position(blocks, 0, 0, p)})
+        with pytest.raises(TranscriptError, match=f"a {field} position does not fit an int64"):
+            self.replay(bad)
 
 
 def _with_position(blocks, b, j, p):
