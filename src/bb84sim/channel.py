@@ -91,13 +91,6 @@ class AttackModel:
         return cls("correlated_positions", probability=flip_probability,
                    positions=tuple(int(p) for p in positions))
 
-    def describe(self) -> str:
-        if self.kind == "none":
-            return "none"
-        if self.kind == "correlated_positions":
-            return f"correlated_positions(p={self.probability}, k={len(self.positions)})"
-        return f"{self.kind}(p={self.probability})"
-
 
 def channel_draws(attack: AttackModel, n: int) -> tuple[int, int]:
     """The channel's draws for one transmission of n qubits, in stream order.

@@ -87,20 +87,29 @@ def _read_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                values[key] = _CONFIG_KEYS[key](value)
-            except ValueError:
-                raise ConfigError(f"{path}:{line_no}: bad value for {key}: {value!r}") from None
+            values[key] = _read_value(key, value, f"{path}:{line_no}")
     return values
+
+
+def _read_value(key: str, value: str, source: str):
+    """A setting's text read as its key's values are; `source` says where
+    the text was given."""
+    try:
+        return _CONFIG_KEYS[key](value)
+    except ValueError:
+        raise ConfigError(f"{source}: bad value for {key}: {value!r}") from None
 
 
 def _merge_settings(args) -> dict:
     settings = dict(_DEFAULTS)
     if args.config:
         settings.update(_read_config_file(args.config))
-    # a flag left unset keeps the file's value; replay has no batch flags
+    # a flag left unset keeps the file's value; replay has no batch flags.
+    # Flags given as text are read as the file's values are.
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
+        if isinstance(value, str):
+            value = _read_value(key, value, "--" + key.replace("_", "-"))
         if value is not None:
             settings[key] = value
     return settings
@@ -185,7 +194,7 @@ def cmd_run(args) -> int:
     for start in range(0, trials, chunk_size):
         chunk = run_chunk(base_config, range(base_seed + start,
                                              base_seed + min(start + chunk_size, trials)), attack)
-        failures = chunk.stage1_decode_failures + chunk.stage2_decode_failures
+        failures = chunk.decode_failures.sum(axis=0)
         for t, (aborted, rate, keys_equal, decode_failures) in enumerate(zip(
                 chunk.aborted.tolist(), chunk.check_error_rate.tolist(),
                 chunk.keys_equal.tolist(), failures.tolist())):
@@ -344,9 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
         only those that build the ProtocolConfig."""
         p.add_argument("--config", help="flat key=value configuration file")
         if batch:
-            p.add_argument("--seed", type=int, default=None,
-                           help="base seed (trial i uses seed+i)")
-            p.add_argument("--trials", type=int, default=None)
+            p.add_argument("--seed", default=None, help="base seed (trial i uses seed+i)")
+            p.add_argument("--trials", default=None)
             p.add_argument("--attack", default=None,
                            choices=["none", "bitflip", "intercept_resend", "correlated_positions"])
             p.add_argument("--noise-p", dest="noise_p", type=float, default=None,

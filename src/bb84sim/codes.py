@@ -355,6 +355,9 @@ def make_golay_dual_23_11() -> LinearCode:
     return LinearCode(golay.parity_check, golay.generator, 8, name="golay-dual[23,11]")
 
 
+BUILTIN_PAIR_NAMES = ("steane", "golay")
+
+
 def builtin_pair(name: str) -> CssPair:
     """Shipped pairs: 'steane' (Hamming/dual) and 'golay' (Golay/dual)."""
     key = name.strip().lower()
@@ -362,10 +365,8 @@ def builtin_pair(name: str) -> CssPair:
         return CssPair(make_hamming_7_4(), make_hamming_dual_7_3())
     if key == "golay":
         return CssPair(make_golay_23_12(), make_golay_dual_23_11())
-    raise InvalidPairError(f"unknown built-in pair {name!r} (have: steane, golay)")
-
-
-BUILTIN_PAIR_NAMES = ("steane", "golay")
+    raise InvalidPairError(
+        f"unknown built-in pair {name!r} (have: {', '.join(BUILTIN_PAIR_NAMES)})")
 
 
 # ---------------------------------------------------------------------------

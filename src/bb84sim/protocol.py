@@ -3,9 +3,9 @@ state machines with a public transcript.
 
 One run is strictly sequential (message ordering is part of the security
 logic): Alice prepares and sends, Bob measures and acknowledges, Alice
-announces bases, both sift, compare check bits, then two correction and
-amplification stages run over announced blocks.  Independent runs with
-distinct seeds share no mutable state.
+announces bases, both sift, compare check bits, then one correction and
+amplification stage per configured code pair runs over announced blocks.
+Independent runs with distinct seeds share no mutable state.
 
 Randomness is split into two streams derived from the seed: a party stream
 (preparation bits, basis strings, Bob's bases, and all of Alice's random
@@ -20,9 +20,10 @@ discarded and the quantum phase repeats with fresh randomness, up to
 Trials run in chunks (`run_chunk`); a single run is a chunk of one.  Each
 trial draws from its own generators in this order (restarts included):
 preparation bits and bases, Bob's bases, the channel's draws and coins, the
-two choices of sifting, then, for a trial that passed the check, the
-permutation of the code positions, the stage-1 coefficients, the
-permutation of the stage-1 key bits and the stage-2 coefficients.
+two choices of sifting, then, for a trial that passed the check, stage by
+stage in a loop over the pairs (`config.pairs`), the permutation of that
+stage's input and its coefficients.  Stage 1's input is the code positions;
+each later stage's is the previous stage's key bits.
 
 Randomness contract: the quantum phase is word draws, each bit-identical to
 the ``Generator`` calls that define the streams.  A party attempt is one
@@ -44,27 +45,27 @@ success, the two choices); the bits, the tampering and the sifting's
 indexing are array passes over the chunk.  Everything after the draws runs
 once per chunk over (trials x n) arrays as well: measurement, the check
 comparison and the abort decision (`_check_and_abort`, which replay calls
-too), and both correction stages, whose blocks are the rows of
-(trials*blocks x n) arrays, against the dense matrices each code pair caches
-(see codes.py).  A stage's masking coefficients are one (blocks x k) draw,
-which consumes the party stream exactly as one draw per block does;
-syndromes, codewords and labels are matrix products over all rows, and
-decoding is one syndrome-table lookup per row.  The stage-1 key is the
-row-major flattening of a trial's stage-1 labels.  The objects of a trial
-(transcript, block announcements, sift positions and keys) are built only
-when asked for (`TrialChunk.artifacts`); their bits are 0/1 strings
-(`gf2.format_bits`), as transcripts are dumped.  Replay parses those strings
-back to arrays and runs the same check and receiver stage functions as a
-live run, on one row, after checking the transcript's positions with array
-passes (see `replay_bob`).  Each protocol step has this one implementation;
-the tests hold a scalar per-block reference.
+too), and the correction stages, one loop over the pairs, whose blocks are
+the rows of (trials*blocks x n) arrays, against the dense matrices each
+code pair caches (see codes.py).  A stage's masking coefficients are one
+(blocks x k) draw, which consumes the party stream exactly as one draw per
+block does; syndromes, codewords and labels are matrix products over all
+rows, and decoding is one syndrome-table lookup per row.  A stage's key is
+the row-major flattening of a trial's labels at that stage.  The objects of
+a trial (transcript, block announcements, sift positions and keys) are
+built only when asked for (`TrialChunk.artifacts`); their bits are 0/1
+strings (`gf2.format_bits`), as transcripts are dumped.  Replay parses those
+strings back to arrays and runs the same check and receiver stage functions
+as a live run, stage by stage on one row, after checking the transcript's
+positions with array passes (see `replay_bob`).  Each protocol step has this
+one implementation; the tests hold a scalar per-block reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -117,57 +118,45 @@ class ProtocolConfig:
     max_restarts: int = 100
 
     def __post_init__(self):
-        if not self.delta > 0:
-            raise ConfigError(f"delta must be positive, got {self.delta}")
+        if not (self.delta > 0 and math.isfinite(self.delta)):
+            raise ConfigError(f"delta must be positive and finite, got {self.delta}")
         if not 0.0 <= self.abort_threshold <= 1.0:
             raise ConfigError(f"abort threshold {self.abort_threshold} outside [0, 1]")
         if self.max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
 
     @property
-    def n1(self) -> int:
-        return self.stage1_pair.n
-
-    @property
-    def n2(self) -> int:
-        return self.stage2_pair.n
-
-    @property
-    def key_width1(self) -> int:
-        return self.stage1_pair.key_width
-
-    @property
-    def key_width2(self) -> int:
-        return self.stage2_pair.key_width
-
-    @property
-    def transmitted_count(self) -> int:
-        """floor(4 * n1 * n2 * (1 + delta)) qubits per attempt."""
-        return int(math.floor(4 * self.n1 * self.n2 * (1 + self.delta) + 1e-9))
-
-    @property
-    def kept_target(self) -> int:
-        return 2 * self.n1 * self.n2
+    def pairs(self) -> tuple[CssPair, ...]:
+        """The code pair of each stage, stage 1 first."""
+        return (self.stage1_pair, self.stage2_pair)
 
     @property
     def check_count(self) -> int:
-        return self.n1 * self.n2
+        """The check bits, as many as the code bits: the product of the pairs' n."""
+        return math.prod(pair.n for pair in self.pairs)
 
     @property
-    def stage1_block_count(self) -> int:
-        return self.n2
+    def transmitted_count(self) -> int:
+        """floor(4 * check_count * (1 + delta)) qubits per attempt."""
+        return int(math.floor(4 * self.check_count * (1 + self.delta) + 1e-9))
 
     @property
-    def stage2_block_count(self) -> int:
-        return self.key_width1
+    def kept_target(self) -> int:
+        return 2 * self.check_count
 
     @property
-    def stage1_key_bits(self) -> int:
-        return self.key_width1 * self.n2
+    def block_counts(self) -> tuple[int, ...]:
+        """The blocks of each stage: stage s splits the previous stage's key
+        bits, or the code bits for stage 1, into blocks of its pair's n."""
+        counts, bits = [], self.check_count
+        for pair in self.pairs:
+            counts.append(bits // pair.n)
+            bits = counts[-1] * pair.key_width
+        return tuple(counts)
 
     @property
     def final_key_bits(self) -> int:
-        return self.key_width1 * self.key_width2
+        return self.block_counts[-1] * self.pairs[-1].key_width
 
 
 @dataclass(frozen=True)
@@ -210,7 +199,7 @@ class ReplayResult:
 
 def _select(matched: np.ndarray, counts: np.ndarray, config: ProtocolConfig, parties: list):
     """Sifting, one trial per row of the (T, n) bool mask of basis-matched
-    positions, given its (T,) row counts, each at least 2*n1*n2.
+    positions, given its (T,) row counts, each at least `kept_target`.
 
     Each trial's party generator makes two `choice` draws: the indices of
     Alice's kept positions among its matched ones, and those of her check
@@ -218,8 +207,9 @@ def _select(matched: np.ndarray, counts: np.ndarray, config: ProtocolConfig, par
     taking them at the sorted indices gives the sorted kept positions.
 
     Returns:
-        (kept, check, code): (T, 2*n1*n2) int64 kept positions and (T, n1*n2)
-        check and code (not check) positions, each row ascending.
+        (kept, check, code): (T, kept_target) int64 kept positions and
+        (T, check_count) check and code (not check) positions, each row
+        ascending.
     """
     target, count = config.kept_target, config.check_count
     # the matched positions of all trials as flat indices, row by row, where
@@ -317,11 +307,12 @@ def _alice_stage(pair: CssPair, values: np.ndarray, coeffs: np.ndarray):
 
 
 def _announce(stage: int, positions: np.ndarray, masked: np.ndarray):
-    """One BlockAnnouncement per row of (B, n) positions and masked words."""
-    n = positions.shape[1]
+    """One BlockAnnouncement per row of (B, n) masked words, given their
+    (B*n,) positions in block order."""
+    n = masked.shape[1]
     text = format_bits(masked.reshape(-1))
     return tuple(BlockAnnouncement(stage, i, tuple(pos), text[i * n:(i + 1) * n])
-                 for i, pos in enumerate(positions.tolist()))
+                 for i, pos in enumerate(positions.reshape(-1, n).tolist()))
 
 
 def _inject(injector: Optional[ErrorInjector], stage: int, words: np.ndarray,
@@ -344,10 +335,9 @@ class TrialChunk:
 
     The per-trial outcome fields are arrays: `aborted`, `check_failed` (the
     trials that aborted at the check), `check_error_rate`, `keys_equal`
-    (False where aborted), and `stage1_decode_failures` and
-    `stage2_decode_failures` (0 where aborted, as in `RunOutcome`).  The
-    objects of one trial (outcome, transcript, keys) are built by
-    `artifacts` only when asked for.
+    (False where aborted), and `decode_failures`, one row per stage (0 where
+    aborted, as in `RunOutcome`).  The objects of one trial (outcome,
+    transcript, keys) are built by `artifacts` only when asked for.
     """
 
     def __init__(self, config: ProtocolConfig, draws: dict, bob_bits: np.ndarray):
@@ -361,69 +351,61 @@ class TrialChunk:
             draws["bits"][rows, check], bob_bits[rows, check], config)
         self.aborted = self.check_failed.copy()
         self.keys_equal = np.zeros(count, dtype=bool)
-        self.stage1_decode_failures, self.stage2_decode_failures = np.zeros((2, count), np.int64)
-        # the row in the stage-1 and stage-2 arrays below of each trial that
-        # reached that stage
-        self.row1: dict[int, int] = {}
-        self.row2: dict[int, int] = {}
+        stages = len(config.pairs)
+        self.decode_failures = np.zeros((stages, count), np.int64)
+        # per stage, the row in its `orders` and `masked` arrays of each trial
+        # that reached it
+        self.rows: list[dict[int, int]] = [{} for _ in range(stages)]
+        self.orders: list = [None] * stages
+        self.masked: list = [None] * stages
 
     def _run_stages(self, live: np.ndarray, stage_draws, error_injection) -> None:
-        """Both stages for the trials `live` that passed the check, given
-        their `_draw_stages` rows."""
-        c, d = self.config, self.draws
-        self.order1, coeffs1, order2, coeffs2 = stage_draws
-        # stage 1, steps 8-9: Alice assigns code positions to blocks (randomly
-        # unless the test hook disabled it) and announces positions and u+v;
-        # steps 10-11 are Bob's side
-        self.row1 = dict(zip(live.tolist(), range(live.size)))
-        rows = live[:, None]
-        failed1, alice_key1, bob_key1, self.masked1 = _run_stage(
-            1, c.stage1_pair, d["bits"][rows, self.order1], self.bob_bits[rows, self.order1],
-            coeffs1, error_injection)
-        s1 = failed1.sum(axis=1)
-        if c.strict_decode:
-            reach2 = s1 == 0
-            self.aborted[live[~reach2]] = True
-            live, s1, alice_key1, bob_key1, order2, coeffs2 = (
-                a[reach2] for a in (live, s1, alice_key1, bob_key1, order2, coeffs2))
+        """Every stage for the trials `live` that passed the check, given
+        their `_draw_stages` rows.  Stage s corrects and amplifies the bits
+        its order picks from the previous stage's keys, or from the
+        transmitted bits for stage 1 (steps 8-11: Alice assigns positions to
+        blocks and announces positions and u+v, Bob decodes).  Under strict
+        decoding a trial with a failed block aborts after that stage."""
+        c = self.config
+        alice, bob, rows = self.draws["bits"], self.bob_bits, live[:, None]
+        failures = np.zeros((len(c.pairs), live.size), np.int64)
+        for s, pair in enumerate(c.pairs):
             if not live.size:
                 return
-
-        # stage 2 over the stage-1 key bits, mirrored
-        self.row2 = dict(zip(live.tolist(), range(live.size)))
-        self.order2 = order2
-        ar = np.arange(live.size)[:, None]
-        failed2, self.alice_key, self.bob_key, self.masked2 = _run_stage(
-            2, c.stage2_pair, alice_key1[ar, order2], bob_key1[ar, order2], coeffs2,
-            error_injection)
+            order, coeffs = stage_draws[s]
+            self.rows[s] = dict(zip(live.tolist(), range(live.size)))
+            self.orders[s] = order
+            failed, alice, bob, self.masked[s] = _run_stage(
+                s + 1, pair, alice[rows, order], bob[rows, order], coeffs, error_injection)
+            # the final keys are the last stage's, one row per trial in its `rows`
+            self.alice_key, self.bob_key = alice, bob
+            failures[s] = failed.sum(axis=1)
+            if c.strict_decode:
+                ok = failures[s] == 0
+                self.aborted[live[~ok]] = True
+                live, alice, bob, failures = live[ok], alice[ok], bob[ok], failures[:, ok]
+                stage_draws = [(order[ok], coeffs[ok]) for order, coeffs in stage_draws]
+            # the stage's keys hold one row per trial left
+            rows = np.arange(live.size)[:, None]
         if self.alice_key.shape[1] != c.final_key_bits:
             raise ProtocolDesyncError(
                 f"final key length {self.alice_key.shape[1]} != expected {c.final_key_bits}")
-        s2 = failed2.sum(axis=1)
-        self.stage1_decode_failures[live] = s1
-        self.stage2_decode_failures[live] = s2
-        self.keys_equal[live] = (self.alice_key == self.bob_key).all(axis=1)
-        if c.strict_decode:
-            # with no stage-1 failures left, only stage-2 failures abort here
-            failed = live[s2 > 0]
-            self.aborted[failed] = True
-            self.stage2_decode_failures[failed] = 0
-            self.keys_equal[failed] = False
+        self.decode_failures[:, live] = failures
+        self.keys_equal[live] = (alice == bob).all(axis=1)
 
     def artifacts(self, i: int) -> RunArtifacts:
         """Trial i's outcome, transcript and Bob's raw data, as objects."""
-        c, d = self.config, self.draws
+        d = self.draws
         aborted = bool(self.aborted[i])
-        j, k = self.row1.get(i), self.row2.get(i)
-        stage1 = () if j is None else _announce(1, self.order1[j].reshape(-1, c.n1),
-                                                 self.masked1[j])
-        stage2 = () if k is None else _announce(2, self.order2[k].reshape(-1, c.n2),
-                                                 self.masked2[k])
+        stage1, stage2 = [_announce(s, order[rows[i]], masked[rows[i]]) if i in rows else ()
+                          for s, (rows, order, masked) in enumerate(
+                              zip(self.rows, self.orders, self.masked), start=1)]
         if aborted:
             reason = "security" if self.check_failed[i] else "decode_failure"
             alice_key = bob_key = None
         else:
             reason = None
+            k = self.rows[-1][i]
             alice_key, bob_key = format_bits(self.alice_key[k]), format_bits(self.bob_key[k])
         outcome = RunOutcome(
             aborted=aborted,
@@ -431,8 +413,8 @@ class TrialChunk:
             observed_check_error_rate=float(self.check_error_rate[i]),
             alice_final_key=alice_key,
             bob_final_key=bob_key,
-            stage1_decode_failures=int(self.stage1_decode_failures[i]),
-            stage2_decode_failures=int(self.stage2_decode_failures[i]),
+            stage1_decode_failures=int(self.decode_failures[0, i]),
+            stage2_decode_failures=int(self.decode_failures[1, i]),
             sifted_count=int(d["matched"][i]),
             restarts=d["restarts"][i],
         )
@@ -495,9 +477,10 @@ def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
 
     Returns:
         (draws, parties): a dict of the (T, n) quantum-phase arrays, the
-        (T, 2*n1*n2) kept and (T, n1*n2) check and code positions, the (T,)
-        match counts and the list of restart counts; and each trial's party
-        generator, which `_draw_stages` goes on drawing from.
+        (T, kept_target) kept and (T, check_count) check and code
+        positions, the (T,) match counts and the list of restart counts; and
+        each trial's party generator, which `_draw_stages` goes on drawing
+        from.
 
     Raises:
         InsufficientSiftAbort: a trial had too few basis matches in
@@ -552,33 +535,31 @@ def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
 
 def _draw_stages(config: ProtocolConfig, parties: list, code: np.ndarray):
     """Alice's stage draws, one trial per row, from each trial's party
-    generator in protocol order: the permutation of her code positions (one
-    row per trial in `code`), the stage-1 coefficients, the permutation of the
-    stage-1 key bits and the stage-2 coefficients.  A stage's coefficients
-    are one int64 draw of B blocks by k, which consumes the stream as B
-    per-block draws do.
+    generator in protocol order: per stage, the permutation of its input
+    (her code positions, one row per trial in `code`, for stage 1, the
+    previous stage's key bit indices after it), then its coefficients.  A
+    stage's coefficients are one int64 draw of B blocks by k, which consumes
+    the stream as B per-block draws do.
 
     Returns:
-        (order1, coeffs1, order2, coeffs2): the (M, n1*n2) code positions in
-        assigned order, the (M, kw1*n2) stage-1 key bit indices in assigned
-        order, and the (M, B, k) uint8 coefficients of each stage.
+        one (order, coeffs) pair per stage: the (M, B*n) input positions in
+        assigned order and the (M, B, k) uint8 coefficients.
     """
-    total1 = config.stage1_key_bits
-    shape1 = (config.stage1_block_count, config.stage1_pair.outer.k)
-    shape2 = (config.stage2_block_count, config.stage2_pair.outer.k)
-    order1, coeffs1, order2, coeffs2 = [], [], [], []
-    for party, positions in zip(parties, code):
-        if config.random_assignment:
-            order1.append(party.permutation(positions))
-        coeffs1.append(party.integers(0, 2, size=shape1))
-        if config.random_assignment:
-            order2.append(party.permutation(total1))
-        coeffs2.append(party.integers(0, 2, size=shape2))
+    stages = list(zip(config.pairs, config.block_counts))
+    orders = [[] for _ in stages]
+    coeffs = [[] for _ in stages]
+    for positions, party in zip(code, parties):
+        inputs = positions
+        for s, (pair, blocks) in enumerate(stages):
+            if config.random_assignment:
+                orders[s].append(party.permutation(inputs))
+            coeffs[s].append(party.integers(0, 2, size=(blocks, pair.outer.k)))
+            # the next stage permutes this stage's key bits, by index
+            inputs = blocks * pair.key_width
     if not config.random_assignment:
-        order1 = code
-        order2 = np.broadcast_to(np.arange(total1), (len(parties), total1))
-    return (np.asarray(order1), np.array(coeffs1, dtype=np.uint8),
-            np.asarray(order2), np.array(coeffs2, dtype=np.uint8))
+        sizes = [blocks * pair.key_width for pair, blocks in stages[:-1]]
+        orders = [code] + [np.broadcast_to(np.arange(k), (len(parties), k)) for k in sizes]
+    return [(np.asarray(order), np.array(c, dtype=np.uint8)) for order, c in zip(orders, coeffs)]
 
 
 def run_chunk(config: ProtocolConfig, seeds: Iterable[int],
@@ -628,19 +609,6 @@ def run_protocol_full(config: ProtocolConfig, attack: AttackModel = AttackModel.
     return run_chunk(config, [config.rng_seed], attack, error_injection).artifacts(0)
 
 
-def _check_block_geometry(stage: int, blocks: Sequence[BlockAnnouncement],
-                          count: int, n: int) -> None:
-    """Raise TranscriptError unless a stage announced `count` blocks of n bits."""
-    if len(blocks) != count:
-        raise TranscriptError(
-            f"{len(blocks)} stage-{stage} blocks, but the configured code pairs use {count}")
-    for blk in blocks:
-        if len(blk.positions) != n:
-            raise TranscriptError(
-                f"stage-{stage} block {blk.index} has {len(blk.positions)} bits, "
-                f"but the configured code pair has n={n}")
-
-
 def _first_invalid(positions: np.ndarray, n: int, valid: Optional[np.ndarray] = None,
                    distinct: bool = False) -> Optional[int]:
     """The flat index, in row-major order, of the first of `positions` that
@@ -672,10 +640,11 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     Every position is checked before anything is indexed with it: the kept
     positions were measured in the announced basis, the check positions are
     kept, the stage-1 blocks and the check positions partition the kept
-    positions, and the stage-2 blocks permute the stage-1 key bits.  Each
-    check is one array pass over the (blocks x n) positions, with
-    `np.bincount` for repeats; only a failed pass is followed by a Python
-    scan, which names the first offending position in block order.
+    positions, and each later stage's blocks permute the previous stage's
+    key bits.  Each check is one array pass over the (blocks x n)
+    positions, with `np.bincount` for repeats; only a failed pass is
+    followed by a Python scan, which names the first offending position in
+    block order.
 
     Raises:
         TranscriptError: the transcript is inconsistent with the measurement
@@ -713,40 +682,42 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     rate = float(rate)
     if abort:
         return ReplayResult(None, rate, True, 0, 0)
-    _check_block_geometry(1, transcript.stage1_blocks, config.stage1_block_count, config.n1)
-    _check_block_geometry(2, transcript.stage2_blocks, config.stage2_block_count, config.n2)
+    stages = (transcript.stage1_blocks, transcript.stage2_blocks)
+    # the geometry of every stage first: a transcript of other code pairs
+    # fails here, however its positions look
+    for stage, (blocks, pair, count) in enumerate(
+            zip(stages, config.pairs, config.block_counts), start=1):
+        if len(blocks) != count:
+            raise TranscriptError(
+                f"{len(blocks)} stage-{stage} blocks, but the configured code pairs use {count}")
+        for blk in blocks:
+            if len(blk.positions) != pair.n:
+                raise TranscriptError(
+                    f"stage-{stage} block {blk.index} has {len(blk.positions)} bits, "
+                    f"but the configured code pair has n={pair.n}")
 
-    # distinct code positions (kept, not check) that cover every code position
+    # stage 1 takes distinct code positions (kept, not check) that cover every
+    # code position; a later stage, distinct key-bit indices, which the
+    # geometry makes a permutation of the previous stage's key
     is_code = is_kept.copy()
     is_code[check] = False
-    positions1 = _block_positions(1, transcript.stage1_blocks)
-    i = _first_invalid(positions1, n, is_code, distinct=True)
-    if i is not None:
-        raise TranscriptError(
-            f"stage-1 block {transcript.stage1_blocks[i // config.n1].index} position "
-            f"{positions1.flat[i]} violates the check/code partition")
-    if positions1.size != np.count_nonzero(is_code):
-        raise TranscriptError("stage-1 blocks and check bits do not partition the kept positions")
-
-    labels1, failed1 = stage_correct_and_amplify(
-        config.stage1_pair, bob_bits[positions1],
-        _block_words(transcript.stage1_blocks, config.n1))
-    bob_key1 = labels1.reshape(-1)
-
-    # distinct key-bit indices; the geometry fixes their count at the key
-    # length, so they are a permutation of the stage-1 key
-    positions2 = _block_positions(2, transcript.stage2_blocks)
-    i = _first_invalid(positions2, bob_key1.size, distinct=True)
-    if i is not None:
-        raise TranscriptError(
-            f"stage-2 block {transcript.stage2_blocks[i // config.n2].index} position "
-            f"{positions2.flat[i]} invalid over {bob_key1.size} key bits")
-
-    labels2, failed2 = stage_correct_and_amplify(
-        config.stage2_pair, bob_key1[positions2],
-        _block_words(transcript.stage2_blocks, config.n2))
-    return ReplayResult(format_bits(labels2.reshape(-1)), rate, False,
-                        int(failed1.sum()), int(failed2.sum()))
+    bits, failures = bob_bits, []
+    for stage, (blocks, pair) in enumerate(zip(stages, config.pairs), start=1):
+        positions = _positions([blk.positions for blk in blocks], f"stage-{stage} block")
+        i = _first_invalid(positions, bits.size, is_code if stage == 1 else None, distinct=True)
+        if i is not None:
+            why = ("violates the check/code partition" if stage == 1
+                   else f"invalid over {bits.size} key bits")
+            raise TranscriptError(f"stage-{stage} block {blocks[i // pair.n].index} position "
+                                  f"{positions.flat[i]} {why}")
+        if stage == 1 and positions.size != np.count_nonzero(is_code):
+            raise TranscriptError(
+                "stage-1 blocks and check bits do not partition the kept positions")
+        words = parse_bits("".join(blk.masked for blk in blocks)).reshape(-1, pair.n)
+        labels, failed = stage_correct_and_amplify(pair, bits[positions], words)
+        bits = labels.reshape(-1)
+        failures.append(int(failed.sum()))
+    return ReplayResult(format_bits(bits), rate, False, *failures)
 
 
 def _positions(values, what: str) -> np.ndarray:
@@ -761,12 +732,3 @@ def _positions(values, what: str) -> np.ndarray:
     except OverflowError:
         raise TranscriptError(f"a {what} position does not fit an int64") from None
 
-
-def _block_positions(stage: int, blocks: Sequence[BlockAnnouncement]) -> np.ndarray:
-    """(B, n) positions of a stage's announced blocks of equal length n."""
-    return _positions([blk.positions for blk in blocks], f"stage-{stage} block")
-
-
-def _block_words(blocks: Sequence[BlockAnnouncement], n: int) -> np.ndarray:
-    """(B, n) masked words of announced blocks of length n."""
-    return parse_bits("".join(blk.masked for blk in blocks)).reshape(-1, n)

@@ -188,6 +188,21 @@ class TestRunCommand:
         assert [row["seed"] for row in rows] == ["10", "11", "12"]
         assert len(list((out_dir / "transcripts").glob("*.transcript"))) == 3
 
+    @pytest.mark.parametrize("seed", ["1_0", "-1"])
+    def test_seed_flag_is_decimal_digits(self, capsys, tmp_path, seed):
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "run", "--trials", "1", "--seed", seed,
+                               "--out-dir", str(out_dir))
+        assert code == 1
+        assert err.startswith(f"config error: --seed: bad value for seed: '{seed}'")
+        assert not out_dir.exists()
+
+    def test_infinite_delta_exit_one(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "run", "--trials", "1", "--delta", "inf",
+                               "--out-dir", str(tmp_path / "x"))
+        assert code == 1
+        assert err.startswith("config error: delta must be positive and finite")
+
     def test_zero_trials_exit_one(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--trials", "0", "--out-dir", str(tmp_path / "x"))
         assert code == 1

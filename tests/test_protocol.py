@@ -52,13 +52,13 @@ class TestConfig:
         assert cfg.transmitted_count == 215  # floor(4 * 49 * 1.1)
         assert cfg.kept_target == 98
         assert cfg.check_count == 49
-        assert cfg.stage1_block_count == 7
-        assert cfg.stage2_block_count == 1
+        assert cfg.block_counts == (7, 1)
         assert cfg.final_key_bits == 1
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            steane_config(delta=0.0)
+        for delta in (0.0, math.inf):
+            with pytest.raises(ConfigError):
+                steane_config(delta=delta)
         with pytest.raises(ConfigError):
             steane_config(abort_threshold=1.5)
 
@@ -67,8 +67,16 @@ class TestConfig:
         cfg = ProtocolConfig(stage1_pair=STEANE, stage2_pair=golay,
                              abort_threshold=0.2, rng_seed=1)
         assert cfg.transmitted_count == int(4 * 7 * 23 * 1.1)
-        assert cfg.stage1_key_bits == 23
-        assert cfg.stage2_block_count == 1
+        assert cfg.block_counts == (23, 1)
+        assert cfg.final_key_bits == 1
+
+    def test_key_width_above_one(self):
+        # simplex/simplex: 7 stage-1 blocks give 7*3 key bits, 3 blocks of 7
+        simplex = simplex_pair()
+        cfg = steane_config(stage1_pair=simplex, stage2_pair=simplex)
+        assert simplex.key_width == 3
+        assert cfg.block_counts == (7, 3)
+        assert cfg.final_key_bits == 9
 
 
 class TestAlicePrepare:
