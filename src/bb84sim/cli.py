@@ -357,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", default=None)
             p.add_argument("--attack", default=None,
                            choices=["none", "bitflip", "intercept_resend", "correlated_positions"])
-            p.add_argument("--noise-p", dest="noise_p", type=float, default=None,
+            p.add_argument("--noise-p", dest="noise_p", default=None,
                            help="flip probability / intercept fraction")
             p.add_argument("--attack-positions", dest="attack_positions", default=None,
                            help="comma-separated transmitted positions for correlated_positions")
-        p.add_argument("--threshold", type=float, default=None, help="abort threshold")
-        p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--threshold", default=None, help="abort threshold")
+        p.add_argument("--delta", default=None)
         p.add_argument("--stage1-pair", dest="stage1_pair", default=None,
                        help="built-in pair name or file:PATH")
         p.add_argument("--stage2-pair", dest="stage2_pair", default=None)

@@ -25,45 +25,56 @@ stage in a loop over the pairs (`config.pairs`), the permutation of that
 stage's input and its coefficients.  Stage 1's input is the code positions;
 each later stage's is the previous stage's key bits.
 
-Randomness contract: the quantum phase is word draws, each bit-identical to
-the ``Generator`` calls that define the streams.  A party attempt is one
-``party.integers(0, 2**32, size=3*ceil(n/4), dtype=np.uint32)`` call; bit 7
-of each byte, low byte first, ``ceil(n/4)`` words to a row, gives the
-preparation bits, the bases and Bob's bases, which is what three
-``integers(0, 2, size=n, dtype=np.uint8)`` calls draw: that sampling never
-rejects at range 2, each call starts a fresh four-byte buffer, and numpy
-keeps PCG64's buffered half-word between calls, so the choices after it
-see the stream as before.  A channel attempt is one ``random_raw`` call on
-a bare PCG64; channel.py states how its words map to ``Generator.random``
-uniforms and int8/uint8 bits, and how a leftover half-word carries into the
-next attempt.  Sifting draws ``choice(matched.size, ...)`` and takes the
-matched positions at the sorted indices, which equals sorting
-``choice(matched, ...)``.
+Randomness contract: a trial's streams are the PCG64 streams of the two
+children of ``SeedSequence(seed).spawn(2)``, the party's first.  They are
+built without SeedSequence: `_stream_states` runs SeedSequence's hash on
+every seed of the chunk at once and gives each child's
+``generate_state(4, np.uint64)`` words, which are all PCG64 takes from it.
+The quantum phase is word draws, each bit-identical to the ``Generator``
+calls that define the streams.  A party attempt takes the 3*ceil(n/4) words
+``party.integers(0, 2**32, size=3*ceil(n/4), dtype=np.uint32)`` draws.  For
+an even count (steane/steane and golay/golay at the default delta) they are
+the 32-bit halves of ``random_raw`` words, low half first: PCG64 holds no
+buffered half-word before or after.  An odd count ends or starts on such a
+half, so it is drawn by that call.  Bit 7 of each byte, low byte first,
+``ceil(n/4)`` words to a row, gives the preparation bits, the bases and
+Bob's bases, which is what three ``integers(0, 2, size=n, dtype=np.uint8)``
+calls draw: that sampling never rejects at range 2, each call starts a
+fresh four-byte buffer, and numpy keeps PCG64's buffered half-word between
+calls, so the choices after it see the stream as before.  A channel attempt
+is one ``random_raw`` call on a bare PCG64; channel.py states how its words
+map to ``Generator.random`` uniforms and int8/uint8 bits, and how a
+leftover half-word carries into the next attempt.  Sifting draws
+``choice(matched.size, ...)`` and takes the matched positions at the sorted
+indices, which equals sorting ``choice(matched, ...)``.
 
-Only the generator calls run per trial (per attempt, two word draws and, on
-success, the two choices); the bits, the tampering and the sifting's
-indexing are array passes over the chunk.  Everything after the draws runs
-once per chunk over (trials x n) arrays as well: measurement, the check
-comparison and the abort decision (`_check_and_abort`, which replay calls
-too), and the correction stages, one loop over the pairs, whose blocks are
-the rows of (trials*blocks x n) arrays, against the dense matrices each
-code pair caches (see codes.py).  A stage's masking coefficients are one
-(blocks x k) draw, which consumes the party stream exactly as one draw per
-block does; syndromes, codewords and labels are matrix products over all
-rows, and decoding is one syndrome-table lookup per row.  A stage's key is
-the row-major flattening of a trial's labels at that stage.  The objects of
-a trial (transcript, block announcements, sift positions and keys) are
-built only when asked for (`TrialChunk.artifacts`); their bits are 0/1
-strings (`gf2.format_bits`), as transcripts are dumped.  Replay parses those
-strings back to arrays and runs the same check and receiver stage functions
-as a live run, stage by stage on one row, after checking the transcript's
-positions with array passes (see `replay_bob`).  Each protocol step has this
-one implementation; the tests hold a scalar per-block reference.
+Only the generators' set-up and calls run per trial (per attempt, two word
+draws and, on success, the two choices); the seed hash, the bits, the
+tampering and the sifting's indexing are passes over the chunk.  Everything
+after the draws runs once per chunk over (trials x n) arrays as well:
+measurement, the check comparison and the abort decision
+(`_check_and_abort`, which replay calls too), and the correction stages,
+one loop over the pairs, whose blocks are the rows of (trials*blocks x n)
+arrays, against the dense matrices each code pair caches (see codes.py).  A
+stage's masking coefficients are one (blocks x k) draw, which consumes the
+party stream exactly as one draw per block does; syndromes, codewords and
+labels are matrix products over all rows, and decoding is one
+syndrome-table lookup per row.  A stage's key is the row-major flattening
+of a trial's labels at that stage.  The objects of a trial (transcript,
+block announcements, sift positions and keys) are built only when asked for
+(`TrialChunk.artifacts`); their bits are 0/1 strings (`gf2.format_bits`),
+as transcripts are dumped.  Replay parses those strings back to arrays and
+runs the same check and receiver stage functions as a live run, stage by
+stage on one row, after checking the transcript's positions with array
+passes (see `replay_bob`).  Each protocol step has this one implementation;
+the tests hold a scalar per-block reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -464,6 +475,153 @@ def _halves(raw: np.ndarray, uniforms: int) -> np.ndarray:
     return raw.astype("<u8", copy=False).view("<u4")[..., 2 * uniforms:]
 
 
+# SeedSequence's hash (numpy/random/bit_generator.pyx): a pool of four 32-bit
+# words takes in the entropy words through `hashmix`, whose multiplier moves on
+# at every call, and `mix`; generate_state hashes the pool out again.
+_WORD = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# mix(x, y) is L*x - R*y, taken here as L*x + (2**32 - R)*y so that no lane borrows
+_MIX_L, _MIX_NEG_R = 0xCA01F9DD, -0x4973F715 & _WORD
+
+
+def _hash_steps(init: int, mult: int, count: int) -> list:
+    """The (xor, multiplier) constants of `count` successive hashmix steps."""
+    steps, const = [], init
+    for _ in range(count):
+        xor, const = const, const * mult & _WORD
+        steps.append((xor, const))
+    return steps
+
+
+@functools.lru_cache(maxsize=8)
+def _lane_constants(count: int, width: int):
+    """The hash's constants for `_hash_lanes`, in lanes of 32*width bits.
+
+    Returns:
+        (mask, pair_mask, mixing, pool_steps, spawned, out_steps):
+        - the low 32 bits of `count` lanes, and of 2*count lanes (the
+          party's, then the channel's);
+        - the (source, target) words of each `mix` step, 0-3 being the pool
+          and 4 on the seed's words past the fourth: the pool's
+          cross-mixing, then each further seed word into each pool word;
+        - the (xor, multiplier) of each hashmix step that takes the seed
+          in, xor in `count` lanes;
+        - per pool word, mix's term of the hashed spawn word, 0 in the
+          party's lanes and 1 in the channel's;
+        - generate_state's eight steps, xor in 2*count lanes.
+    """
+    lane = 32 * width
+    ones = int.from_bytes((b"\x01" + bytes(lane // 8 - 1)) * count, "little")
+    pairs = ones | ones << lane * count
+    mixing = tuple([(s, d) for s in range(4) for d in range(4) if s != d]
+                   + [(s, d) for s in range(4, width) for d in range(4)])
+    steps = _hash_steps(_INIT_A, _MULT_A, 4 * width + 4)
+    spawned = []
+    for xor, mult in steps[-4:]:
+        terms = []
+        for j in (0, 1):
+            hashed = (j ^ xor) * mult & _WORD
+            terms.append((hashed ^ hashed >> 16) * _MIX_NEG_R & _WORD)
+        spawned.append(terms[0] * ones | terms[1] * ones << lane * count)
+    # tuples: the cache hands the same constants to every call
+    pool_steps = tuple((xor * ones, mult) for xor, mult in steps[:-4])
+    out_steps = tuple((xor * pairs, mult) for xor, mult in _hash_steps(_INIT_B, _MULT_B, 8))
+    return ones * _WORD, pairs * _WORD, mixing, pool_steps, tuple(spawned), out_steps
+
+
+def _hash_lanes(seeds: list, width: int) -> np.ndarray:
+    """`_stream_states` of seeds of `width` entropy words, all at once.
+
+    Seed t is lane t of Python ints of 32*width-bit lanes, so that one int
+    operation is one hash step of every seed.  Each step masks every lane
+    back to 32 bits; a lane holds at least 128, more than the 65 bits of a
+    `mix` sum, so no lane carries into the next."""
+    count, lane = len(seeds), 32 * width
+    mask, pair_mask, mixing, steps, spawned, out_steps = _lane_constants(count, width)
+    packed = b"".join(seed.to_bytes(lane // 8, "little") for seed in seeds)
+    packed = int.from_bytes(packed, "little")
+    words = []
+    for i, (xor, mult) in enumerate(steps[:4]):
+        hashed = ((packed >> 32 * i & mask) ^ xor) * mult & mask
+        words.append((hashed ^ hashed >> 16) & mask)
+    words += [packed >> 32 * i & mask for i in range(4, width)]
+    for (s, d), (xor, mult) in zip(mixing, steps[4:]):
+        hashed = (words[s] ^ xor) * mult & mask
+        mixed = (_MIX_L * words[d] + _MIX_NEG_R * ((hashed ^ hashed >> 16) & mask)) & mask
+        words[d] = (mixed ^ mixed >> 16) & mask
+    # the spawn word, 0 or 1, is the last entropy word: each pool word is
+    # copied into the party's lanes and the channel's
+    pool = []
+    for word, spawn in zip(words, spawned):
+        mixed = (_MIX_L * (word | word << lane * count) + spawn) & pair_mask
+        pool.append((mixed ^ mixed >> 16) & pair_mask)
+    halves = []
+    for i, (xor, mult) in enumerate(out_steps):
+        hashed = (pool[i % 4] ^ xor) * mult & pair_mask
+        halves.append(hashed ^ hashed >> 16)
+    out = np.frombuffer(b"".join(h.to_bytes(count * lane // 4, "little") for h in halves), "<u4")
+    # (half, stream, seed, lane word) -> (seed, stream, half): a half is word
+    # 0 of its lane (the last step leaves the rest unmasked), two halves to a
+    # uint64, low half first
+    out = np.ascontiguousarray(out.reshape(8, 2, count, width)[..., 0].transpose(2, 1, 0))
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _entropy_width(seed: int) -> int:
+    """The 32-bit words SeedSequence takes a seed as, with a spawn key."""
+    return max(4, -(-seed.bit_length() // 32))
+
+
+def _stream_states(seeds: list) -> np.ndarray:
+    """Each seed's party and channel PCG64 seeds, (T, 2, 4) uint64: what
+    ``SeedSequence(seed, spawn_key=(j,)).generate_state(4, np.uint64)``
+    returns for j = 0 (party) and 1 (channel), the children that
+    ``SeedSequence(seed).spawn(2)`` makes.
+
+    Raises:
+        TypeError: a seed is not an integer.
+        ValueError: a seed is negative.
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    low, high = min(seeds), max(seeds)
+    if low < 0:
+        raise ValueError(f"seeds must be non-negative, got {low}")
+    width = _entropy_width(high)
+    if _entropy_width(low) == width:
+        return _hash_lanes(seeds, width)
+    # seeds of other widths take other hash steps: one pass per width
+    rows = {}
+    for t, seed in enumerate(seeds):
+        rows.setdefault(_entropy_width(seed), []).append(t)
+    states = np.empty((len(seeds), 2, 4), np.uint64)
+    for width, where in rows.items():
+        states[where] = _hash_lanes([seeds[t] for t in where], width)
+    return states
+
+
+class _SeedState(np.random.bit_generator.ISeedSequence):
+    """A seed sequence whose words are hashed already (`_stream_states`):
+    PCG64 asks it once, at construction, for generate_state(4, np.uint64)."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _party_words(party: np.random.Generator, count: int) -> np.ndarray:
+    """The `count` uint32 words ``party.integers(0, 2**32, size=count,
+    dtype=np.uint32)`` draws.  For an even count they are the 32-bit halves
+    of count/2 raw PCG64 words, low half first.  An odd count is drawn by
+    that call, since it ends on a low half and leaves PCG64 holding the high
+    one, or starts with the half PCG64 holds."""
+    if count % 2:
+        return party.integers(0, 2**32, size=count, dtype=np.uint32)
+    return _halves(party.bit_generator.random_raw(count // 2), 0)
+
+
 def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
     """Every draw up to and including sifting, one trial per row.
 
@@ -491,15 +649,14 @@ def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
     uniforms, channel_rows = channel_draws(attack, n)
     halves, rows = channel_rows * quarter, 3 + channel_rows
     parties, channels, party_words, channel_words = [], [], [], []
-    for seed in seeds:
-        # the two children of SeedSequence(seed), as its spawn(2) makes them
-        party = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
-        channel = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1,)))
+    for party_state, channel_state in _stream_states(seeds):
+        party = np.random.Generator(np.random.PCG64(_SeedState(party_state)))
+        channel = np.random.PCG64(_SeedState(channel_state))
         # steps 1-2: prepare; step 3: transmit under attack; step 4: Bob
         # measures in random bases; step 5: only then is b announced (Bob's
         # bases are drawn before the channel acts, so ordering holds by
         # construction)
-        party_words.append(party.integers(0, 2**32, size=3 * quarter, dtype=np.uint32))
+        party_words.append(_party_words(party, 3 * quarter))
         channel_words.append(channel.random_raw(uniforms + -(-halves // 2)))
         parties.append(party)
         channels.append(channel)
@@ -516,7 +673,7 @@ def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
             restarts[t] += 1
             if restarts[t] > config.max_restarts:
                 raise InsufficientSiftAbort(f"{counts[t]} basis-matched positions, need {target}")
-            words = parties[t].integers(0, 2**32, size=3 * quarter, dtype=np.uint32)
+            words = _party_words(parties[t], 3 * quarter)
             more = channels[t].random_raw(uniforms + (halves - carry.size + 1) // 2)
             raw[t, :uniforms] = more[:uniforms]
             more = np.concatenate((carry, _halves(more, uniforms)))

@@ -203,6 +203,33 @@ class TestRunCommand:
         assert code == 1
         assert err.startswith("config error: delta must be positive and finite")
 
+    @pytest.mark.parametrize("flag", ["--threshold", "--delta", "--noise-p"])
+    def test_float_flag_bad_value_exit_one(self, capsys, tmp_path, flag):
+        out_dir = tmp_path / "x"
+        code, _, err = run_cli(capsys, "run", "--trials", "1", flag, "abc",
+                               "--out-dir", str(out_dir))
+        key = flag[2:].replace("-", "_")
+        assert code == 1
+        assert err.startswith(f"config error: {flag}: bad value for {key}: 'abc'")
+        assert not out_dir.exists()
+
+    def test_float_flags_read_as_the_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("attack = bitflip\nnoise_p = 0.05\nthreshold = 0.06\ndelta = 0.2\n")
+        outputs = []
+        for name, settings in (("flags", ["--attack", "bitflip", "--noise-p", "0.05",
+                                          "--threshold", "0.06", "--delta", "0.2"]),
+                               ("file", ["--config", str(cfg)])):
+            out_dir = tmp_path / name
+            code, _, _ = run_cli(capsys, "run", "--trials", "20", *settings,
+                                 "--out-dir", str(out_dir))
+            assert code == 0
+            outputs.append((out_dir / "trials.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        # the low threshold aborts some trials and passes others
+        aborted = {row["aborted"] for row in csv.DictReader(outputs[0].decode().splitlines())}
+        assert aborted == {"0", "1"}
+
     def test_zero_trials_exit_one(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--trials", "0", "--out-dir", str(tmp_path / "x"))
         assert code == 1
@@ -297,6 +324,17 @@ class TestReplayErrors:
         assert code == 3
         assert err.startswith("parse error: line 2: bad position list")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--threshold", "--delta"])
+    def test_float_flag_bad_value_exit_one(self, capsys, tmp_path, flag):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--trials", "1", "--seed", "1", "--out-dir", str(out_dir),
+                "--dump-transcripts")
+        tpath = next((out_dir / "transcripts").glob("*.transcript"))
+        bpath = next((out_dir / "transcripts").glob("*.bob"))
+        code, _, err = run_cli(capsys, "replay", str(tpath), str(bpath), flag, "abc")
+        assert code == 1
+        assert err.startswith(f"config error: {flag}: bad value for {flag[2:]}: 'abc'")
 
     @pytest.mark.parametrize("flags", ["--seed 5", "--trials 5", "--attack none",
                                        "--noise-p 0.1", "--attack-positions 5", "--out-dir out",
