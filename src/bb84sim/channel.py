@@ -105,10 +105,18 @@ def channel_draws(attack: AttackModel, n: int) -> tuple[int, int]:
     return len(attack.positions), 1
 
 
+_WORD_MAX = 2 ** 64 - 1
+
+
 def _below(words: np.ndarray, p: float) -> np.ndarray:
     """Where the uniforms (w >> 11) * 2**-53 of raw words w fall below p,
-    compared as the integers w >> 11 < ceil(p * 2**53), which is exact."""
-    return words >> 11 < math.ceil(p * 2 ** 53)
+    compared as the integers w < ceil(p * 2**53) * 2**11, which is exact and
+    takes no shifted copy of the words.  That bound is 2**64, above every
+    word, only at p = 1."""
+    bound = math.ceil(p * 2 ** 53) << 11
+    if bound > _WORD_MAX:
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(bound)
 
 
 def attack_arrays(attack: AttackModel, n: int, words: np.ndarray, bases: np.ndarray):
@@ -131,7 +139,8 @@ def attack_arrays(attack: AttackModel, n: int, words: np.ndarray, bases: np.ndar
         return _below(words, attack.probability).view(np.uint8), np.full(shape, -1, np.int8)
     flip = np.zeros(shape, dtype=np.uint8)
     if attack.kind == "intercept_resend":
-        return flip, np.where(_below(words, attack.probability), bases.view(np.int8), -1)
+        # the basis where intercepted, else -1: an or with 0 or with all ones
+        return flip, bases.view(np.int8) | (_below(words, attack.probability).view(np.int8) - 1)
     if attack.kind == "correlated_positions":
         if any(p >= n for p in attack.positions):
             raise ConfigError(
@@ -173,10 +182,20 @@ def measure_bits(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin):
     for arr in (prep_bit, flip, eve_basis, bob_basis, coin):
         if arr.shape != prep_basis.shape:
             raise DimensionError(f"measurement input shape {arr.shape} != {prep_basis.shape}")
+    return _measure(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin)
+
+
+def _measure(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin):
+    """`measure_bits` of arrays that have its dtypes and one shape already,
+    as the protocol's chunk arrays do."""
     # A qubit whose interceptor measured in the wrong basis is re-randomized,
     # whatever Bob does; otherwise a matched-basis measurement is the prepared
     # bit plus any in-channel flip, and a mismatched one is a fair coin.  As
     # uint8, an interceptor basis differs from the preparation basis by 1
-    # exactly when it measured in the wrong one (-1 reads 255).
-    scrambled = (eve_basis.view(np.uint8) ^ prep_basis) == 1
-    return np.where(scrambled | (bob_basis != prep_basis), coin, prep_bit ^ flip)
+    # exactly when it measured in the wrong one (-1 reads 255).  Every input
+    # is 0/1, so the outcome is picked by one xor or and pass each, as
+    # kept ^ ((coin ^ kept) & random), rather than by a slower np.where.
+    scrambled = ((eve_basis.view(np.uint8) ^ prep_basis) == 1).view(np.uint8)
+    random = scrambled | (bob_basis ^ prep_basis)
+    kept = prep_bit ^ flip
+    return kept ^ ((coin ^ kept) & random)

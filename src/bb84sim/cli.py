@@ -41,8 +41,12 @@ SUMMARY_COLUMNS = ["trials", "abort_fraction", "mean_check_error", "stddev_check
                    "key_agreement_fraction"]
 
 # `run` evaluates trials in chunks of at most this many transmitted qubits
-# (at least one trial), so that its memory does not grow with the batch
-QUBITS_PER_CHUNK = 1 << 14
+# (at least one trial), so that its memory does not grow with the batch: a
+# chunk's arrays peak at about 50 bytes per qubit, 1.4-1.8 MB at this size
+# (tracemalloc, numpy 2.4: 14 golay/golay trials, 152 steane/steane).  Each
+# chunk carries about 0.2 ms of fixed cost, which larger chunks spread over
+# more trials.
+QUBITS_PER_CHUNK = 1 << 15
 
 # a config file's integer settings are ASCII decimal digits (no sign, space
 # or underscore), read as every number in the program's files is
@@ -91,11 +95,24 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _read_value(key: str, value: str, source: str):
-    """A setting's text read as its key's values are; `source` says where
-    the text was given."""
+# `stats` reads its numbers as text too, by the same readers as the config
+# file's settings, so that a bad value is a configuration error there as well
+_STATS_FLAGS = {
+    "r": float,
+    "n": parse_decimal,
+    "z": float,
+    "threshold": float,
+    "T": float,
+    "r0": float,
+    "steps": parse_decimal,
+}
+
+
+def _read_value(key: str, value: str, source: str, readers: dict = _CONFIG_KEYS):
+    """A setting's text read as `readers` (by default the config file's)
+    reads its key's values; `source` says where the text was given."""
     try:
-        return _CONFIG_KEYS[key](value)
+        return readers[key](value)
     except ValueError:
         raise ConfigError(f"{source}: bad value for {key}: {value!r}") from None
 
@@ -242,23 +259,26 @@ def cmd_run(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    # the subcommand's numbers; argparse has made sure each one it takes is given
+    v = {key: _read_value(key, getattr(args, key), "--" + key, _STATS_FLAGS)
+         for key in _STATS_FLAGS if hasattr(args, key)}
     if args.stats_command == "sigma":
-        model = SamplingModel(args.r, args.n)
+        model = SamplingModel(v["r"], v["n"])
         print(f"sigma={sigma(model):.6f}")
     elif args.stats_command == "threshold":
-        model = SamplingModel(args.r, args.n)
-        print(f"threshold={confidence_threshold(model, args.z):.6f}")
+        model = SamplingModel(v["r"], v["n"])
+        print(f"threshold={confidence_threshold(model, v['z']):.6f}")
     elif args.stats_command == "cheat":
-        model = SamplingModel(args.r, args.n)
+        model = SamplingModel(v["r"], v["n"])
         if args.binomial:
-            value = cheat_probability_binomial(model, args.threshold)
+            value = cheat_probability_binomial(model, v["threshold"])
             print(f"cheat_probability={value:.6g} (exact binomial)")
         else:
-            value = cheat_probability(model, args.threshold, sigma_at=args.sigma_at)
+            value = cheat_probability(model, v["threshold"], sigma_at=args.sigma_at)
             print(f"cheat_probability={value:.6g} (gaussian, sigma at {args.sigma_at})")
     elif args.stats_command == "recursion":
-        model = RecursionModel(args.T, args.r0)
-        values = iterate_error_rate(model, args.steps)
+        model = RecursionModel(v["T"], v["r0"])
+        values = iterate_error_rate(model, v["steps"])
         print("# model: next_rate = exp(-T^2 / rate)")
         print("step,rate")
         for i, value in enumerate(values, start=1):
@@ -356,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", default=None, help="base seed (trial i uses seed+i)")
             p.add_argument("--trials", default=None)
             p.add_argument("--attack", default=None,
-                           choices=["none", "bitflip", "intercept_resend", "correlated_positions"])
+                           help="none, bitflip, intercept_resend or correlated_positions")
             p.add_argument("--noise-p", dest="noise_p", default=None,
                            help="flip probability / intercept fraction")
             p.add_argument("--attack-positions", dest="attack_positions", default=None,
@@ -377,23 +397,23 @@ def build_parser() -> argparse.ArgumentParser:
     stats_p = sub.add_parser("stats", help="sampling statistics and the rate recursion")
     stats_sub = stats_p.add_subparsers(dest="stats_command", required=True)
     sigma_p = stats_sub.add_parser("sigma")
-    sigma_p.add_argument("--r", type=float, required=True)
-    sigma_p.add_argument("--n", type=int, required=True)
+    sigma_p.add_argument("--r", required=True)
+    sigma_p.add_argument("--n", required=True)
     thr_p = stats_sub.add_parser("threshold")
-    thr_p.add_argument("--r", type=float, required=True)
-    thr_p.add_argument("--n", type=int, required=True)
-    thr_p.add_argument("--z", type=float, required=True)
+    thr_p.add_argument("--r", required=True)
+    thr_p.add_argument("--n", required=True)
+    thr_p.add_argument("--z", required=True)
     cheat_p = stats_sub.add_parser("cheat")
-    cheat_p.add_argument("--r", type=float, required=True)
-    cheat_p.add_argument("--n", type=int, required=True)
-    cheat_p.add_argument("--threshold", type=float, required=True)
+    cheat_p.add_argument("--r", required=True)
+    cheat_p.add_argument("--n", required=True)
+    cheat_p.add_argument("--threshold", required=True)
     cheat_p.add_argument("--sigma-at", dest="sigma_at", default="threshold",
-                         choices=["threshold", "estimate"])
+                         help="threshold or estimate")
     cheat_p.add_argument("--binomial", action="store_true", help="exact binomial tail")
     rec_p = stats_sub.add_parser("recursion")
-    rec_p.add_argument("--T", type=float, required=True, help="code threshold")
-    rec_p.add_argument("--r0", type=float, required=True, help="initial error rate")
-    rec_p.add_argument("--steps", type=int, required=True)
+    rec_p.add_argument("--T", required=True, help="code threshold")
+    rec_p.add_argument("--r0", required=True, help="initial error rate")
+    rec_p.add_argument("--steps", required=True)
 
     replay_p = sub.add_parser("replay", help="recompute Bob's key from a dumped transcript")
     replay_p.add_argument("transcript")

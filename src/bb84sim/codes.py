@@ -17,9 +17,11 @@ and pairs also cache the derived arrays with which callers syndrome, decode
 and label many blocks at once: `LinearCode.parity_check_t`,
 `CssPair.check_label_t`, `CssPair.generator_check_labels` and
 `CssPair.error_check_labels`, with `SyndromeTable.lookup_rows` as the table
-lookup for many syndromes.  Code files hold the matrices as 0/1 text.  The
-protocol's stage functions are the only decoder and labeller; the tests keep
-a scalar one-block-at-a-time reference of both.
+lookup for many syndromes.  The two matrices the stages multiply by are
+also cached as float32 (`check_label_f32`, `generator_check_labels_f32`),
+the form `gf2.matmul` multiplies in.  Code files hold the matrices as 0/1
+text.  The protocol's stage functions are the only decoder and labeller;
+the tests keep a scalar one-block-at-a-time reference of both.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionError, InvalidPairError
-from .gf2 import format_bits, parse_bits, parse_decimal, row_reduce
+from .gf2 import format_bits, matmul, parse_bits, parse_decimal, row_reduce
 
 __all__ = [
     "LinearCode",
@@ -79,7 +81,7 @@ class LinearCode:
         self.parity_check = parity_check
         self.name = name
         self._table: Optional[SyndromeTable] = None
-        bad = (generator @ self.parity_check_t & 1).any(axis=1)
+        bad = matmul(generator, self.parity_check_t).any(axis=1)
         if bad.any():
             raise ValueError(f"generator row {bad.argmax()} has nonzero syndrome")
         if d < 1:
@@ -169,7 +171,7 @@ class SyndromeTable:
                 errors = np.zeros((len(picks), n), dtype=np.uint8)
                 errors[np.arange(len(picks))[:, None], picks] = 1
                 fresh = []
-                for i, key in enumerate(_syndrome_keys(errors @ code.parity_check_t & 1)):
+                for i, key in enumerate(_syndrome_keys(matmul(errors, code.parity_check_t))):
                     if key not in index:
                         index[key] = len(index)
                         fresh.append(i)
@@ -224,7 +226,7 @@ class CssPair:
     def __init__(self, outer: LinearCode, inner: LinearCode):
         if outer.n != inner.n:
             raise DimensionError(f"block length mismatch: {outer.n} vs {inner.n}")
-        bad = (inner.generator @ outer.parity_check_t & 1).any(axis=1)
+        bad = matmul(inner.generator, outer.parity_check_t).any(axis=1)
         if bad.any():
             i = int(bad.argmax())
             raise InvalidPairError(f"inner generator row {i} ({format_bits(inner.generator[i])}) "
@@ -256,14 +258,25 @@ class CssPair:
         rows @ generator_check_labels & 1 are codewords followed by their
         syndromes and projected labels."""
         g = self.outer.generator
-        return np.ascontiguousarray(np.hstack([g, g @ self.check_label_t & 1]))
+        return np.ascontiguousarray(np.hstack([g, matmul(g, self.check_label_t)]))
+
+    @cached_property
+    def check_label_f32(self) -> np.ndarray:
+        """`check_label_t` as float32, the form `gf2.matmul` multiplies by."""
+        return self.check_label_t.astype(np.float32)
+
+    @cached_property
+    def generator_check_labels_f32(self) -> np.ndarray:
+        """`generator_check_labels` as float32, the form `gf2.matmul`
+        multiplies by."""
+        return self.generator_check_labels.astype(np.float32)
 
     @cached_property
     def error_check_labels(self) -> np.ndarray:
         """`check_label_t` applied to each row of the outer code's syndrome
         table `errors`: by linearity, adding row i to a word's syndrome and
         projected label gives those of the word corrected by error i."""
-        return self.outer.syndrome_table().errors @ self.check_label_t & 1
+        return matmul(self.outer.syndrome_table().errors, self.check_label_f32)
 
     def __repr__(self) -> str:
         return (f"CssPair(outer=[{self.outer.n},{self.outer.k},{self.outer.d}], "

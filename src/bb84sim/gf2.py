@@ -3,11 +3,11 @@ bits.
 
 Vectors and matrices are uint8 arrays of 0/1 entries: a vector is a 1-D
 array, a matrix a 2-D array with one vector per row, and the GF(2) product
-of two matrices is ``a @ b & 1``.  Row reduction always picks the leftmost
-pivot, which makes reduced forms canonical; both protocol parties therefore
-derive identical coset labels from the public matrices without
-communicating.  `row_reduce` and `solve_membership` share one elimination
-loop.
+of two matrices, ``a @ b & 1``, is `matmul`, which multiplies in float32.
+Row reduction always picks the leftmost pivot, which makes reduced forms
+canonical; both protocol parties therefore derive identical coset labels
+from the public matrices without communicating.  `row_reduce` and
+`solve_membership` share one elimination loop.
 
 Outside the program, in transcripts, keys, code files and Bob's record,
 bits are 0/1 text with character i holding bit i; `format_bits` and
@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DimensionError
 
-__all__ = ["row_reduce", "solve_membership", "format_bits", "parse_bits", "parse_decimal",
-           "parse_decimals"]
+__all__ = ["matmul", "row_reduce", "solve_membership", "format_bits", "parse_bits",
+           "parse_decimal", "parse_decimals"]
 
 _BITS = re.compile("[01]*")
 # a number is 1 to 18 ASCII digits: no sign, space or underscore, and nothing
@@ -81,6 +81,18 @@ def parse_decimals(text: str) -> np.ndarray:
     if _DECIMALS.fullmatch(text) is None:
         raise ValueError(f"bad decimal list {text!r}")
     return np.fromstring(text, dtype=np.int64, sep=",")
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The GF(2) product ``a @ b & 1`` of two 0/1 arrays, as uint8.
+
+    The product runs in float32, which numpy multiplies through BLAS (its
+    integer matmul has no such path); pass b as float32 to skip its copy.
+    Each entry is a count of at most a.shape[-1] ones, which float32 holds
+    exactly while that is below 2**24.  The parity is taken after a cast to
+    int32, since a cast of a float above 255 to uint8 is undefined.
+    """
+    return (np.matmul(a, b, dtype=np.float32).astype(np.int32) & 1).astype(np.uint8)
 
 
 def _eliminate(a: np.ndarray, ncols: int) -> list[int]:

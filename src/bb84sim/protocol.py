@@ -46,28 +46,35 @@ is one ``random_raw`` call on a bare PCG64; channel.py states how its words
 map to ``Generator.random`` uniforms and int8/uint8 bits, and how a
 leftover half-word carries into the next attempt.  Sifting draws
 ``choice(matched.size, ...)`` and takes the matched positions at the sorted
-indices, which equals sorting ``choice(matched, ...)``.
+indices, which equals sorting ``choice(matched, ...)``; the indices are
+sorted by scattering them into a mask over the matched positions, whose
+compression lists the chosen ones in ascending order.
 
 Only the generators' set-up and calls run per trial (per attempt, two word
 draws and, on success, the two choices); the seed hash, the bits, the
 tampering and the sifting's indexing are passes over the chunk.  Everything
 after the draws runs once per chunk over (trials x n) arrays as well:
-measurement, the check comparison and the abort decision
-(`_check_and_abort`, which replay calls too), and the correction stages,
-one loop over the pairs, whose blocks are the rows of (trials*blocks x n)
-arrays, against the dense matrices each code pair caches (see codes.py).  A
+measurement (xor and and passes, see channel.py), the check comparison and
+the abort decision (`_check_and_abort`, which replay calls too), and the
+correction stages, one loop over the pairs, whose blocks are the rows of
+(trials*blocks x n) arrays, against the dense matrices each code pair
+caches (see codes.py).  Each party's bits at a trial's check positions, or
+in a stage's order, are one take at flat indices into the chunk's arrays.  A
 stage's masking coefficients are one (blocks x k) draw, which consumes the
 party stream exactly as one draw per block does; syndromes, codewords and
-labels are matrix products over all rows, and decoding is one
-syndrome-table lookup per row.  A stage's key is the row-major flattening
-of a trial's labels at that stage.  The objects of a trial (transcript,
-block announcements, sift positions and keys) are built only when asked for
-(`TrialChunk.artifacts`); their bits are 0/1 strings (`gf2.format_bits`),
-as transcripts are dumped.  Replay parses those strings back to arrays and
-runs the same check and receiver stage functions as a live run, stage by
-stage on one row, after checking the transcript's positions with array
-passes (see `replay_bob`).  Each protocol step has this one implementation;
-the tests hold a scalar per-block reference.
+labels are GF(2) matrix products over all rows (`gf2.matmul`, in float32
+against float32 copies of the pair's matrices, exact below 2**24 ones a
+sum), and decoding is one syndrome-table lookup per row.  A stage's key is
+the row-major flattening of a trial's labels at that stage.  The objects of
+a trial (transcript, block announcements, sift positions and keys) are
+built only when asked for (`TrialChunk.artifacts`); their bits are 0/1
+strings (`gf2.format_bits`), as transcripts are dumped.  Replay parses
+those strings back to arrays and runs the same check and receiver stage
+functions as a live run, stage by stage on one row, after checking the
+transcript's positions with array passes (see `replay_bob`).  Each protocol
+step has this one implementation; the public `stage_correct_and_amplify`
+only adds checks of its inputs.  The tests hold a scalar per-block
+reference.
 """
 
 from __future__ import annotations
@@ -75,12 +82,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .channel import AttackModel, attack_arrays, channel_draws, measure_bits
+from .channel import AttackModel, _measure, attack_arrays, channel_draws
 from .codes import CssPair
 from .errors import (
     ConfigError,
@@ -89,7 +96,7 @@ from .errors import (
     ProtocolDesyncError,
     TranscriptError,
 )
-from .gf2 import format_bits, parse_bits
+from .gf2 import format_bits, matmul, parse_bits
 from .transcript import BlockAnnouncement, Transcript
 
 __all__ = [
@@ -117,6 +124,9 @@ class ProtocolConfig:
     and block selections are the first positions in ascending order instead of
     random draws, so an adversary knows exactly which transmitted positions
     become code bits.
+
+    The derived sizes (`pairs` to `final_key_bits`) are computed once, when
+    the config is made, since every chunk reads them several times.
     """
 
     stage1_pair: CssPair
@@ -127,6 +137,17 @@ class ProtocolConfig:
     strict_decode: bool = False
     random_assignment: bool = True
     max_restarts: int = 100
+    # the code pair of each stage, stage 1 first
+    pairs: tuple[CssPair, ...] = field(init=False, repr=False, compare=False)
+    # the check bits, as many as the code bits: the product of the pairs' n
+    check_count: int = field(init=False, repr=False, compare=False)
+    # floor(4 * check_count * (1 + delta)) qubits per attempt
+    transmitted_count: int = field(init=False, repr=False, compare=False)
+    kept_target: int = field(init=False, repr=False, compare=False)
+    # the blocks of each stage: stage s splits the previous stage's key bits,
+    # or the code bits for stage 1, into blocks of its pair's n
+    block_counts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    final_key_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.delta > 0 and math.isfinite(self.delta)):
@@ -135,39 +156,17 @@ class ProtocolConfig:
             raise ConfigError(f"abort threshold {self.abort_threshold} outside [0, 1]")
         if self.max_restarts < 0:
             raise ConfigError("max_restarts must be >= 0")
-
-    @property
-    def pairs(self) -> tuple[CssPair, ...]:
-        """The code pair of each stage, stage 1 first."""
-        return (self.stage1_pair, self.stage2_pair)
-
-    @property
-    def check_count(self) -> int:
-        """The check bits, as many as the code bits: the product of the pairs' n."""
-        return math.prod(pair.n for pair in self.pairs)
-
-    @property
-    def transmitted_count(self) -> int:
-        """floor(4 * check_count * (1 + delta)) qubits per attempt."""
-        return int(math.floor(4 * self.check_count * (1 + self.delta) + 1e-9))
-
-    @property
-    def kept_target(self) -> int:
-        return 2 * self.check_count
-
-    @property
-    def block_counts(self) -> tuple[int, ...]:
-        """The blocks of each stage: stage s splits the previous stage's key
-        bits, or the code bits for stage 1, into blocks of its pair's n."""
-        counts, bits = [], self.check_count
-        for pair in self.pairs:
+        pairs = (self.stage1_pair, self.stage2_pair)
+        check = math.prod(pair.n for pair in pairs)
+        counts, bits = [], check
+        for pair in pairs:
             counts.append(bits // pair.n)
             bits = counts[-1] * pair.key_width
-        return tuple(counts)
-
-    @property
-    def final_key_bits(self) -> int:
-        return self.block_counts[-1] * self.pairs[-1].key_width
+        derived = dict(pairs=pairs, check_count=check,
+                       transmitted_count=int(math.floor(4 * check * (1 + self.delta) + 1e-9)),
+                       kept_target=2 * check, block_counts=tuple(counts), final_key_bits=bits)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -214,8 +213,10 @@ def _select(matched: np.ndarray, counts: np.ndarray, config: ProtocolConfig, par
 
     Each trial's party generator makes two `choice` draws: the indices of
     Alice's kept positions among its matched ones, and those of her check
-    positions among the kept ones.  Since the matched positions ascend,
-    taking them at the sorted indices gives the sorted kept positions.
+    positions among the kept ones.  Each is scattered into a mask, over the
+    chunk's matched positions and over its kept ones, whose compression
+    gives the chosen positions in ascending order: sorted indices with no
+    sort.
 
     Returns:
         (kept, check, code): (T, kept_target) int64 kept positions and
@@ -226,19 +227,22 @@ def _select(matched: np.ndarray, counts: np.ndarray, config: ProtocolConfig, par
     # the matched positions of all trials as flat indices, row by row, where
     # each row starts among them, and the flat index of each row's start
     flat = matched.ravel().nonzero()[0]
-    starts = (counts.cumsum() - counts)[:, None]
+    starts = counts.cumsum() - counts
     offsets = np.arange(0, matched.size, matched.shape[1])[:, None]
     if not config.random_assignment:
-        kept = flat[starts + np.arange(target)] - offsets
+        kept = flat[starts[:, None] + np.arange(target)] - offsets
         return kept, kept[:, :count], kept[:, count:]
-    picks = np.empty((len(parties), target), dtype=np.int64)
-    in_code = np.ones((len(parties), target), dtype=bool)
-    for t, party in enumerate(parties):
-        picks[t] = party.choice(counts[t], size=target, replace=False)
-        in_code[t, party.choice(target, size=count, replace=False)] = False
-    picks.sort(axis=1)
-    kept = flat[starts + picks] - offsets
-    return kept, kept[~in_code].reshape(len(parties), -1), kept[in_code].reshape(len(parties), -1)
+    # the chosen indices scattered into masks, over `flat` and over the kept
+    # positions, which compress to ascending positions with no sort
+    chosen = np.zeros(flat.size, dtype=bool)
+    is_check = np.zeros((len(parties), target), dtype=bool)
+    for t, (party, start) in enumerate(zip(parties, starts.tolist())):
+        chosen[start + party.choice(counts[t], size=target, replace=False)] = True
+        is_check[t, party.choice(target, size=count, replace=False)] = True
+    kept = flat[chosen].reshape(-1, target) - offsets
+    is_check = is_check.ravel()
+    return (kept, kept.take(np.flatnonzero(is_check)).reshape(-1, count),
+            kept.take(np.flatnonzero(~is_check)).reshape(-1, count))
 
 
 def _check_and_abort(alice_check: np.ndarray, bob_check: np.ndarray, config: ProtocolConfig):
@@ -294,10 +298,16 @@ def stage_correct_and_amplify(pair: CssPair, blocks: np.ndarray, announcements: 
     for arr in (blocks, announcements):
         if arr.ndim != 2 or arr.shape[1] != pair.n:
             raise ProtocolDesyncError(f"blocks of shape {arr.shape}, need (B, {pair.n})")
+    return _bob_stage(pair, blocks, announcements)
+
+
+def _bob_stage(pair: CssPair, blocks: np.ndarray, announcements: np.ndarray):
+    """`stage_correct_and_amplify` of two uint8 arrays of one (B, n) shape,
+    as a run and a replay, which checks its blocks first, pass them."""
     # syndromes and projected labels of u+e = (v+e) + (u+v); adding those of
     # the tabulated error gives the decoded word's, and a failed row's error
     # is zero, so it is labelled as the raw word
-    product = (blocks ^ announcements) @ pair.check_label_t & 1
+    product = matmul(blocks ^ announcements, pair.check_label_f32)
     rows, failed = pair.outer.syndrome_table().lookup_rows(
         product[:, :pair.outer.n - pair.outer.k])
     return _labels(pair, product ^ pair.error_check_labels[rows], failed), failed
@@ -313,7 +323,7 @@ def _alice_stage(pair: CssPair, values: np.ndarray, coeffs: np.ndarray):
     Returns:
         (masked, labels): (B, n) announced words u+v and (B, key_width) labels.
     """
-    product = coeffs @ pair.generator_check_labels & 1
+    product = matmul(coeffs, pair.generator_check_labels_f32)
     return product[:, :pair.n] ^ values, _labels(pair, product[:, pair.n:])
 
 
@@ -357,9 +367,9 @@ class TrialChunk:
         self.draws = draws
         self.bob_bits = bob_bits
         count = len(bob_bits)
-        rows, check = np.arange(count)[:, None], draws["check"]
+        at = _flat_indices(np.arange(count), draws["check"], bob_bits.shape[1])
         self.check_error_rate, self.check_failed = _check_and_abort(
-            draws["bits"][rows, check], bob_bits[rows, check], config)
+            draws["bits"].ravel().take(at), bob_bits.ravel().take(at), config)
         self.aborted = self.check_failed.copy()
         self.keys_equal = np.zeros(count, dtype=bool)
         stages = len(config.pairs)
@@ -378,7 +388,7 @@ class TrialChunk:
         blocks and announces positions and u+v, Bob decodes).  Under strict
         decoding a trial with a failed block aborts after that stage."""
         c = self.config
-        alice, bob, rows = self.draws["bits"], self.bob_bits, live[:, None]
+        alice, bob, rows = self.draws["bits"], self.bob_bits, live
         failures = np.zeros((len(c.pairs), live.size), np.int64)
         for s, pair in enumerate(c.pairs):
             if not live.size:
@@ -386,8 +396,9 @@ class TrialChunk:
             order, coeffs = stage_draws[s]
             self.rows[s] = dict(zip(live.tolist(), range(live.size)))
             self.orders[s] = order
+            at = _flat_indices(rows, order, alice.shape[1])
             failed, alice, bob, self.masked[s] = _run_stage(
-                s + 1, pair, alice[rows, order], bob[rows, order], coeffs, error_injection)
+                s + 1, pair, alice.ravel().take(at), bob.ravel().take(at), coeffs, error_injection)
             # the final keys are the last stage's, one row per trial in its `rows`
             self.alice_key, self.bob_key = alice, bob
             failures[s] = failed.sum(axis=1)
@@ -397,7 +408,7 @@ class TrialChunk:
                 live, alice, bob, failures = live[ok], alice[ok], bob[ok], failures[:, ok]
                 stage_draws = [(order[ok], coeffs[ok]) for order, coeffs in stage_draws]
             # the stage's keys hold one row per trial left
-            rows = np.arange(live.size)[:, None]
+            rows = np.arange(live.size)
         if self.alice_key.shape[1] != c.final_key_bits:
             raise ProtocolDesyncError(
                 f"final key length {self.alice_key.shape[1]} != expected {c.final_key_bits}")
@@ -442,6 +453,14 @@ class TrialChunk:
         return RunArtifacts(outcome, transcript, d["bob_bases"][i], self.bob_bits[i])
 
 
+def _flat_indices(rows: np.ndarray, positions: np.ndarray, width: int) -> np.ndarray:
+    """Where the elements ``[rows[:, None], positions]`` of a 2-D array with
+    rows of `width` sit in its row-major flattening, for (M,) rows and
+    (M, m) positions.  A take at them costs about a third of that two-array
+    index on a chunk."""
+    return positions + (rows * width)[:, None]
+
+
 def _run_stage(stage: int, pair: CssPair, alice_bits: np.ndarray, bob_bits: np.ndarray,
                coeffs: np.ndarray, error_injection: Optional[ErrorInjector]):
     """One stage for M trials, from their (M, B*n) bits, one trial per row
@@ -455,7 +474,7 @@ def _run_stage(stage: int, pair: CssPair, alice_bits: np.ndarray, bob_bits: np.n
     m, blocks, n = len(coeffs), coeffs.shape[1], pair.n
     masked, alice_labels = _alice_stage(pair, alice_bits.reshape(-1, n),
                                         coeffs.reshape(-1, pair.outer.k))
-    bob_labels, failed = stage_correct_and_amplify(
+    bob_labels, failed = _bob_stage(
         pair, _inject(error_injection, stage, bob_bits.reshape(-1, n), blocks), masked)
     return (failed.reshape(m, blocks), alice_labels.reshape(m, -1),
             bob_labels.reshape(m, -1), masked.reshape(m, blocks, n))
@@ -684,9 +703,10 @@ def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
 
     flip, eve = attack_arrays(attack, n, raw[:, :uniforms], bits[:, 3])
     kept, check, code = _select(matched, counts, config, parties)
-    draws = dict(bits=bits[:, 0], b=bits[:, 1], bob_bases=bits[:, 2], flip=flip, eve=eve,
-                 coins=bits[:, -1], kept=kept, check=check, code=code, matched=counts,
-                 restarts=restarts)
+    # the prepared bits contiguous, so that their ravel is a view
+    draws = dict(bits=np.ascontiguousarray(bits[:, 0]), b=bits[:, 1], bob_bases=bits[:, 2],
+                 flip=flip, eve=eve, coins=bits[:, -1], kept=kept, check=check, code=code,
+                 matched=counts, restarts=restarts)
     return draws, parties
 
 
@@ -737,8 +757,8 @@ def run_chunk(config: ProtocolConfig, seeds: Iterable[int],
     """
     seeds = list(seeds)
     draws, parties = _draw_quantum(config, attack, seeds)
-    bob_bits = measure_bits(draws["b"], draws["bits"], draws["flip"], draws["eve"],
-                            draws["bob_bases"], draws["coins"])
+    bob_bits = _measure(draws["b"], draws["bits"], draws["flip"], draws["eve"],
+                        draws["bob_bases"], draws["coins"])
     chunk = TrialChunk(config, draws, bob_bits)
     live = (~chunk.aborted).nonzero()[0]
     if live.size:
@@ -871,7 +891,7 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
             raise TranscriptError(
                 "stage-1 blocks and check bits do not partition the kept positions")
         words = parse_bits("".join(blk.masked for blk in blocks)).reshape(-1, pair.n)
-        labels, failed = stage_correct_and_amplify(pair, bits[positions], words)
+        labels, failed = _bob_stage(pair, bits[positions], words)
         bits = labels.reshape(-1)
         failures.append(int(failed.sum()))
     return ReplayResult(format_bits(bits), rate, False, *failures)

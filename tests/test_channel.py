@@ -99,6 +99,22 @@ class TestTransmit:
             for got, want in zip(tamper(attack, 50, seed), reference):
                 assert got.dtype == want.dtype and np.array_equal(got, want), seed
 
+    @pytest.mark.parametrize("p", [0.0, 2.0 ** -53, 0.03, 0.5, 1 - 2.0 ** -53, 1.0])
+    def test_uniforms_below_p_at_the_word_boundary(self, p):
+        # words on both sides of the one that makes p itself, and the
+        # extremes, against the uniforms Generator.random makes of them
+        c = min(math.ceil(p * 2 ** 53), 2 ** 53 - 1)
+        edges = [0, 1, 2 ** 64 - 1] + [max(u, 0) << 11 | low for u in (c - 1, c)
+                                        for low in (0, 2047)]
+        words = np.array([edges], dtype=np.uint64)
+        below = (words >> 11) * 2.0 ** -53 < p
+        bases = np.arange(words.size, dtype=np.uint8)[None] % 2
+        flip, _ = attack_arrays(AttackModel.bitflip(p), words.size, words, bases)
+        assert np.array_equal(flip, below.view(np.uint8))
+        _, eve = attack_arrays(AttackModel.intercept_resend(p), words.size, words, bases)
+        assert eve.dtype == np.int8
+        assert np.array_equal(eve, np.where(below, bases.view(np.int8), -1))
+
     def test_intercept_error_rate_oracle_and_monte_carlo(self):
         assert intercept_error_probability_oracle() == 0.25
         rng = np.random.default_rng(8)

@@ -68,6 +68,28 @@ class TestStatsCommands:
         assert code == 1
         assert "config error" in err
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        ("sigma --r abc --n 5", "--r", "abc"),
+        ("sigma --r 0.1 --n 1_0", "--n", "1_0"),
+        ("sigma --r 0.1 --n -5", "--n", "-5"),
+        ("threshold --r 0.1 --n 100 --z x", "--z", "x"),
+        ("cheat --r 0.1 --n 10 --threshold 0.2.1", "--threshold", "0.2.1"),
+        ("cheat --r 0.1 --n +10 --threshold 0.2 --binomial", "--n", "+10"),
+        ("recursion --T 0.3 --r0 zero --steps 3", "--r0", "zero"),
+        ("recursion --T 0.3 --r0 0.01 --steps 3.0", "--steps", "3.0"),
+    ])
+    def test_bad_number_exit_one(self, capsys, argv, flag, value):
+        code, out, err = run_cli(capsys, "stats", *argv.split())
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"config error: {flag}: bad value for {flag[2:]}: '{value}'")
+
+    def test_bad_sigma_at_exit_one(self, capsys):
+        code, _, err = run_cli(capsys, "stats", "cheat", "--r", "0.1", "--n", "10",
+                               "--threshold", "0.2", "--sigma-at", "bogus")
+        assert code == 1
+        assert err.startswith("config error: sigma_at must be 'threshold' or 'estimate'")
+
 
 class TestRunCommand:
     def test_clean_batch(self, capsys, tmp_path):
@@ -229,6 +251,17 @@ class TestRunCommand:
         # the low threshold aborts some trials and passes others
         aborted = {row["aborted"] for row in csv.DictReader(outputs[0].decode().splitlines())}
         assert aborted == {"0", "1"}
+
+    def test_unknown_attack_exit_one(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("attack = bogus\n")
+        for settings in (["--attack", "bogus"], ["--config", str(cfg)]):
+            out_dir = tmp_path / "x"
+            code, _, err = run_cli(capsys, "run", "--trials", "1", *settings,
+                                   "--out-dir", str(out_dir))
+            assert code == 1
+            assert err.startswith("config error: unknown attack 'bogus'")
+            assert not out_dir.exists()
 
     def test_zero_trials_exit_one(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "run", "--trials", "0", "--out-dir", str(tmp_path / "x"))

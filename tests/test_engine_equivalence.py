@@ -186,13 +186,13 @@ def wide_digest(name, work_dir):
 # name -> (code pair at both stages, attack kind, noise_p, trials, strict_decode)
 CHUNK_CASES = {
     # about 7% of steane trials restart their quantum phase
-    "steane:bitflip": ("steane", "bitflip", 0.04, 200, False),
+    "steane:bitflip": ("steane", "bitflip", 0.04, 400, False),
     # about 98% abort at the check
-    "steane:intercept_resend": ("steane", "intercept_resend", 1.0, 200, False),
+    "steane:intercept_resend": ("steane", "intercept_resend", 1.0, 400, False),
     # golay is perfect, so strict decoding never aborts
     "golay:bitflip:strict": ("golay", "bitflip", 0.04, 40, True),
     # the [7,3,4] simplex code is not: some trials abort at stage 1 or 2
-    "simplex:bitflip:strict": ("simplex-file", "bitflip", 0.04, 200, True),
+    "simplex:bitflip:strict": ("simplex-file", "bitflip", 0.04, 400, True),
 }
 
 # the simplex code over its [7,1,4] subcode spanned by 1010101, as a pair file

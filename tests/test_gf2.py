@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from bb84sim.errors import DimensionError
 from bb84sim.gf2 import (
     format_bits,
+    matmul,
     parse_bits,
     parse_decimal,
     parse_decimals,
@@ -137,6 +138,32 @@ class TestMatVec:
         m = arrays(data.draw, rows, cols)
         a, b = arrays(data.draw, 2, cols)
         assert mat_vec(m, a ^ b).tolist() == (mat_vec(m, a) ^ mat_vec(m, b)).tolist()
+
+
+class TestMatmul:
+    # n = 300 gives entry counts above 255, whose float-to-uint8 cast C
+    # leaves undefined (x86 happens to wrap it, which keeps the parity; a
+    # platform that saturates would not), and 70 or 130 columns span more
+    # than one 64-bit word
+    @pytest.mark.parametrize("rows", [1, 161])
+    @pytest.mark.parametrize("n, cols", [(7, 11), (23, 35), (300, 130), (23, 70)])
+    def test_matches_integer_product(self, rows, n, cols):
+        rng = np.random.default_rng(rows * 1000 + n)
+        a = rng.integers(0, 2, (rows, n), dtype=np.uint8)
+        m = rng.integers(0, 2, (n, cols), dtype=np.uint8)
+        want = (a.astype(np.int64) @ m) % 2
+        for b in (m, m.astype(np.float32)):
+            got = matmul(a, b)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want)
+
+    def test_counts_above_a_byte(self):
+        # every entry counts 300 or 299 ones; a cast saturating at 255 would
+        # make both odd
+        a = np.ones((2, 300), dtype=np.uint8)
+        a[1, 0] = 0
+        m = np.ones((300, 3), dtype=np.float32)
+        assert matmul(a, m).tolist() == [[0, 0, 0], [1, 1, 1]]
 
 
 class TestRowReduce:

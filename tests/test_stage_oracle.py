@@ -165,7 +165,8 @@ def test_injected_flip_outside_block_raises_index_error(stage, flip):
 
 # what the engine decodes and labels with; the oracle must build its own
 ENGINE_NAMES = {"SyndromeTable", "check_label_t", "generator_check_labels",
-                "error_check_labels", "generator_array", "parity_check_t"}
+                "error_check_labels", "generator_array", "parity_check_t", "check_label_f32",
+                "generator_check_labels_f32"}
 
 
 def test_oracle_is_independent_of_the_engine():
