@@ -23,7 +23,7 @@ import numpy as np
 from .channel import AttackModel
 from .codes import load_pair, parse_code, parse_pair
 from .errors import ConfigError, InsufficientSiftAbort, TranscriptError
-from .gf2 import format_bits, parse_bits, parse_decimal, parse_decimals
+from .gf2 import format_bits, parse_bits, parse_decimal, parse_decimals, parse_float
 from .protocol import ProtocolConfig, replay_bob, run_chunk
 from .stats import (
     RecursionModel,
@@ -48,16 +48,17 @@ SUMMARY_COLUMNS = ["trials", "abort_fraction", "mean_check_error", "stddev_check
 # more trials.
 QUBITS_PER_CHUNK = 1 << 15
 
-# a config file's integer settings are ASCII decimal digits (no sign, space
-# or underscore), read as every number in the program's files is
+# a config file's numbers are ASCII digits (no sign, space or underscore),
+# read as every number in the program's files is: the integer settings
+# digits only, the float settings with an optional fraction and exponent
 _CONFIG_KEYS = {
     "seed": parse_decimal,
     "trials": parse_decimal,
     "attack": str,
-    "noise_p": float,
+    "noise_p": parse_float,
     "attack_positions": str,
-    "threshold": float,
-    "delta": float,
+    "threshold": parse_float,
+    "delta": parse_float,
     "stage1_pair": str,
     "stage2_pair": str,
     "out_dir": str,
@@ -98,12 +99,12 @@ def _read_config_file(path: str) -> dict:
 # `stats` reads its numbers as text too, by the same readers as the config
 # file's settings, so that a bad value is a configuration error there as well
 _STATS_FLAGS = {
-    "r": float,
+    "r": parse_float,
     "n": parse_decimal,
-    "z": float,
-    "threshold": float,
-    "T": float,
-    "r0": float,
+    "z": parse_float,
+    "threshold": parse_float,
+    "T": parse_float,
+    "r0": parse_float,
     "steps": parse_decimal,
 }
 

@@ -15,8 +15,9 @@ bits are 0/1 text with character i holding bit i; `format_bits` and
 in those files (positions, block ids, code-file headers) and in the
 `attack_positions` setting are ASCII decimal digits, at most 18 to a
 number so that each fits an int64; `parse_decimal` and `parse_decimals`
-(a comma-separated list) are their one reader.  All indices are
-zero-based.
+(a comma-separated list) are their one reader.  The float settings are
+ASCII digits with an optional fraction and exponent, read by
+`parse_float`.  All indices are zero-based.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import DimensionError
 
 __all__ = ["matmul", "row_reduce", "solve_membership", "format_bits", "parse_bits",
-           "parse_decimal", "parse_decimals"]
+           "parse_decimal", "parse_decimals", "parse_float"]
 
 _BITS = re.compile("[01]*")
 # a number is 1 to 18 ASCII digits: no sign, space or underscore, and nothing
@@ -37,6 +38,9 @@ _BITS = re.compile("[01]*")
 _NUMBER = "[0-9]{1,18}"
 _DECIMAL = re.compile(_NUMBER)
 _DECIMALS = re.compile(f"{_NUMBER}(?:,{_NUMBER})*")
+# a float is digits, then an optional fraction and an optional exponent: no
+# sign, space, underscore, inf or nan
+_FLOAT = re.compile("[0-9]+(?:[.][0-9]+)?(?:[eE][+-]?[0-9]+)?")
 
 
 def format_bits(bits: np.ndarray) -> str:
@@ -81,6 +85,19 @@ def parse_decimals(text: str) -> np.ndarray:
     if _DECIMALS.fullmatch(text) is None:
         raise ValueError(f"bad decimal list {text!r}")
     return np.fromstring(text, dtype=np.int64, sep=",")
+
+
+def parse_float(text: str) -> float:
+    """The float that ASCII digits with an optional fraction and an optional
+    exponent spell, such as ``0.124`` or ``1e-05``.  An exponent past the
+    float range reads as inf, as Python's `float` reads it.
+
+    Raises:
+        ValueError: the text is not such a number.
+    """
+    if _FLOAT.fullmatch(text) is None:
+        raise ValueError(f"bad decimal {text!r}")
+    return float(text)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

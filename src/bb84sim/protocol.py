@@ -66,12 +66,14 @@ labels are GF(2) matrix products over all rows (`gf2.matmul`, in float32
 against float32 copies of the pair's matrices, exact below 2**24 ones a
 sum), and decoding is one syndrome-table lookup per row.  A stage's key is
 the row-major flattening of a trial's labels at that stage.  The objects of
-a trial (transcript, block announcements, sift positions and keys) are
-built only when asked for (`TrialChunk.artifacts`); their bits are 0/1
-strings (`gf2.format_bits`), as transcripts are dumped.  Replay parses
-those strings back to arrays and runs the same check and receiver stage
-functions as a live run, stage by stage on one row, after checking the
-transcript's positions with array passes (see `replay_bob`).  Each protocol
+a trial (outcome, transcript and keys) are built only when asked for
+(`TrialChunk.artifacts`): its transcript's positions are read-only views of
+the trial's rows of the chunk's arrays, one per field and stage, and its
+bits 0/1 strings (`gf2.format_bits`), as transcripts are dumped.  Replay
+indexes with the transcript's position arrays as they are, parses its bit
+strings back to arrays and runs the same check and receiver stage functions
+as a live run, stage by stage on one row, after checking the positions
+with array passes (see `replay_bob`).  Each protocol
 step has this one implementation; the public `stage_correct_and_amplify`
 only adds checks of its inputs.  The tests hold a scalar per-block
 reference.
@@ -97,7 +99,7 @@ from .errors import (
     TranscriptError,
 )
 from .gf2 import format_bits, matmul, parse_bits
-from .transcript import BlockAnnouncement, Transcript
+from .transcript import NO_BLOCKS, StageAnnouncement, Transcript
 
 __all__ = [
     "ProtocolConfig",
@@ -327,15 +329,6 @@ def _alice_stage(pair: CssPair, values: np.ndarray, coeffs: np.ndarray):
     return product[:, :pair.n] ^ values, _labels(pair, product[:, pair.n:])
 
 
-def _announce(stage: int, positions: np.ndarray, masked: np.ndarray):
-    """One BlockAnnouncement per row of (B, n) masked words, given their
-    (B*n,) positions in block order."""
-    n = masked.shape[1]
-    text = format_bits(masked.reshape(-1))
-    return tuple(BlockAnnouncement(stage, i, tuple(pos), text[i * n:(i + 1) * n])
-                 for i, pos in enumerate(positions.reshape(-1, n).tolist()))
-
-
 def _inject(injector: Optional[ErrorInjector], stage: int, words: np.ndarray,
             blocks: int) -> np.ndarray:
     """Apply the test injector's flips to Bob's words, in place: a (T*blocks, n)
@@ -419,9 +412,12 @@ class TrialChunk:
         """Trial i's outcome, transcript and Bob's raw data, as objects."""
         d = self.draws
         aborted = bool(self.aborted[i])
-        stage1, stage2 = [_announce(s, order[rows[i]], masked[rows[i]]) if i in rows else ()
-                          for s, (rows, order, masked) in enumerate(
-                              zip(self.rows, self.orders, self.masked), start=1)]
+        # each stage's positions are a view of the trial's row of its order
+        stage1, stage2 = [
+            StageAnnouncement(order[rows[i]].reshape(masked.shape[1:]),
+                              format_bits(masked[rows[i]].reshape(-1)))
+            if i in rows else NO_BLOCKS
+            for rows, order, masked in zip(self.rows, self.orders, self.masked)]
         if aborted:
             reason = "security" if self.check_failed[i] else "decode_failure"
             alice_key = bob_key = None
@@ -443,8 +439,8 @@ class TrialChunk:
         check = d["check"][i]
         transcript = Transcript(
             b=format_bits(d["b"][i]),
-            kept_positions=tuple(d["kept"][i].tolist()),
-            check_positions=tuple(check.tolist()),
+            kept_positions=d["kept"][i],
+            check_positions=check,
             alice_check_values=format_bits(d["bits"][i][check]),
             bob_check_values=format_bits(self.bob_bits[i][check]),
             stage1_blocks=stage1,
@@ -818,10 +814,14 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     positions were measured in the announced basis, the check positions are
     kept, the stage-1 blocks and the check positions partition the kept
     positions, and each later stage's blocks permute the previous stage's
-    key bits.  Each check is one array pass over the (blocks x n)
+    key bits.  Each check is one array pass over a stage's (blocks x n)
     positions, with `np.bincount` for repeats; only a failed pass is
     followed by a Python scan, which names the first offending position in
     block order.
+
+    Under strict decoding a stage with a failed block ends the replay
+    aborted, as it ends the run (whose transcript announces no later stage),
+    with no decode failures recorded, as in the run's outcome.
 
     Raises:
         TranscriptError: the transcript is inconsistent with the measurement
@@ -833,18 +833,17 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     if bob_bases.shape != (n,) or bob_bits.shape != (n,):
         raise TranscriptError(
             f"measurement record length {bob_bases.shape} does not match transmission {n}")
-    kept = _positions(transcript.kept_positions, "kept")
+    kept = transcript.kept_positions
     i = _first_invalid(kept, n, bob_bases == parse_bits(transcript.b))
     if i is not None:
         p = int(kept[i])
         if not 0 <= p < n:
             raise TranscriptError(f"kept position {p} outside transmission length {n}")
         raise TranscriptError(f"kept position {p} was not measured in the announced basis")
-    if len(transcript.check_positions) != config.check_count:
+    check = transcript.check_positions
+    if len(check) != config.check_count:
         raise TranscriptError(
-            f"{len(transcript.check_positions)} check positions, but the configured "
-            f"code pairs use {config.check_count}")
-    check = _positions(transcript.check_positions, "check")
+            f"{len(check)} check positions, but the configured code pairs use {config.check_count}")
     is_kept = np.zeros(n, dtype=bool)
     is_kept[kept] = True
     i = _first_invalid(check, n, is_kept)
@@ -859,19 +858,18 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     rate = float(rate)
     if abort:
         return ReplayResult(None, rate, True, 0, 0)
-    stages = (transcript.stage1_blocks, transcript.stage2_blocks)
+    stages = list(zip((transcript.stage1_blocks, transcript.stage2_blocks), config.pairs,
+                      config.block_counts))
     # the geometry of every stage first: a transcript of other code pairs
-    # fails here, however its positions look
-    for stage, (blocks, pair, count) in enumerate(
-            zip(stages, config.pairs, config.block_counts), start=1):
-        if len(blocks) != count:
+    # fails here, however its positions look.  Under strict decoding a stage
+    # after the first may be empty, if the one before it fails.
+    for stage, (blocks, pair, count) in enumerate(stages, start=1):
+        if len(blocks) != count and (stage == 1 or len(blocks) or not config.strict_decode):
+            raise _block_count_error(stage, blocks, count)
+        if len(blocks) and blocks.positions.shape[1] != pair.n:
             raise TranscriptError(
-                f"{len(blocks)} stage-{stage} blocks, but the configured code pairs use {count}")
-        for blk in blocks:
-            if len(blk.positions) != pair.n:
-                raise TranscriptError(
-                    f"stage-{stage} block {blk.index} has {len(blk.positions)} bits, "
-                    f"but the configured code pair has n={pair.n}")
+                f"stage-{stage} block 0 has {blocks.positions.shape[1]} bits, "
+                f"but the configured code pair has n={pair.n}")
 
     # stage 1 takes distinct code positions (kept, not check) that cover every
     # code position; a later stage, distinct key-bit indices, which the
@@ -879,33 +877,29 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     is_code = is_kept.copy()
     is_code[check] = False
     bits, failures = bob_bits, []
-    for stage, (blocks, pair) in enumerate(zip(stages, config.pairs), start=1):
-        positions = _positions([blk.positions for blk in blocks], f"stage-{stage} block")
+    for stage, (blocks, pair, count) in enumerate(stages, start=1):
+        if len(blocks) != count:
+            # a strict transcript that stops after a stage with no failure
+            raise _block_count_error(stage, blocks, count)
+        positions = blocks.positions
         i = _first_invalid(positions, bits.size, is_code if stage == 1 else None, distinct=True)
         if i is not None:
             why = ("violates the check/code partition" if stage == 1
                    else f"invalid over {bits.size} key bits")
-            raise TranscriptError(f"stage-{stage} block {blocks[i // pair.n].index} position "
-                                  f"{positions.flat[i]} {why}")
+            raise TranscriptError(
+                f"stage-{stage} block {i // pair.n} position {positions.flat[i]} {why}")
         if stage == 1 and positions.size != np.count_nonzero(is_code):
             raise TranscriptError(
                 "stage-1 blocks and check bits do not partition the kept positions")
-        words = parse_bits("".join(blk.masked for blk in blocks)).reshape(-1, pair.n)
-        labels, failed = _bob_stage(pair, bits[positions], words)
+        labels, failed = _bob_stage(pair, bits[positions],
+                                    parse_bits(blocks.masked).reshape(-1, pair.n))
+        if config.strict_decode and failed.any():
+            return ReplayResult(None, rate, True, 0, 0)
         bits = labels.reshape(-1)
         failures.append(int(failed.sum()))
     return ReplayResult(format_bits(bits), rate, False, *failures)
 
 
-def _positions(values, what: str) -> np.ndarray:
-    """The int64 array of transcript positions `values`.
-
-    Raises:
-        TranscriptError: a position does not fit an int64, which no
-            transmission or key reaches.
-    """
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise TranscriptError(f"a {what} position does not fit an int64") from None
-
+def _block_count_error(stage: int, blocks: StageAnnouncement, count: int) -> TranscriptError:
+    return TranscriptError(
+        f"{len(blocks)} stage-{stage} blocks, but the configured code pairs use {count}")

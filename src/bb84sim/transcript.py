@@ -1,97 +1,161 @@
 """Public classical transcript of one protocol run and its text serialization.
 
 Line format: one record per line, ``TAG field=value ...``; bit strings are
-0/1 text, position lists comma-separated zero-based decimal integers.  The
-bit fields of a transcript are held as that same 0/1 text (`str`),
-character i being bit i, so dumping writes them as they are.  Positions
-and block ids are read by `gf2.parse_decimals` and `gf2.parse_decimal`:
-ASCII digits only, at most 18 to a number, so that every position fits an
-int64.  A position list is checked against one pattern and converted by
-one C call, and the transcript holds its numbers as a tuple of ints.
+0/1 text, position lists comma-separated zero-based decimal integers.
+
+Inside the program a transcript holds its bits as that same 0/1 text
+(`str`), character i being bit i, and its positions as read-only int64
+arrays: the kept and check positions one 1-D array each, and each stage's
+blocks one `StageAnnouncement`, a (blocks x n) array of positions whose
+row is the block id, with one masked string of the blocks' words in
+order.  Text is only the file form: dumping formats each array with one
+`tolist()`, and parsing splits the lines and fields once, joins every
+position list of the transcript (KEEP, CHECKPOS, every BLK ``pos``) and
+reads them with one `gf2.parse_decimals` call, one pattern check and one C
+conversion, then slices the result into the arrays.  Numbers are ASCII
+digits only, at most 18 to a number, so that every position fits an
+int64; a bad list is reported with its own line, as are a block out of
+order and a block whose length differs from its stage's first.
 
 Tags in dump order: B, KEEP, CHECKPOS, ACHK, BCHK, then one BLK1 line per
 first-stage block and one BLK2 line per second-stage block (absent when
-the run aborted at the check).  Round-trips bit-exactly:
+the run aborted before that stage).  Round-trips bit-exactly:
 parse(dump(t)) == t.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NoReturn
+
+import numpy as np
 
 from .errors import TranscriptError
 from .gf2 import parse_decimal, parse_decimals
 
-__all__ = ["BlockAnnouncement", "Transcript", "dump_transcript", "parse_transcript"]
+__all__ = ["NO_BLOCKS", "StageAnnouncement", "Transcript", "dump_transcript", "parse_transcript"]
 
 
-@dataclass(frozen=True)
-class BlockAnnouncement:
-    """One masked-word announcement: the positions the block draws its code
-    bits from (in announced order) and the masked word u+v over them."""
+def _read_only(values, name: str, ndim: int) -> np.ndarray:
+    """`values` as an int64 array of `ndim` dimensions and of its own that
+    cannot be written to (a view, so that a caller's array keeps its flags).
 
-    stage: int
-    index: int
-    positions: tuple[int, ...]
-    masked: str
+    Raises:
+        ValueError: a value does not fit an int64, or the array has other
+            dimensions.
+    """
+    try:
+        array = np.asarray(values, dtype=np.int64).view()
+    except OverflowError:
+        raise ValueError(f"{name} holds a position that does not fit an int64") from None
+    if array.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} dimensions, got shape {array.shape}")
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class StageAnnouncement:
+    """The announcements of one stage's blocks: the (blocks x n) positions
+    each block draws its code bits from, in announced order, one block per
+    row, and the masked words u+v of all blocks, block after block.  A stage
+    with no blocks has (0, 0) positions."""
+
+    positions: np.ndarray = ()
+    masked: str = ""
 
     def __post_init__(self):
-        if self.stage not in (1, 2):
-            raise ValueError(f"stage must be 1 or 2, got {self.stage}")
-        if len(self.positions) != len(self.masked):
+        positions = self.positions
+        if np.ndim(positions) == 1 and not np.size(positions):
+            positions = np.reshape(positions, (0, 0))
+        positions = _read_only(positions, "positions", 2)
+        if len(self.masked) != positions.size:
             raise ValueError(
-                f"masked word length {len(self.masked)} != position count {len(self.positions)}")
+                f"masked word length {len(self.masked)} != position count {positions.size}")
+        object.__setattr__(self, "positions", positions)
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def __eq__(self, other):
+        if not isinstance(other, StageAnnouncement):
+            return NotImplemented
+        return self.masked == other.masked and np.array_equal(self.positions, other.positions)
 
 
-@dataclass(frozen=True)
+# the announcements of a stage with no blocks, the stages a run did not reach
+NO_BLOCKS = StageAnnouncement()
+
+
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    """Everything publicly announced in one run, in announcement order."""
+    """Everything publicly announced in one run, in announcement order.
+
+    Positions given as any sequence of ints are stored as read-only int64
+    arrays."""
 
     b: str
-    kept_positions: tuple[int, ...]
-    check_positions: tuple[int, ...]
+    kept_positions: np.ndarray
+    check_positions: np.ndarray
     alice_check_values: str
     bob_check_values: str
-    stage1_blocks: tuple[BlockAnnouncement, ...] = ()
-    stage2_blocks: tuple[BlockAnnouncement, ...] = ()
+    stage1_blocks: StageAnnouncement = field(default_factory=lambda: NO_BLOCKS)
+    stage2_blocks: StageAnnouncement = field(default_factory=lambda: NO_BLOCKS)
 
     def __post_init__(self):
+        object.__setattr__(self, "kept_positions",
+                           _read_only(self.kept_positions, "kept_positions", 1))
+        object.__setattr__(self, "check_positions",
+                           _read_only(self.check_positions, "check_positions", 1))
         if len(self.check_positions) != len(self.alice_check_values):
             raise ValueError("check positions and alice check values differ in length")
         if len(self.alice_check_values) != len(self.bob_check_values):
             raise ValueError("check value strings differ in length")
 
-    def code_positions(self) -> tuple[int, ...]:
+    def __eq__(self, other):
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return ((self.b, self.alice_check_values, self.bob_check_values,
+                 self.stage1_blocks, self.stage2_blocks)
+                == (other.b, other.alice_check_values, other.bob_check_values,
+                    other.stage1_blocks, other.stage2_blocks)
+                and np.array_equal(self.kept_positions, other.kept_positions)
+                and np.array_equal(self.check_positions, other.check_positions))
+
+    def code_positions(self) -> np.ndarray:
         """Kept positions that are not check positions, ascending."""
-        check = set(self.check_positions)
-        return tuple(p for p in self.kept_positions if p not in check)
+        return self.kept_positions[~np.isin(self.kept_positions, self.check_positions)]
 
 
-def _positions_str(positions) -> str:
-    return ",".join(map(str, positions))
+def _positions_str(positions: list) -> str:
+    # the repr of a list of ints without its brackets and spaces, which
+    # takes about a quarter less time than joining the str of each
+    return repr(positions)[1:-1].replace(" ", "")
 
 
 def dump_transcript(t: Transcript) -> str:
     lines = [
         f"B bits={t.b}",
-        f"KEEP pos={_positions_str(t.kept_positions)}",
-        f"CHECKPOS pos={_positions_str(t.check_positions)}",
+        f"KEEP pos={_positions_str(t.kept_positions.tolist())}",
+        f"CHECKPOS pos={_positions_str(t.check_positions.tolist())}",
         f"ACHK bits={t.alice_check_values}",
         f"BCHK bits={t.bob_check_values}",
     ]
-    for blk in t.stage1_blocks + t.stage2_blocks:
-        tag = f"BLK{blk.stage}"
-        lines.append(f"{tag} id={blk.index} pos={_positions_str(blk.positions)} masked={blk.masked}")
+    for tag, stage in (("BLK1", t.stage1_blocks), ("BLK2", t.stage2_blocks)):
+        n = stage.positions.shape[1]
+        for i, row in enumerate(stage.positions.tolist()):
+            lines.append(f"{tag} id={i} pos={_positions_str(row)} "
+                         f"masked={stage.masked[i * n:(i + 1) * n]}")
     return "\n".join(lines) + "\n"
 
 
 def _parse_fields(body: str, line_no: int) -> dict[str, str]:
     fields = {}
     for part in body.split():
-        if "=" not in part:
+        key, equals, value = part.partition("=")
+        if not equals:
             raise TranscriptError(f"malformed field {part!r}", line=line_no)
-        key, value = part.split("=", 1)
         if key in fields:
             raise TranscriptError(f"duplicate field {key!r}", line=line_no)
         fields[key] = value
@@ -99,26 +163,42 @@ def _parse_fields(body: str, line_no: int) -> dict[str, str]:
 
 
 _BITS = re.compile("[01]*")
-
-
-def _parse_bits(value: str, line_no: int) -> str:
-    if _BITS.fullmatch(value) is None:
-        raise TranscriptError(f"bit string {value!r} has characters outside 0/1", line=line_no)
-    return value
-
-
-def _parse_positions(value: str, line_no: int) -> tuple[int, ...]:
-    try:
-        return tuple(parse_decimals(value).tolist())
-    except ValueError:
-        raise TranscriptError(f"bad position list {value!r}", line=line_no) from None
-
-
 _HEADER_TAGS = ("B", "KEEP", "CHECKPOS", "ACHK", "BCHK")
+_BLOCK_TAGS = {"BLK1": 0, "BLK2": 1}
+_BLOCK_FIELDS = ("id", "pos", "masked")
+
+
+def _count(positions: str) -> int:
+    """The numbers a position list holds, if it is well formed."""
+    return positions.count(",") + 1 if positions else 0
+
+
+def _read_positions(lists: list[tuple[str, int]]) -> np.ndarray:
+    """The numbers of every (position list, line number) of `lists`, in
+    order, from one `parse_decimals` call over the lists joined.  Joining
+    keeps a bad list bad, so only a failed call scans the lists one by one.
+
+    Raises:
+        TranscriptError: naming the first bad list and its line.
+    """
+    try:
+        return parse_decimals(",".join(value for value, _ in lists if value))
+    except ValueError:
+        for value, line_no in lists:
+            try:
+                parse_decimals(value)
+            except ValueError:
+                raise TranscriptError(f"bad position list {value!r}", line=line_no) from None
+        raise
 
 
 def parse_transcript(text: str) -> Transcript:
     """Parse a dumped transcript.
+
+    The checks run in line order, and the first failure is the one
+    reported.  The position lists are read together at the end, so a check
+    that fails reads the lists before it first and reports a bad one
+    instead.
 
     Raises:
         TranscriptError: with the offending line number; a truncated file
@@ -132,61 +212,88 @@ def parse_transcript(text: str) -> Transcript:
         tag, _, body = line.partition(" ")
         records.append((line_no, tag, _parse_fields(body, line_no)))
 
-    header: dict[str, tuple[int, dict[str, str]]] = {}
-    idx = 0
-    for expected in _HEADER_TAGS:
+    for idx, expected in enumerate(_HEADER_TAGS):
         if idx >= len(records) or records[idx][1] != expected:
             found = records[idx][1] if idx < len(records) else "end of file"
             line = records[idx][0] if idx < len(records) else len(text.splitlines()) + 1
             raise TranscriptError(f"missing tag {expected} (found {found})", line=line)
-        header[expected] = (records[idx][0], records[idx][2])
-        idx += 1
+    header = {tag: (line_no, fields) for line_no, tag, fields in records[:len(_HEADER_TAGS)]}
 
-    def field(tag: str, key: str) -> tuple[str, int]:
+    # every position list met so far, with its line
+    lists: list[tuple[str, int]] = []
+
+    def fail(message: str, line_no: int) -> NoReturn:
+        _read_positions(lists)
+        raise TranscriptError(message, line=line_no) from None
+
+    def header_field(tag: str, key: str) -> str:
         line_no, fields = header[tag]
         if key not in fields:
-            raise TranscriptError(f"tag {tag} is missing field {key!r}", line=line_no)
-        return fields[key], line_no
+            fail(f"tag {tag} is missing field {key!r}", line_no)
+        value = fields[key]
+        if key == "pos":
+            lists.append((value, line_no))
+        elif _BITS.fullmatch(value) is None:
+            fail(f"bit string {value!r} has characters outside 0/1", line_no)
+        return value
 
-    b = _parse_bits(*field("B", "bits"))
-    kept = _parse_positions(*field("KEEP", "pos"))
-    checkpos = _parse_positions(*field("CHECKPOS", "pos"))
-    achk = _parse_bits(*field("ACHK", "bits"))
-    bchk = _parse_bits(*field("BCHK", "bits"))
+    b = header_field("B", "bits")
+    kept = header_field("KEEP", "pos")
+    check = header_field("CHECKPOS", "pos")
+    achk = header_field("ACHK", "bits")
+    bchk = header_field("BCHK", "bits")
 
-    blocks: dict[int, list[BlockAnnouncement]] = {1: [], 2: []}
-    for line_no, tag, fields in records[idx:]:
-        if tag not in ("BLK1", "BLK2"):
-            raise TranscriptError(f"unexpected tag {tag}", line=line_no)
-        stage = int(tag[3])
-        if stage == 1 and blocks[2]:
-            raise TranscriptError("BLK1 after BLK2", line=line_no)
-        for key in ("id", "pos", "masked"):
-            if key not in fields:
-                raise TranscriptError(f"tag {tag} is missing field {key!r}", line=line_no)
-        try:
-            block_id = parse_decimal(fields["id"])
-        except ValueError:
-            raise TranscriptError(f"bad block id {fields['id']!r}", line=line_no) from None
-        if block_id != len(blocks[stage]):
-            raise TranscriptError(
-                f"block id {block_id} out of order (expected {len(blocks[stage])})", line=line_no)
-        positions = _parse_positions(fields["pos"], line_no)
-        masked = _parse_bits(fields["masked"], line_no)
-        if len(positions) != len(masked):
-            raise TranscriptError(
-                f"masked length {len(masked)} != position count {len(positions)}", line=line_no)
-        blocks[stage].append(BlockAnnouncement(stage, block_id, positions, masked))
+    # per stage, the masked words of its blocks and their common length
+    masked: tuple[list[str], list[str]] = ([], [])
+    widths = [0, 0]
+    for line_no, tag, fields in records[len(_HEADER_TAGS):]:
+        stage = _BLOCK_TAGS.get(tag)
+        if stage is None:
+            fail(f"unexpected tag {tag}", line_no)
+        if stage == 0 and masked[1]:
+            fail("BLK1 after BLK2", line_no)
+        if not ("id" in fields and "pos" in fields and "masked" in fields):
+            key = next(key for key in _BLOCK_FIELDS if key not in fields)
+            fail(f"tag {tag} is missing field {key!r}", line_no)
+        words = masked[stage]
+        if fields["id"] != str(len(words)):  # "007" is block 7 too
+            try:
+                block_id = parse_decimal(fields["id"])
+            except ValueError:
+                fail(f"bad block id {fields['id']!r}", line_no)
+            if block_id != len(words):
+                fail(f"block id {block_id} out of order (expected {len(words)})", line_no)
+        positions, word = fields["pos"], fields["masked"]
+        lists.append((positions, line_no))
+        count = _count(positions)
+        if _BITS.fullmatch(word) is None:
+            fail(f"bit string {word!r} has characters outside 0/1", line_no)
+        if len(word) != count:
+            fail(f"masked length {len(word)} != position count {count}", line_no)
+        if words and count != widths[stage]:
+            fail(f"stage-{stage + 1} block {len(words)} has {count} positions, but block 0 "
+                 f"has {widths[stage]}", line_no)
+        widths[stage] = count
+        words.append(word)
 
+    # the numbers of KEEP, CHECKPOS, then each stage's blocks, in turn
+    numbers = _read_positions(lists)
+    start, end = _count(kept), _count(kept) + _count(check)
+    kept, check = numbers[:start], numbers[start:end]
+    stages = []
+    for words, n in zip(masked, widths):
+        start, end = end, end + len(words) * n
+        stages.append(StageAnnouncement(numbers[start:end].reshape(len(words), n), "".join(words))
+                      if words else NO_BLOCKS)
     try:
         return Transcript(
             b=b,
             kept_positions=kept,
-            check_positions=checkpos,
+            check_positions=check,
             alice_check_values=achk,
             bob_check_values=bchk,
-            stage1_blocks=tuple(blocks[1]),
-            stage2_blocks=tuple(blocks[2]),
+            stage1_blocks=stages[0],
+            stage2_blocks=stages[1],
         )
     except ValueError as exc:
         raise TranscriptError(str(exc)) from exc

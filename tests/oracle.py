@@ -18,14 +18,29 @@ channel streams: three uint8 `integers` party draws, the channel's
 two `choice` draws of sifting.  The protocol derives the same values from
 one word draw per generator per attempt; `test_draws.py` checks that every
 value, and the state each party generator is left in, agree.
+
+`parse_transcript_reference` is the transcript parser as it was when a
+transcript held its positions as tuples of ints and its blocks as one
+object each: every position list read on its own, one line after another.
+`test_transcript.py` checks that the parser accepts and rejects the same
+texts as it does, with the same messages and the same content.
 """
 
 import functools
 import itertools
+import re
+from typing import NamedTuple
 
 import numpy as np
 
-from bb84sim.errors import ConfigError, DimensionError, InsufficientSiftAbort, NotInCodeError
+from bb84sim.errors import (
+    ConfigError,
+    DimensionError,
+    InsufficientSiftAbort,
+    NotInCodeError,
+    TranscriptError,
+)
+from bb84sim.gf2 import parse_decimal, parse_decimals
 
 
 class DecodeFailure(Exception):
@@ -271,3 +286,123 @@ def draw_quantum_reference(config, attack, seed: int):
     draws = dict(bits=bits, b=b, bob_bases=bob_bases, flip=flip, eve=eve, coins=coins,
                  kept=kept, check=check, code=code, matched=matched.size, restarts=restarts)
     return draws, party
+
+
+class ReferenceBlock(NamedTuple):
+    """One block line as the reference parser reads it."""
+
+    stage: int
+    index: int
+    positions: tuple
+    masked: str
+    line: int
+
+
+class ReferenceTranscript(NamedTuple):
+    b: str
+    kept_positions: tuple
+    check_positions: tuple
+    alice_check_values: str
+    bob_check_values: str
+    stage1_blocks: tuple
+    stage2_blocks: tuple
+
+
+_REFERENCE_BITS = re.compile("[01]*")
+_REFERENCE_HEADER_TAGS = ("B", "KEEP", "CHECKPOS", "ACHK", "BCHK")
+
+
+def _reference_fields(body: str, line_no: int) -> dict:
+    fields = {}
+    for part in body.split():
+        if "=" not in part:
+            raise TranscriptError(f"malformed field {part!r}", line=line_no)
+        key, value = part.split("=", 1)
+        if key in fields:
+            raise TranscriptError(f"duplicate field {key!r}", line=line_no)
+        fields[key] = value
+    return fields
+
+
+def _reference_bits(value: str, line_no: int) -> str:
+    if _REFERENCE_BITS.fullmatch(value) is None:
+        raise TranscriptError(f"bit string {value!r} has characters outside 0/1", line=line_no)
+    return value
+
+
+def _reference_positions(value: str, line_no: int) -> tuple:
+    try:
+        return tuple(parse_decimals(value).tolist())
+    except ValueError:
+        raise TranscriptError(f"bad position list {value!r}", line=line_no) from None
+
+
+def parse_transcript_reference(text: str, accepted: list = None) -> ReferenceTranscript:
+    """Parse a dumped transcript one line and one list at a time; each block
+    line read in full is appended to `accepted` (if given) as a
+    ReferenceBlock, so a caller sees the blocks read before an error.
+
+    Raises:
+        TranscriptError: with the offending line number, as the parser does.
+    """
+    accepted = [] if accepted is None else accepted
+    records = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tag, _, body = line.partition(" ")
+        records.append((line_no, tag, _reference_fields(body, line_no)))
+
+    header = {}
+    idx = 0
+    for expected in _REFERENCE_HEADER_TAGS:
+        if idx >= len(records) or records[idx][1] != expected:
+            found = records[idx][1] if idx < len(records) else "end of file"
+            line = records[idx][0] if idx < len(records) else len(text.splitlines()) + 1
+            raise TranscriptError(f"missing tag {expected} (found {found})", line=line)
+        header[expected] = (records[idx][0], records[idx][2])
+        idx += 1
+
+    def field(tag, key):
+        line_no, fields = header[tag]
+        if key not in fields:
+            raise TranscriptError(f"tag {tag} is missing field {key!r}", line=line_no)
+        return fields[key], line_no
+
+    b = _reference_bits(*field("B", "bits"))
+    kept = _reference_positions(*field("KEEP", "pos"))
+    checkpos = _reference_positions(*field("CHECKPOS", "pos"))
+    achk = _reference_bits(*field("ACHK", "bits"))
+    bchk = _reference_bits(*field("BCHK", "bits"))
+
+    blocks = {1: [], 2: []}
+    for line_no, tag, fields in records[idx:]:
+        if tag not in ("BLK1", "BLK2"):
+            raise TranscriptError(f"unexpected tag {tag}", line=line_no)
+        stage = int(tag[3])
+        if stage == 1 and blocks[2]:
+            raise TranscriptError("BLK1 after BLK2", line=line_no)
+        for key in ("id", "pos", "masked"):
+            if key not in fields:
+                raise TranscriptError(f"tag {tag} is missing field {key!r}", line=line_no)
+        try:
+            block_id = parse_decimal(fields["id"])
+        except ValueError:
+            raise TranscriptError(f"bad block id {fields['id']!r}", line=line_no) from None
+        if block_id != len(blocks[stage]):
+            raise TranscriptError(
+                f"block id {block_id} out of order (expected {len(blocks[stage])})", line=line_no)
+        positions = _reference_positions(fields["pos"], line_no)
+        masked = _reference_bits(fields["masked"], line_no)
+        if len(positions) != len(masked):
+            raise TranscriptError(
+                f"masked length {len(masked)} != position count {len(positions)}", line=line_no)
+        blocks[stage].append(ReferenceBlock(stage, block_id, positions, masked, line_no))
+        accepted.append(blocks[stage][-1])
+
+    if len(checkpos) != len(achk):
+        raise TranscriptError("check positions and alice check values differ in length")
+    if len(achk) != len(bchk):
+        raise TranscriptError("check value strings differ in length")
+    return ReferenceTranscript(b, kept, checkpos, achk, bchk, tuple(blocks[1]), tuple(blocks[2]))

@@ -252,7 +252,7 @@ def test_09_randomness_necessity():
     # each of the first two stage-1 blocks: all errors land in code bits
     clean = run_protocol_full(hooked)
     blocks = clean.transcript.stage1_blocks
-    target = blocks[0].positions[:2] + blocks[1].positions[:2]
+    target = blocks.positions[:2, :2].ravel()
     attack = AttackModel.correlated_positions(target, 1.0)
     outcome, _ = run_protocol(hooked, attack)
     scenario_ok = (outcome.observed_check_error_rate == 0.0

@@ -70,6 +70,10 @@ class TestStatsCommands:
 
     @pytest.mark.parametrize("argv, flag, value", [
         ("sigma --r abc --n 5", "--r", "abc"),
+        ("sigma --r 0_1 --n 5", "--r", "0_1"),
+        ("sigma --r nan --n 5", "--r", "nan"),
+        ("threshold --r 0.1 --n 100 --z inf", "--z", "inf"),
+        ("recursion --T 0.3 --r0 1e-2_0 --steps 3", "--r0", "1e-2_0"),
         ("sigma --r 0.1 --n 1_0", "--n", "1_0"),
         ("sigma --r 0.1 --n -5", "--n", "-5"),
         ("threshold --r 0.1 --n 100 --z x", "--z", "x"),
@@ -89,6 +93,11 @@ class TestStatsCommands:
                                "--threshold", "0.2", "--sigma-at", "bogus")
         assert code == 1
         assert err.startswith("config error: sigma_at must be 'threshold' or 'estimate'")
+
+
+# float text Python's float() reads but a float setting must not
+BAD_FLOATS = ["0_2", "-0.2", "+0.2", "0. 2", "inf", "nan", "Infinity", ".2", "2.", "1e",
+              "0x1", "\u0660.2", "0.2f"]
 
 
 class TestRunCommand:
@@ -149,6 +158,28 @@ class TestRunCommand:
         mean = float(summary["mean_check_error"])
         tol = 3 * math.sqrt(0.10 * 0.90 / 49) / math.sqrt(trials)
         assert abs(mean - 0.10) < tol
+
+    @pytest.mark.parametrize("attack, noise_p", [("none", "0"), ("bitflip", "0.03"),
+                                                 ("intercept_resend", "0.3")])
+    @pytest.mark.parametrize("stack", ["steane/steane", "steane/golay", "golay/steane",
+                                       "golay/golay"])
+    def test_every_dumped_transcript_replays(self, capsys, tmp_path, stack, attack, noise_p):
+        stage1, stage2 = stack.split("/")
+        pairs = ["--stage1-pair", stage1, "--stage2-pair", stage2]
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "run", "--trials", "4", "--seed", "3", "--attack", attack,
+                             "--noise-p", noise_p, *pairs, "--out-dir", str(out_dir),
+                             "--dump-transcripts")
+        assert code == 0
+        tdir = out_dir / "transcripts"
+        for i in range(4):
+            stem = tdir / f"trial_{i:05d}"
+            key = stem.with_suffix(".bob").read_text().splitlines()[2].split(" ")[1]
+            code, out, _ = run_cli(capsys, "replay", str(stem.with_suffix(".transcript")),
+                                   str(stem.with_suffix(".bob")), *pairs)
+            assert code == 0
+            assert out.splitlines()[1:] == [f"recomputed_key={key}", f"recorded_key={key}",
+                                            "MATCH"], f"trial {i}"
 
     def test_transcript_dump_and_replay(self, capsys, tmp_path):
         out_dir = tmp_path / "out"
@@ -220,10 +251,42 @@ class TestRunCommand:
         assert not out_dir.exists()
 
     def test_infinite_delta_exit_one(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "run", "--trials", "1", "--delta", "inf",
+        # "inf" is not a decimal (see test_floats_are_decimals); an exponent
+        # past the float range spells infinity in digits
+        code, _, err = run_cli(capsys, "run", "--trials", "1", "--delta", "1e999",
                                "--out-dir", str(tmp_path / "x"))
         assert code == 1
         assert err.startswith("config error: delta must be positive and finite")
+
+    @pytest.mark.parametrize("value", BAD_FLOATS)
+    @pytest.mark.parametrize("where", ["file", "flag"])
+    def test_floats_are_decimals(self, capsys, tmp_path, where, value):
+        out_dir = tmp_path / "x"
+        if where == "file":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"attack = bitflip\ndelta = {value}\n")
+            code, _, err = run_cli(capsys, "run", "--trials", "1", "--config", str(cfg),
+                                   "--out-dir", str(out_dir))
+            source = f"{cfg}:2"
+        else:
+            code, _, err = run_cli(capsys, "run", "--trials", "1", f"--delta={value}",
+                                   "--out-dir", str(out_dir))
+            source = "--delta"
+        assert code == 1
+        assert err.startswith(f"config error: {source}: bad value for delta: {value!r}")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["2e-1", "0.02E1", "0.2e+0", "00.20"])
+    def test_float_spellings_read_alike(self, capsys, tmp_path, value):
+        outputs = []
+        for spelling in ("0.2", value):
+            out_dir = tmp_path / spelling
+            code, _, _ = run_cli(capsys, "run", "--trials", "2", "--attack", "bitflip",
+                                 "--noise-p", "0.05", f"--delta={spelling}",
+                                 "--out-dir", str(out_dir))
+            assert code == 0
+            outputs.append((out_dir / "trials.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("flag", ["--threshold", "--delta", "--noise-p"])
     def test_float_flag_bad_value_exit_one(self, capsys, tmp_path, flag):

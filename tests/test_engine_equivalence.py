@@ -41,7 +41,7 @@ from bb84sim.protocol import (
     run_chunk,
     run_protocol_full,
 )
-from bb84sim.transcript import dump_transcript
+from bb84sim.transcript import dump_transcript, parse_transcript
 from oracle import one_error_per_block
 
 DIGESTS_PATH = Path(__file__).resolve().parent / "engine_digests.json"
@@ -326,6 +326,27 @@ def test_chunk_aborting_at_every_step_equals_single_trials():
         assert _artifact_parts(art) == _artifact_parts(single), f"trial {i}"
     assert steps == {("security", False, False), ("decode_failure", True, False),
                      ("decode_failure", True, True), (None, True, True)}
+
+
+def test_strict_replays_equal_live_outcomes():
+    # the sweep above, replayed from each trial's dumped transcript: a trial
+    # that aborts on a failed block at stage 1 or 2 announces no later stage,
+    # and its replay ends aborted there, with the outcome the run records
+    config = ProtocolConfig(simplex_pair(), simplex_pair(), abort_threshold=0.124, delta=0.1,
+                            strict_decode=True)
+    chunk = run_chunk(config, range(100, 300), AttackModel.bitflip(0.1))
+    reasons = []
+    for i in range(200):
+        art = chunk.artifacts(i)
+        o = art.outcome
+        r = replay_bob(parse_transcript(dump_transcript(art.transcript)), art.bob_bases,
+                       art.bob_bits, config)
+        assert (r.key, r.check_error_rate, r.aborted, r.stage1_decode_failures,
+                r.stage2_decode_failures) == (o.bob_final_key, o.observed_check_error_rate,
+                                              o.aborted, o.stage1_decode_failures,
+                                              o.stage2_decode_failures), f"trial {i}"
+        reasons.append(o.abort_reason)
+    assert reasons.count("decode_failure") == 102
 
 
 def test_chunk_injects_per_trial_block_indices():

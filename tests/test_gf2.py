@@ -11,6 +11,7 @@ from bb84sim.gf2 import (
     parse_bits,
     parse_decimal,
     parse_decimals,
+    parse_float,
     row_reduce,
     solve_membership,
 )
@@ -104,6 +105,19 @@ class TestDecimals:
     def test_rejects_what_is_not_a_list(self, text):
         with pytest.raises(ValueError, match="bad decimal list"):
             parse_decimals(text)
+
+    @pytest.mark.parametrize("text, value", [("0", 0.0), ("0.124", 0.124), ("007.50", 7.5),
+                                             ("1e-05", 1e-05), ("25E+1", 250.0),
+                                             ("3e0", 3.0), ("1e999", float("inf"))])
+    def test_floats(self, text, value):
+        assert parse_float(text) == value
+
+    @pytest.mark.parametrize("text", ["", "-1", "+1", "1_0", " 1", "1 ", ".5", "5.", "1e",
+                                      "1e+", "1.e5", "inf", "nan", "Infinity", "0x1p3",
+                                      "\u0663.5", "1.5.2", "1,5"])
+    def test_rejects_what_is_not_a_float(self, text):
+        with pytest.raises(ValueError, match="bad decimal"):
+            parse_float(text)
 
 class TestMatVec:
     def test_identity(self):

@@ -23,7 +23,7 @@ from bb84sim.protocol import (
     run_protocol_full,
     stage_correct_and_amplify,
 )
-from bb84sim.transcript import BlockAnnouncement
+from bb84sim.transcript import StageAnnouncement
 from oracle import coset_label, one_error_per_block, random_codeword
 
 STEANE = builtin_pair("steane")
@@ -279,7 +279,7 @@ class TestRunProtocol:
             _, transcript = run_protocol(steane_config(rng_seed=seed))
             kept = set(transcript.kept_positions)
             check = set(transcript.check_positions)
-            block_positions = [p for blk in transcript.stage1_blocks for p in blk.positions]
+            block_positions = transcript.stage1_blocks.positions.ravel().tolist()
             assert len(block_positions) == len(set(block_positions))
             assert check | set(block_positions) == kept
             assert not check & set(block_positions)
@@ -337,9 +337,8 @@ class TestRunProtocol:
         assert not outcome.aborted
         assert outcome.keys_equal
         assert len(outcome.alice_final_key) == 1
-        assert len(transcript.stage1_blocks) == 23
-        assert all(len(b.positions) == 7 for b in transcript.stage1_blocks)
-        assert len(transcript.stage2_blocks[0].positions) == 23
+        assert transcript.stage1_blocks.positions.shape == (23, 7)
+        assert transcript.stage2_blocks.positions.shape == (1, 23)
 
 
 class TestFixedAssignmentHook:
@@ -347,12 +346,12 @@ class TestFixedAssignmentHook:
         cfg = steane_config(random_assignment=False, rng_seed=4)
         art = run_protocol_full(cfg)
         matched = np.flatnonzero(art.bob_bases == parse_bits(art.transcript.b))
-        kept = np.asarray(art.transcript.kept_positions)
+        kept = art.transcript.kept_positions
         assert np.array_equal(kept, matched[:98])
-        assert art.transcript.check_positions == tuple(int(p) for p in kept[:49])
+        assert np.array_equal(art.transcript.check_positions, kept[:49])
         code = art.transcript.code_positions()
-        blocks = [p for blk in art.transcript.stage1_blocks for p in blk.positions]
-        assert blocks == list(code)  # consecutive chunks, ascending
+        blocks = art.transcript.stage1_blocks.positions.ravel()
+        assert np.array_equal(blocks, code)  # consecutive chunks, ascending
 
     def test_attack_on_check_positions_only_never_touches_code(self):
         # aim a certain flip at every eventual check position: the check
@@ -361,7 +360,7 @@ class TestFixedAssignmentHook:
         clean = run_protocol_full(cfg)
         attack = AttackModel.correlated_positions(clean.transcript.check_positions, 1.0)
         outcome, transcript = run_protocol(cfg, attack)
-        assert transcript.check_positions == clean.transcript.check_positions
+        assert np.array_equal(transcript.check_positions, clean.transcript.check_positions)
         assert outcome.observed_check_error_rate == 1.0
         assert not outcome.aborted  # threshold 1.0 tolerates anything
         assert outcome.keys_equal
@@ -374,7 +373,7 @@ class TestFixedAssignmentHook:
         cfg = steane_config(random_assignment=False, rng_seed=12)
         clean = run_protocol_full(cfg)
         blocks = clean.transcript.stage1_blocks
-        target = blocks[0].positions[:2] + blocks[1].positions[:2]
+        target = blocks.positions[:2, :2].ravel()
         attack = AttackModel.correlated_positions(target, 1.0)
         outcome, _ = run_protocol(cfg, attack)
         assert outcome.observed_check_error_rate == 0.0
@@ -412,9 +411,11 @@ class TestReplay:
             replay_bob(art.transcript, art.bob_bases[:-1], art.bob_bits[:-1], cfg)
 
 
-def _shortened(blk):
-    # the same block announcement with its last position dropped
-    return BlockAnnouncement(blk.stage, blk.index, blk.positions[:-1], blk.masked[:-1])
+def _shortened(blocks):
+    # the same stage's announcements with the last position of each block dropped
+    n = blocks.positions.shape[1]
+    masked = "".join(blocks.masked[i:i + n - 1] for i in range(0, len(blocks.masked), n))
+    return StageAnnouncement(blocks.positions[:, :-1], masked)
 
 
 class TestReplayGeometry:
@@ -456,13 +457,24 @@ class TestReplayGeometry:
         with pytest.raises(TranscriptError, match="1 stage-2 blocks.* use 4"):
             replay_bob(art.transcript, art.bob_bases, art.bob_bits, wide)
 
+    def test_strict_transcript_stopping_after_a_clean_stage(self):
+        # under strict decoding only a stage with a failed block ends the
+        # announcements; steane decodes every block, so stage 2 must follow
+        cfg = steane_config(rng_seed=31, strict_decode=True)
+        art = run_protocol_full(cfg)
+        cut = replace(art.transcript, stage2_blocks=StageAnnouncement())
+        with pytest.raises(TranscriptError, match="0 stage-2 blocks.* use 1"):
+            replay_bob(cut, art.bob_bases, art.bob_bits, cfg)
+        with pytest.raises(TranscriptError, match="0 stage-2 blocks.* use 1"):
+            replay_bob(cut, art.bob_bases, art.bob_bits, replace(cfg, strict_decode=False))
+
     @pytest.mark.parametrize("stage", [1, 2])
     def test_block_length(self, stage):
         cfg = steane_config(rng_seed=31)
         art = run_protocol_full(cfg)
         field = f"stage{stage}_blocks"
         blocks = getattr(art.transcript, field)
-        short = replace(art.transcript, **{field: (_shortened(blocks[0]),) + blocks[1:]})
+        short = replace(art.transcript, **{field: _shortened(blocks)})
         with pytest.raises(TranscriptError, match=f"stage-{stage} block 0 has 6 bits.* n=7"):
             replay_bob(short, art.bob_bases, art.bob_bits, cfg)
 
@@ -481,7 +493,7 @@ class TestReplayPositions:
 
     def test_check_position_outside_transmission(self):
         t = self.art.transcript
-        bad = replace(t, check_positions=t.check_positions[:-1] + (9999,))
+        bad = replace(t, check_positions=np.append(t.check_positions[:-1], 9999))
         with pytest.raises(TranscriptError,
                            match="check position 9999 outside transmission length 215"):
             self.replay(bad)
@@ -489,7 +501,7 @@ class TestReplayPositions:
     def test_check_position_not_kept(self):
         t = self.art.transcript
         unkept = min(set(range(215)) - set(t.kept_positions))
-        bad = replace(t, check_positions=(unkept,) + t.check_positions[1:])
+        bad = replace(t, check_positions=np.append(unkept, t.check_positions[1:]))
         with pytest.raises(TranscriptError, match=f"check position {unkept} is not a kept"):
             self.replay(bad)
 
@@ -504,32 +516,35 @@ class TestReplayPositions:
         t = self.art.transcript
         bases = self.art.bob_bases.copy()
         bases[t.kept_positions[9]] ^= 1
-        bad = replace(t, kept_positions=t.kept_positions[:5] + (215,) + t.kept_positions[6:])
+        kept = t.kept_positions.copy()
+        kept[5] = 215
+        bad = replace(t, kept_positions=kept)
         with pytest.raises(TranscriptError, match="kept position 215 outside transmission"):
             self.replay(bad, bases)
 
     @pytest.mark.parametrize("field", ["kept", "check", "stage-1 block", "stage-2 block"])
     @pytest.mark.parametrize("p", [2**63, 10**30, -2**63 - 1])
     def test_position_beyond_int64(self, field, p):
-        # a hand-built transcript can hold any int; parsed ones hold at most 18 digits
+        # a hand-built transcript can be given any int, and one that does not
+        # fit an int64 is refused where the transcript is built, before any
+        # replay; parsed ones hold at most 18 digits
         t = self.art.transcript
         if field in ("kept", "check"):
             name = f"{field}_positions"
-            bad = replace(t, **{name: (p,) + getattr(t, name)[1:]})
+            with pytest.raises(ValueError, match=f"{name} holds a position that does not fit"):
+                replace(t, **{name: [p] + getattr(t, name)[1:].tolist()})
         else:
-            stage = int(field[6])
-            blocks = getattr(t, f"stage{stage}_blocks")
-            bad = replace(t, **{f"stage{stage}_blocks": _with_position(blocks, 0, 0, p)})
-        with pytest.raises(TranscriptError, match=f"a {field} position does not fit an int64"):
-            self.replay(bad)
+            blocks = getattr(t, f"stage{field[6]}_blocks")
+            with pytest.raises(ValueError, match="positions holds a position that does not fit"):
+                _with_position(blocks, 0, 0, p)
 
 
 def _with_position(blocks, b, j, p):
-    """`blocks` with position j of block b replaced by p."""
-    blk = blocks[b]
-    positions = blk.positions[:j] + (p,) + blk.positions[j + 1:]
-    changed = BlockAnnouncement(blk.stage, blk.index, positions, blk.masked)
-    return blocks[:b] + (changed,) + blocks[b + 1:]
+    """The stage's announcements `blocks` with position j of block b
+    replaced by p."""
+    positions = blocks.positions.tolist()
+    positions[b][j] = p
+    return StageAnnouncement(positions, blocks.masked)
 
 
 class TestReplayPartitions:
@@ -564,8 +579,8 @@ class TestReplayPartitions:
     def test_stage1_position_outside_the_code_positions(self, what):
         t = self.art.transcript
         p = {"check": t.check_positions[0], "unkept": self.unkept(),
-             "repeat": t.stage1_blocks[0].positions[4],
-             "same block": t.stage1_blocks[2].positions[0], "outside": 9999}[what]
+             "repeat": t.stage1_blocks.positions[0, 4],
+             "same block": t.stage1_blocks.positions[2, 0], "outside": 9999}[what]
         with pytest.raises(TranscriptError, match=self.partition_error(2, p)):
             self.replay(self.edited(1, (2, 3, p)))
 
@@ -577,7 +592,7 @@ class TestReplayPartitions:
         with pytest.raises(TranscriptError, match=self.partition_error(1, 9999)):
             self.replay(self.edited(1, (1, 4, 9999), (3, 0, check)))
         # a repeat offends where it recurs, not where it first appears
-        p = t.stage1_blocks[5].positions[1]
+        p = t.stage1_blocks.positions[5, 1]
         with pytest.raises(TranscriptError, match=self.partition_error(3, check)):
             self.replay(self.edited(1, (1, 2, p), (3, 6, check)))
         with pytest.raises(TranscriptError, match=self.partition_error(5, p)):
@@ -587,20 +602,20 @@ class TestReplayPartitions:
         t = self.art.transcript
         matched = np.flatnonzero(self.art.bob_bases == parse_bits(t.b))
         extra = int(min(set(matched.tolist()) - set(t.kept_positions)))
-        bad = replace(t, kept_positions=tuple(sorted(t.kept_positions + (extra,))))
+        bad = replace(t, kept_positions=np.sort(np.append(t.kept_positions, extra)))
         with pytest.raises(TranscriptError,
                            match="stage-1 blocks and check bits do not partition the kept"):
             self.replay(bad)
 
     @pytest.mark.parametrize("what", ["repeat", "too large"])
     def test_stage2_index_outside_the_stage1_key(self, what):
-        p = {"repeat": self.art.transcript.stage2_blocks[0].positions[0], "too large": 7}[what]
+        p = {"repeat": self.art.transcript.stage2_blocks.positions[0, 0], "too large": 7}[what]
         with pytest.raises(TranscriptError,
                            match=f"stage-2 block 0 position {p} invalid over 7 key bits"):
             self.replay(self.edited(2, (0, 3, p)))
 
     def test_first_bad_stage2_index_in_block_order_is_reported(self):
-        first = self.art.transcript.stage2_blocks[0].positions[0]
+        first = self.art.transcript.stage2_blocks.positions[0, 0]
         with pytest.raises(TranscriptError, match="stage-2 block 0 position 9 invalid"):
             self.replay(self.edited(2, (0, 2, 9), (0, 5, first)))
         with pytest.raises(TranscriptError, match=f"stage-2 block 0 position {first} invalid"):

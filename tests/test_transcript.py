@@ -1,17 +1,23 @@
+import functools
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bb84sim.channel import AttackModel
 from bb84sim.codes import builtin_pair
 from bb84sim.errors import TranscriptError
-from bb84sim.protocol import ProtocolConfig, replay_bob, run_protocol_full
+from bb84sim.protocol import ProtocolConfig, replay_bob, run_chunk, run_protocol_full
 from bb84sim.transcript import (
-    BlockAnnouncement,
+    StageAnnouncement,
     Transcript,
     dump_transcript,
     parse_transcript,
 )
+from oracle import parse_transcript_reference
 
 
 def small_transcript():
@@ -21,8 +27,8 @@ def small_transcript():
         check_positions=(0,),
         alice_check_values="1",
         bob_check_values="1",
-        stage1_blocks=(BlockAnnouncement(1, 0, (2,), "0"),),
-        stage2_blocks=(BlockAnnouncement(2, 0, (0,), "1"),),
+        stage1_blocks=StageAnnouncement([[2]], "0"),
+        stage2_blocks=StageAnnouncement([[0]], "1"),
     )
 
 
@@ -43,6 +49,11 @@ class TestRoundTrip:
         assert dump_transcript(t).startswith("B bits=\nKEEP pos=\n")
         assert parse_transcript(dump_transcript(t)) == t
 
+    def test_blocks_of_no_positions(self):
+        t = replace(small_transcript(), stage1_blocks=StageAnnouncement(np.zeros((2, 0)), ""))
+        assert "BLK1 id=1 pos= masked=\n" in dump_transcript(t)
+        assert parse_transcript(dump_transcript(t)) == t
+
     def test_dump_is_stable(self):
         t = small_transcript()
         assert dump_transcript(parse_transcript(dump_transcript(t))) == dump_transcript(t)
@@ -58,8 +69,45 @@ class TestRoundTrip:
         art = run_protocol_full(run_config(3), AttackModel.intercept_resend(1.0))
         assert art.outcome.aborted
         t = parse_transcript(dump_transcript(art.transcript))
-        assert t.stage1_blocks == ()
-        assert t.stage2_blocks == ()
+        assert t.stage1_blocks == t.stage2_blocks == StageAnnouncement()
+        assert t.stage1_blocks.positions.shape == (0, 0)
+
+
+class TestArrays:
+    def test_every_array_is_read_only(self):
+        # parsed transcripts, and a run's own, whose arrays are views of its chunk's
+        for t in real_transcripts() + [run_protocol_full(run_config(0)).transcript]:
+            for array in (t.kept_positions, t.check_positions, t.stage1_blocks.positions,
+                          t.stage2_blocks.positions):
+                assert array.dtype == np.int64
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0
+            assert parse_transcript(dump_transcript(t)) == t
+
+    def test_hand_built_arrays_stay_writeable(self):
+        # the transcript holds read-only views; the arrays it was given keep their flags
+        kept, stage = np.array([0, 2]), np.array([[2]])
+        t = replace(small_transcript(), kept_positions=kept,
+                    stage1_blocks=StageAnnouncement(stage, "0"))
+        assert kept.flags.writeable and stage.flags.writeable
+        assert not t.kept_positions.flags.writeable
+        assert t == small_transcript()
+
+    def test_a_stage_is_one_array_of_its_blocks(self):
+        t = parse_transcript(real_dumps()[-1])
+        assert t.stage1_blocks.positions.shape == (23, 23)
+        assert t.stage2_blocks.positions.shape == (1, 23)
+        assert len(t.stage1_blocks.masked) == 23 * 23
+
+    @pytest.mark.parametrize("positions, masked", [
+        ([[1, 2], [3]], "0" * 3),
+        ([1, 2], "00"),
+        ([[1, 2]], "0"),
+    ])
+    def test_stage_shape_is_checked(self, positions, masked):
+        with pytest.raises(ValueError):
+            StageAnnouncement(positions, masked)
 
 
 class TestParseErrors:
@@ -85,6 +133,15 @@ class TestParseErrors:
         lines = text.splitlines()
         lines[5], lines[6] = lines[6], lines[5]  # BLK2 before BLK1
         with pytest.raises(TranscriptError, match="BLK1 after BLK2"):
+            parse_transcript("\n".join(lines) + "\n")
+
+    def test_stage_blocks_of_unequal_length(self):
+        text = dump_transcript(run_protocol_full(run_config(0)).transcript)
+        lines = text.splitlines()
+        head, masked = lines[7].rsplit(" masked=", 1)
+        lines[7] = head.rsplit(",", 1)[0] + " masked=" + masked[:-1]
+        with pytest.raises(TranscriptError,
+                           match="line 8: stage-1 block 2 has 6 positions, but block 0 has 7"):
             parse_transcript("\n".join(lines) + "\n")
 
     def test_masked_length_mismatch(self):
@@ -181,3 +238,142 @@ def _flip_masked_bits(text, tag, count):
             lines[i] = head + "masked=" + flipped
             break
     return "\n".join(lines) + "\n"
+
+
+STACKS = [("steane", "steane"), ("steane", "golay"), ("golay", "golay")]
+
+
+@functools.lru_cache(maxsize=None)
+def real_dumps():
+    """Dumped transcripts of real runs: for each stack, one that aborts at the
+    check, then two that finish (golay/golay's last)."""
+    dumps = []
+    for stage1, stage2 in STACKS:
+        config = ProtocolConfig(builtin_pair(stage1), builtin_pair(stage2), abort_threshold=0.124)
+        aborted = run_chunk(config, [0], AttackModel.intercept_resend(1.0)).artifacts(0)
+        assert aborted.outcome.abort_reason == "security"
+        chunk = run_chunk(config, range(2), AttackModel.bitflip(0.03))
+        dumps += [dump_transcript(art.transcript) for art in
+                  (aborted, chunk.artifacts(0), chunk.artifacts(1))]
+    return tuple(dumps)
+
+
+def real_transcripts():
+    return [parse_transcript(text) for text in real_dumps()]
+
+
+# edits by weight: most change one character, mostly inside a field's value
+_EDITS = 3 * ["insert", "delete", "substitute"] + [
+    "duplicate field", "reorder fields", "shorten block", "swap lines", "drop line"]
+
+
+@st.composite
+def mutated_dumps(draw):
+    """A real dump with one to three edits: a character inserted, deleted or
+    substituted, a field duplicated or two swapped, a block's last position
+    dropped with its last masked bit, or two lines swapped or one dropped."""
+    lines = draw(st.sampled_from(real_dumps())).split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line, edit = lines[i], draw(st.sampled_from(_EDITS))
+        fields = line.split(" ")
+        if edit in ("insert", "delete", "substitute"):
+            values = [match.span(1) for match in re.finditer("=([^ ]*)", line)]
+            if values and draw(st.integers(0, 3)):
+                j = draw(st.integers(*draw(st.sampled_from(values))))
+            else:
+                j = draw(st.integers(0, len(line)))
+            char = draw(st.sampled_from("0123456789,,,=+-_x B\n"))
+            end = j + (edit != "insert")
+            lines[i] = line[:j] + ("" if edit == "delete" else char) + line[end:]
+        elif edit == "duplicate field" and len(fields) > 1:
+            k = draw(st.integers(1, len(fields) - 1))
+            lines[i] = " ".join(fields + [fields[k]])
+        elif edit == "reorder fields" and len(fields) > 2:
+            a, b = draw(st.permutations(range(1, len(fields))))[:2]
+            fields[a], fields[b] = fields[b], fields[a]
+            lines[i] = " ".join(fields)
+        elif edit == "shorten block" and " masked=" in line:
+            head, masked = line.rsplit(" masked=", 1)
+            lines[i] = head.rsplit(",", 1)[0] + " masked=" + masked[:-1]
+        elif edit == "swap lines":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[k] = lines[k], lines[i]
+        elif edit == "drop line":
+            del lines[i]
+    return "\n".join(lines)
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except TranscriptError as exc:
+        return "error", exc.line, str(exc)
+
+
+def _content(t):
+    """A parsed transcript as plain values: positions as tuples of ints, and
+    each stage as a list of (positions, masked word), one per block."""
+    stages = []
+    for blocks in (t.stage1_blocks, t.stage2_blocks):
+        n = blocks.positions.shape[1]
+        stages.append([(tuple(row), blocks.masked[i * n:(i + 1) * n])
+                       for i, row in enumerate(blocks.positions.tolist())])
+    return (t.b, tuple(t.kept_positions.tolist()), tuple(t.check_positions.tolist()),
+            t.alice_check_values, t.bob_check_values, stages)
+
+
+def _reference_content(t):
+    """`_content` of what the reference parser returns."""
+    return (t.b, t.kept_positions, t.check_positions, t.alice_check_values,
+            t.bob_check_values, [[(blk.positions, blk.masked) for blk in blocks]
+                                 for blocks in (t.stage1_blocks, t.stage2_blocks)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(mutated_dumps())
+def test_parser_agrees_with_the_reference(text):
+    accepted = []
+    expected = _outcome(lambda text: parse_transcript_reference(text, accepted), text)
+    # the one rule the reference lacks: a stage's blocks have one length, so
+    # the first block (that it read in full) of another length is refused
+    widths = {}
+    for blk in accepted:
+        width = widths.setdefault(blk.stage, len(blk.positions))
+        if len(blk.positions) != width:
+            expected = ("error", blk.line, f"line {blk.line}: stage-{blk.stage} block "
+                        f"{blk.index} has {len(blk.positions)} positions, but block 0 has {width}")
+            break
+    got = _outcome(parse_transcript, text)
+    if expected[0] == "ok":
+        assert got[0] == "ok", got
+        t = got[1]
+        assert _content(t) == _reference_content(expected[1])
+        assert not t.kept_positions.flags.writeable
+        assert not t.stage1_blocks.positions.flags.writeable
+        assert parse_transcript(dump_transcript(t)) == t
+    else:
+        assert got == expected
+
+
+def test_mutations_reach_every_outcome():
+    # the edits above make texts both parsers accept, texts both refuse, and
+    # texts only the one-length rule refuses
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mutated_dumps())
+    def collect(text):
+        try:
+            parse_transcript_reference(text)
+            ref = "ok"
+        except TranscriptError:
+            ref = "error"
+        try:
+            parse_transcript(text)
+            seen.add((ref, "ok"))
+        except TranscriptError as exc:
+            seen.add((ref, "unequal" if "but block 0 has" in str(exc) else "error"))
+
+    collect()
+    assert {("ok", "ok"), ("error", "error"), ("ok", "unequal")} <= seen
