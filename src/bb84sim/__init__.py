@@ -18,7 +18,6 @@ from .protocol import (
     RunOutcome,
     replay_bob,
     run_protocol,
-    run_protocol_full,
     stage_correct_and_amplify,
 )
 from .stats import (

@@ -48,35 +48,38 @@ SUMMARY_COLUMNS = ["trials", "abort_fraction", "mean_check_error", "stddev_check
 # more trials.
 QUBITS_PER_CHUNK = 1 << 15
 
-# a config file's numbers are ASCII digits (no sign, space or underscore),
+# Each `run` setting, declared once: (the reader of its text, its default,
+# its flag's help, whether `replay` takes the flag).  Its flag is
+# --key-with-dashes; replay takes only those that build the ProtocolConfig.
+# A config file's numbers are ASCII digits (no sign, space or underscore),
 # read as every number in the program's files is: the integer settings
-# digits only, the float settings with an optional fraction and exponent
-_CONFIG_KEYS = {
-    "seed": parse_decimal,
-    "trials": parse_decimal,
-    "attack": str,
-    "noise_p": parse_float,
-    "attack_positions": str,
-    "threshold": parse_float,
-    "delta": parse_float,
-    "stage1_pair": str,
-    "stage2_pair": str,
-    "out_dir": str,
-    "dump_transcripts": parse_decimal,
+# digits only, the float settings with an optional fraction and exponent.
+_SETTINGS = {
+    "seed": (parse_decimal, 0, "base seed (trial i uses seed+i)", False),
+    "trials": (parse_decimal, 100, None, False),
+    "attack": (str, "none", "none, bitflip, intercept_resend or correlated_positions", False),
+    "noise_p": (parse_float, 0.0, "flip probability / intercept fraction", False),
+    "attack_positions": (str, "", "comma-separated transmitted positions for "
+                         "correlated_positions", False),
+    "threshold": (parse_float, 0.124, "abort threshold", True),
+    "delta": (parse_float, 0.1, None, True),
+    "stage1_pair": (str, "steane", "built-in pair name or file:PATH", True),
+    "stage2_pair": (str, "steane", None, True),
+    "out_dir": (str, "out", None, False),
+    # the one flag without a value: given, it sets 1
+    "dump_transcripts": (parse_decimal, 0, None, False),
 }
 
-_DEFAULTS = {
-    "seed": 0,
-    "trials": 100,
-    "attack": "none",
-    "noise_p": 0.0,
-    "attack_positions": "",
-    "threshold": 0.124,
-    "delta": 0.1,
-    "stage1_pair": "steane",
-    "stage2_pair": "steane",
-    "out_dir": "out",
-    "dump_transcripts": 0,
+# each `stats` subcommand's numbers: (reader, flag help).  They are read as
+# text by the same readers as the config file's settings, so that a bad value
+# is a configuration error there as well.
+_RATE_SAMPLE = {"r": (parse_float, None), "n": (parse_decimal, None)}
+_STATS = {
+    "sigma": _RATE_SAMPLE,
+    "threshold": {**_RATE_SAMPLE, "z": (parse_float, None)},
+    "cheat": {**_RATE_SAMPLE, "threshold": (parse_float, None)},
+    "recursion": {"T": (parse_float, "code threshold"), "r0": (parse_float, "initial error rate"),
+                  "steps": (parse_decimal, None)},
 }
 
 
@@ -90,44 +93,31 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _SETTINGS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = _read_value(key, value, f"{path}:{line_no}")
+            values[key] = _read_value(key, value, f"{path}:{line_no}", _SETTINGS[key][0])
     return values
 
 
-# `stats` reads its numbers as text too, by the same readers as the config
-# file's settings, so that a bad value is a configuration error there as well
-_STATS_FLAGS = {
-    "r": parse_float,
-    "n": parse_decimal,
-    "z": parse_float,
-    "threshold": parse_float,
-    "T": parse_float,
-    "r0": parse_float,
-    "steps": parse_decimal,
-}
-
-
-def _read_value(key: str, value: str, source: str, readers: dict = _CONFIG_KEYS):
-    """A setting's text read as `readers` (by default the config file's)
-    reads its key's values; `source` says where the text was given."""
+def _read_value(key: str, value: str, source: str, read):
+    """`value`, the text given for `key`, read by `read`; `source` says
+    where it was given."""
     try:
-        return readers[key](value)
+        return read(value)
     except ValueError:
         raise ConfigError(f"{source}: bad value for {key}: {value!r}") from None
 
 
 def _merge_settings(args) -> dict:
-    settings = dict(_DEFAULTS)
+    settings = {key: default for key, (_, default, _, _) in _SETTINGS.items()}
     if args.config:
         settings.update(_read_config_file(args.config))
     # a flag left unset keeps the file's value; replay has no batch flags.
     # Flags given as text are read as the file's values are.
-    for key in _CONFIG_KEYS:
+    for key, (read, _, _, _) in _SETTINGS.items():
         value = getattr(args, key, None)
         if isinstance(value, str):
-            value = _read_value(key, value, "--" + key.replace("_", "-"))
+            value = _read_value(key, value, "--" + key.replace("_", "-"), read)
         if value is not None:
             settings[key] = value
     return settings
@@ -154,7 +144,7 @@ def _build_attack(settings: dict) -> AttackModel:
     raise ConfigError(f"unknown attack {kind!r}")
 
 
-def _build_protocol_config(settings: dict, seed: int) -> ProtocolConfig:
+def _build_protocol_config(settings: dict) -> ProtocolConfig:
     stage1_pair = load_pair(settings["stage1_pair"])
     # one pair object for a spec named twice, so its syndrome table is built once
     same = settings["stage2_pair"] == settings["stage1_pair"]
@@ -163,7 +153,6 @@ def _build_protocol_config(settings: dict, seed: int) -> ProtocolConfig:
         stage2_pair=stage1_pair if same else load_pair(settings["stage2_pair"]),
         abort_threshold=settings["threshold"],
         delta=settings["delta"],
-        rng_seed=seed,
     )
 
 
@@ -191,7 +180,7 @@ def _dump_trial(stem: str, art) -> None:
 def cmd_run(args) -> int:
     settings = _merge_settings(args)
     attack = _build_attack(settings)
-    base_config = _build_protocol_config(settings, settings["seed"])
+    base_config = _build_protocol_config(settings)
     trials = settings["trials"]
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -260,9 +249,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    # the subcommand's numbers; argparse has made sure each one it takes is given
-    v = {key: _read_value(key, getattr(args, key), "--" + key, _STATS_FLAGS)
-         for key in _STATS_FLAGS if hasattr(args, key)}
+    # the subcommand's numbers; argparse has made sure each one is given
+    v = {key: _read_value(key, getattr(args, key), "--" + key, read)
+         for key, (read, _) in _STATS[args.stats_command].items()}
     if args.stats_command == "sigma":
         model = SamplingModel(v["r"], v["n"])
         print(f"sigma={sigma(model):.6f}")
@@ -277,15 +266,13 @@ def cmd_stats(args) -> int:
         else:
             value = cheat_probability(model, v["threshold"], sigma_at=args.sigma_at)
             print(f"cheat_probability={value:.6g} (gaussian, sigma at {args.sigma_at})")
-    elif args.stats_command == "recursion":
+    else:
         model = RecursionModel(v["T"], v["r0"])
         values = iterate_error_rate(model, v["steps"])
         print("# model: next_rate = exp(-T^2 / rate)")
         print("step,rate")
         for i, value in enumerate(values, start=1):
             print(f"{i},{value!r}")
-    else:
-        raise ConfigError(f"unknown stats subcommand {args.stats_command!r}")
     return 0
 
 
@@ -323,7 +310,7 @@ def _read_bob_file(path: str) -> _BobRecord:
 
 def cmd_replay(args) -> int:
     settings = _merge_settings(args)
-    config = _build_protocol_config(settings, settings["seed"])
+    config = _build_protocol_config(settings)
     with open(args.transcript, "r", encoding="ascii") as fh:
         transcript = parse_transcript(fh.read())
     bob = _read_bob_file(args.bob_record)
@@ -369,57 +356,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_settings_flags(p, batch):
-        """Flags for the config keys: all of them when `batch`, otherwise
-        only those that build the ProtocolConfig."""
+    def add_settings_flags(p, replay):
+        """The --config flag and a flag per setting: all of them for `run`,
+        for `replay` those the settings table marks."""
         p.add_argument("--config", help="flat key=value configuration file")
-        if batch:
-            p.add_argument("--seed", default=None, help="base seed (trial i uses seed+i)")
-            p.add_argument("--trials", default=None)
-            p.add_argument("--attack", default=None,
-                           help="none, bitflip, intercept_resend or correlated_positions")
-            p.add_argument("--noise-p", dest="noise_p", default=None,
-                           help="flip probability / intercept fraction")
-            p.add_argument("--attack-positions", dest="attack_positions", default=None,
-                           help="comma-separated transmitted positions for correlated_positions")
-        p.add_argument("--threshold", default=None, help="abort threshold")
-        p.add_argument("--delta", default=None)
-        p.add_argument("--stage1-pair", dest="stage1_pair", default=None,
-                       help="built-in pair name or file:PATH")
-        p.add_argument("--stage2-pair", dest="stage2_pair", default=None)
-        if batch:
-            p.add_argument("--out-dir", dest="out_dir", default=None)
-            p.add_argument("--dump-transcripts", dest="dump_transcripts", action="store_const",
-                           const=1, default=None)
+        for key, (_, _, text, in_replay) in _SETTINGS.items():
+            if in_replay or not replay:
+                if key == "dump_transcripts":
+                    p.add_argument("--dump-transcripts", action="store_const", const=1)
+                else:
+                    p.add_argument("--" + key.replace("_", "-"), help=text)
 
     run_p = sub.add_parser("run", help="run a batch of protocol trials")
-    add_settings_flags(run_p, batch=True)
+    add_settings_flags(run_p, replay=False)
 
     stats_p = sub.add_parser("stats", help="sampling statistics and the rate recursion")
     stats_sub = stats_p.add_subparsers(dest="stats_command", required=True)
-    sigma_p = stats_sub.add_parser("sigma")
-    sigma_p.add_argument("--r", required=True)
-    sigma_p.add_argument("--n", required=True)
-    thr_p = stats_sub.add_parser("threshold")
-    thr_p.add_argument("--r", required=True)
-    thr_p.add_argument("--n", required=True)
-    thr_p.add_argument("--z", required=True)
-    cheat_p = stats_sub.add_parser("cheat")
-    cheat_p.add_argument("--r", required=True)
-    cheat_p.add_argument("--n", required=True)
-    cheat_p.add_argument("--threshold", required=True)
-    cheat_p.add_argument("--sigma-at", dest="sigma_at", default="threshold",
-                         help="threshold or estimate")
-    cheat_p.add_argument("--binomial", action="store_true", help="exact binomial tail")
-    rec_p = stats_sub.add_parser("recursion")
-    rec_p.add_argument("--T", required=True, help="code threshold")
-    rec_p.add_argument("--r0", required=True, help="initial error rate")
-    rec_p.add_argument("--steps", required=True)
+    for command, numbers in _STATS.items():
+        command_p = stats_sub.add_parser(command)
+        for key, (_, text) in numbers.items():
+            command_p.add_argument("--" + key, required=True, help=text)
+        if command == "cheat":
+            command_p.add_argument("--sigma-at", default="threshold",
+                                   help="threshold or estimate")
+            command_p.add_argument("--binomial", action="store_true", help="exact binomial tail")
 
     replay_p = sub.add_parser("replay", help="recompute Bob's key from a dumped transcript")
     replay_p.add_argument("transcript")
     replay_p.add_argument("bob_record")
-    add_settings_flags(replay_p, batch=False)
+    add_settings_flags(replay_p, replay=True)
 
     codes_p = sub.add_parser("codes", help="code file utilities")
     codes_sub = codes_p.add_subparsers(dest="codes_command", required=True)

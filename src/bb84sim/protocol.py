@@ -110,7 +110,6 @@ __all__ = [
     "TrialChunk",
     "run_chunk",
     "run_protocol",
-    "run_protocol_full",
     "replay_bob",
 ]
 
@@ -766,20 +765,14 @@ def run_chunk(config: ProtocolConfig, seeds: Iterable[int],
 
 def run_protocol(config: ProtocolConfig, attack: AttackModel = AttackModel.none(),
                  error_injection: Optional[ErrorInjector] = None):
-    """Execute one full run; deterministic given (config.rng_seed, attack).
+    """Execute one full run, a chunk of one trial; deterministic given
+    (config.rng_seed, attack).
 
     Returns:
         (RunOutcome, Transcript).
     """
-    artifacts = run_protocol_full(config, attack, error_injection)
+    artifacts = run_chunk(config, [config.rng_seed], attack, error_injection).artifacts(0)
     return artifacts.outcome, artifacts.transcript
-
-
-def run_protocol_full(config: ProtocolConfig, attack: AttackModel = AttackModel.none(),
-                      error_injection: Optional[ErrorInjector] = None) -> RunArtifacts:
-    """Like run_protocol but also returns Bob's raw bases and measured bits
-    (the data his replay file is built from): a chunk of one trial."""
-    return run_chunk(config, [config.rng_seed], attack, error_injection).artifacts(0)
 
 
 def _first_invalid(positions: np.ndarray, n: int, valid: Optional[np.ndarray] = None,
@@ -812,12 +805,14 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
 
     Every position is checked before anything is indexed with it: the kept
     positions were measured in the announced basis, the check positions are
-    kept, the stage-1 blocks and the check positions partition the kept
+    kept, both are as many as the configured code pairs use and none
+    repeats, the stage-1 blocks and the check positions partition the kept
     positions, and each later stage's blocks permute the previous stage's
-    key bits.  Each check is one array pass over a stage's (blocks x n)
-    positions, with `np.bincount` for repeats; only a failed pass is
-    followed by a Python scan, which names the first offending position in
-    block order.
+    key bits.  Each check is one array pass over the kept and check
+    positions or a stage's (blocks x n) positions (the kept and check
+    repeats are counted on their masks, a stage's with `np.bincount`); only
+    a failed pass is followed by a Python scan, which names the first
+    offending position in block order.
 
     Under strict decoding a stage with a failed block ends the replay
     aborted, as it ends the run (whose transcript announces no later stage),
@@ -852,6 +847,20 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
         if not 0 <= p < n:
             raise TranscriptError(f"check position {p} outside transmission length {n}")
         raise TranscriptError(f"check position {p} is not a kept position")
+    # KEEP names kept_target distinct positions and CHECKPOS distinct ones
+    # of them; counting the masks' ones decides, a scan names a repeat
+    if len(kept) != config.kept_target:
+        raise TranscriptError(
+            f"{len(kept)} kept positions, but the configured code pairs use {config.kept_target}")
+    if np.count_nonzero(is_kept) != len(kept):
+        raise TranscriptError(
+            f"kept position {kept[_first_invalid(kept, n, distinct=True)]} repeats")
+    # the kept mask, no longer needed, becomes the code positions' mask
+    is_code = is_kept
+    is_code[check] = False
+    if np.count_nonzero(is_code) != len(kept) - len(check):
+        raise TranscriptError(
+            f"check position {check[_first_invalid(check, n, distinct=True)]} repeats")
     rate, abort = _check_and_abort(parse_bits(transcript.alice_check_values), bob_bits[check],
                                    config)
     # a Python float, whose repr `bb84sim replay` prints
@@ -871,11 +880,9 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
                 f"stage-{stage} block 0 has {blocks.positions.shape[1]} bits, "
                 f"but the configured code pair has n={pair.n}")
 
-    # stage 1 takes distinct code positions (kept, not check) that cover every
-    # code position; a later stage, distinct key-bit indices, which the
-    # geometry makes a permutation of the previous stage's key
-    is_code = is_kept.copy()
-    is_code[check] = False
+    # stage 1 takes distinct code positions (kept, not check), which the
+    # geometry makes all of them; a later stage, distinct key-bit indices,
+    # which the geometry makes a permutation of the previous stage's key
     bits, failures = bob_bits, []
     for stage, (blocks, pair, count) in enumerate(stages, start=1):
         if len(blocks) != count:
@@ -888,9 +895,6 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
                    else f"invalid over {bits.size} key bits")
             raise TranscriptError(
                 f"stage-{stage} block {i // pair.n} position {positions.flat[i]} {why}")
-        if stage == 1 and positions.size != np.count_nonzero(is_code):
-            raise TranscriptError(
-                "stage-1 blocks and check bits do not partition the kept positions")
         labels, failed = _bob_stage(pair, bits[positions],
                                     parse_bits(blocks.masked).reshape(-1, pair.n))
         if config.strict_decode and failed.any():

@@ -29,8 +29,8 @@ from bb84sim.protocol import (
     _alice_stage,
     _labels,
     replay_bob,
+    run_chunk,
     run_protocol,
-    run_protocol_full,
     stage_correct_and_amplify,
 )
 from bb84sim.stats import (
@@ -250,7 +250,7 @@ def test_09_randomness_necessity():
 
     # an adversary who knows the (non-random) assignment plants two flips in
     # each of the first two stage-1 blocks: all errors land in code bits
-    clean = run_protocol_full(hooked)
+    clean = run_chunk(hooked, [hooked.rng_seed]).artifacts(0)
     blocks = clean.transcript.stage1_blocks
     target = blocks.positions[:2, :2].ravel()
     attack = AttackModel.correlated_positions(target, 1.0)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import math
 import shutil
@@ -6,6 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
+from bb84sim import cli
 from bb84sim.cli import main
 from bb84sim.codes import CssPair, LinearCode, builtin_pair, format_pair, make_hamming_dual_7_3
 from test_transcript import respelled
@@ -505,6 +507,83 @@ class TestCodesValidate:
         code, _, _ = run_cli(capsys, "run", "--trials", "3", "--stage1-pair", f"file:{path}",
                              "--stage2-pair", f"file:{path}", "--out-dir", str(out_dir))
         assert code == 0
+
+
+def option_flags(*commands):
+    """{dest: action} of the option flags of the (sub)command path `commands`."""
+    parser = cli.build_parser()
+    for command in commands:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[command]
+    return {a.dest: a for a in parser._actions if a.option_strings and a.dest != "help"}
+
+
+# the settings read as numbers, and each command's flags for them that take a value
+NUMBER_SETTINGS = [key for key, (read, *_) in cli._SETTINGS.items() if read is not str]
+NUMBER_FLAGS = [(command, key) for command in ("run", "replay")
+                for key, action in option_flags(command).items()
+                if key in NUMBER_SETTINGS and action.nargs is None]
+STATS_NUMBERS = [(command, key) for command, numbers in cli._STATS.items() for key in numbers]
+
+
+class TestSettingsTables:
+    """Each setting and stats number behaves as its table line declares, so a
+    line added to a table is covered here."""
+
+    @staticmethod
+    def argv(command, tmp_path, *flags):
+        if command == "run":
+            return ["run", "--out-dir", str(tmp_path / "x"), *flags]
+        return ["replay", str(tmp_path / "t.transcript"), str(tmp_path / "t.bob"), *flags]
+
+    @pytest.mark.parametrize("key", NUMBER_SETTINGS)
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_bad_number_in_the_file_exit_one(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = abc\n")
+        code, out, err = run_cli(capsys, *self.argv(command, tmp_path, "--config", str(cfg)))
+        assert (code, out) == (1, "")
+        assert err == f"config error: {cfg}:1: bad value for {key}: 'abc'\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, key", NUMBER_FLAGS)
+    def test_bad_number_flag_exit_one(self, capsys, tmp_path, command, key):
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run_cli(capsys, *self.argv(command, tmp_path, flag, "abc"))
+        assert (code, out) == (1, "")
+        assert err == f"config error: {flag}: bad value for {key}: 'abc'\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_every_number_but_the_const_flag_takes_a_value(self):
+        assert [key for command, key in NUMBER_FLAGS if command == "run"] == [
+            key for key in NUMBER_SETTINGS if key != "dump_transcripts"]
+        action = option_flags("run")["dump_transcripts"]
+        assert (action.nargs, action.const, action.default) == (0, 1, None)
+
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    def test_flags_are_the_marked_settings(self, command):
+        marked = [key for key, (*_, in_replay) in cli._SETTINGS.items()
+                  if in_replay or command == "run"]
+        flags = option_flags(command)
+        assert list(flags) == ["config", *marked]
+        for key in marked:
+            assert flags[key].option_strings == ["--" + key.replace("_", "-")]
+
+    @pytest.mark.parametrize("command, key", STATS_NUMBERS)
+    def test_bad_stats_number_exit_one(self, capsys, command, key):
+        argv = [part for number in cli._STATS[command]
+                for part in (f"--{number}", "abc" if number == key else "1")]
+        code, out, err = run_cli(capsys, "stats", command, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"config error: --{key}: bad value for {key}: 'abc'\n"
+
+    @pytest.mark.parametrize("command", cli._STATS)
+    def test_stats_flags_are_the_table_numbers(self, command):
+        extra = ["sigma_at", "binomial"] if command == "cheat" else []
+        flags = option_flags("stats", command)
+        assert list(flags) == [*cli._STATS[command], *extra]
+        for key in cli._STATS[command]:
+            assert flags[key].required
 
 
 @pytest.mark.skipif(shutil.which("bb84sim") is None, reason="entry point not installed")

@@ -9,7 +9,7 @@ parity checks and hash every output file.
 
 The chunk cases run `bb84sim run --dump-transcripts` over at least three of
 its trial chunks and compare every trials.csv row, transcript and .bob record
-with `run_protocol_full` on that trial's seed alone.
+with a chunk of that trial's seed alone.
 
 The digests were computed by this module's own functions on the engine
 that predates the array stages; print them for any checkout with
@@ -39,7 +39,6 @@ from bb84sim.protocol import (
     ProtocolConfig,
     replay_bob,
     run_chunk,
-    run_protocol_full,
 )
 from bb84sim.transcript import dump_transcript, parse_transcript
 from oracle import one_error_per_block
@@ -120,7 +119,7 @@ def case_digest(name):
     for seed in range(seeds):
         config = replace(base, rng_seed=seed)
         injector = one_error_per_block(np.random.default_rng(10**6 + seed)) if inject else None
-        art = run_protocol_full(config, attack, injector)
+        art = run_chunk(config, [config.rng_seed], attack, injector).artifacts(0)
         parts = _artifact_parts(art)
         if seed % REPLAY_EVERY == 0:
             try:
@@ -220,7 +219,7 @@ def _with_config(monkeypatch, **changes):
     """Make `bb84sim run` use its usual config with `changes` applied."""
     build = cli._build_protocol_config
     monkeypatch.setattr(cli, "_build_protocol_config",
-                        lambda settings, seed: replace(build(settings, seed), **changes))
+                        lambda settings: replace(build(settings), **changes))
 
 
 def _run_argv(pair_name, kind, noise_p, seed, trials, out_dir):
@@ -269,7 +268,7 @@ def test_run_across_chunks_matches_single_trials(name, tmp_path, monkeypatch):
     attack = AttackModel(kind, probability=noise_p)
     outcomes = []
     for i, row in enumerate(rows):
-        art = run_protocol_full(replace(config, rng_seed=base + i), attack)
+        art = run_chunk(config, [base + i], attack).artifacts(0)
         o = art.outcome
         outcomes.append(o)
         expected = [i, base + i, o.aborted, o.observed_check_error_rate, o.keys_equal,
@@ -303,7 +302,7 @@ def test_chunk_trials_equal_single_trials(name):
     attack = attack_for(kind, base.transmitted_count)
     chunk = run_chunk(base, range(100, 160), attack)
     for i in range(len(chunk.aborted)):
-        single = run_protocol_full(replace(base, rng_seed=100 + i), attack)
+        single = run_chunk(base, [100 + i], attack).artifacts(0)
         assert _artifact_parts(chunk.artifacts(i)) == _artifact_parts(single), f"trial {i}"
 
 
@@ -322,7 +321,7 @@ def test_chunk_aborting_at_every_step_equals_single_trials():
         if o.aborted:  # an aborted run reports no failures and no keys
             assert (o.stage1_decode_failures, o.stage2_decode_failures) == (0, 0)
             assert o.alice_final_key is o.bob_final_key is None
-        single = run_protocol_full(replace(config, rng_seed=100 + i), attack)
+        single = run_chunk(config, [100 + i], attack).artifacts(0)
         assert _artifact_parts(art) == _artifact_parts(single), f"trial {i}"
     assert steps == {("security", False, False), ("decode_failure", True, False),
                      ("decode_failure", True, True), (None, True, True)}
@@ -359,7 +358,7 @@ def test_chunk_injects_per_trial_block_indices():
     chunk = run_chunk(config, range(30), AttackModel.bitflip(0.02), inject)
     assert not chunk.keys_equal.all()
     for i in range(30):
-        single = run_protocol_full(replace(config, rng_seed=i), AttackModel.bitflip(0.02), inject)
+        single = run_chunk(config, [i], AttackModel.bitflip(0.02), inject).artifacts(0)
         assert _artifact_parts(chunk.artifacts(i)) == _artifact_parts(single), f"trial {i}"
 
 
@@ -378,7 +377,7 @@ def test_exhausted_restarts_mid_chunk_is_a_config_error(tmp_path, monkeypatch, c
 
 def _needs_restart(config):
     try:
-        run_protocol_full(config, AttackModel.bitflip(0.04))
+        run_chunk(config, [config.rng_seed], AttackModel.bitflip(0.04)).artifacts(0)
     except InsufficientSiftAbort:
         return True
     return False

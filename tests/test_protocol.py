@@ -19,8 +19,8 @@ from bb84sim.protocol import (
     _draw_quantum,
     _select,
     replay_bob,
+    run_chunk,
     run_protocol,
-    run_protocol_full,
     stage_correct_and_amplify,
 )
 from bb84sim.transcript import StageAnnouncement
@@ -344,7 +344,7 @@ class TestRunProtocol:
 class TestFixedAssignmentHook:
     def test_selection_is_first_positions_in_order(self):
         cfg = steane_config(random_assignment=False, rng_seed=4)
-        art = run_protocol_full(cfg)
+        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
         matched = np.flatnonzero(art.bob_bases == parse_bits(art.transcript.b))
         kept = art.transcript.kept_positions
         assert np.array_equal(kept, matched[:98])
@@ -357,7 +357,7 @@ class TestFixedAssignmentHook:
         # aim a certain flip at every eventual check position: the check
         # string lights up completely while the code bits stay clean
         cfg = steane_config(random_assignment=False, rng_seed=8, abort_threshold=1.0)
-        clean = run_protocol_full(cfg)
+        clean = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
         attack = AttackModel.correlated_positions(clean.transcript.check_positions, 1.0)
         outcome, transcript = run_protocol(cfg, attack)
         assert np.array_equal(transcript.check_positions, clean.transcript.check_positions)
@@ -371,7 +371,7 @@ class TestFixedAssignmentHook:
         # decode wrong, the second stage sees two errors and miscorrects, and
         # not one check bit fires
         cfg = steane_config(random_assignment=False, rng_seed=12)
-        clean = run_protocol_full(cfg)
+        clean = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
         blocks = clean.transcript.stage1_blocks
         target = blocks.positions[:2, :2].ravel()
         attack = AttackModel.correlated_positions(target, 1.0)
@@ -384,7 +384,7 @@ class TestFixedAssignmentHook:
 class TestReplay:
     def test_replay_reproduces_clean_run(self):
         cfg = steane_config(rng_seed=31)
-        art = run_protocol_full(cfg)
+        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
         result = replay_bob(art.transcript, art.bob_bases, art.bob_bits, cfg)
         assert result.key == art.outcome.bob_final_key
         assert result.check_error_rate == art.outcome.observed_check_error_rate
@@ -394,7 +394,7 @@ class TestReplay:
     def test_replay_reproduces_noisy_runs(self):
         for seed in range(15):
             cfg = steane_config(rng_seed=seed)
-            art = run_protocol_full(cfg, AttackModel.bitflip(0.08))
+            art = run_chunk(cfg, [cfg.rng_seed], AttackModel.bitflip(0.08)).artifacts(0)
             result = replay_bob(art.transcript, art.bob_bases, art.bob_bits, cfg)
             assert result.aborted == art.outcome.aborted
             if art.outcome.aborted:
@@ -406,7 +406,7 @@ class TestReplay:
         from bb84sim.errors import TranscriptError
 
         cfg = steane_config(rng_seed=2)
-        art = run_protocol_full(cfg)
+        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
         with pytest.raises(TranscriptError):
             replay_bob(art.transcript, art.bob_bases[:-1], art.bob_bits[:-1], cfg)
 
@@ -423,14 +423,14 @@ class TestReplayGeometry:
     TranscriptError, whatever the mismatch."""
 
     def test_check_count_of_other_pairs(self):
-        art = run_protocol_full(steane_config(rng_seed=31))
+        art = run_chunk(steane_config(), [31]).artifacts(0)
         other = steane_config(rng_seed=31, stage2_pair=builtin_pair("golay"))
         with pytest.raises(TranscriptError, match="49 check positions.* use 161"):
             replay_bob(art.transcript, art.bob_bases, art.bob_bits, other)
 
     def test_aborted_transcript_under_other_pairs(self):
         cfg = steane_config(rng_seed=0)
-        art = run_protocol_full(cfg, AttackModel.intercept_resend(1.0))
+        art = run_chunk(cfg, [cfg.rng_seed], AttackModel.intercept_resend(1.0)).artifacts(0)
         assert art.outcome.aborted
         other = steane_config(rng_seed=0, stage1_pair=builtin_pair("golay"))
         with pytest.raises(TranscriptError, match="check positions"):
@@ -440,7 +440,7 @@ class TestReplayGeometry:
         # steane/golay and golay/steane both compare 161 check bits
         golay = builtin_pair("golay")
         cfg = steane_config(rng_seed=5, stage2_pair=golay, abort_threshold=0.2)
-        art = run_protocol_full(cfg)
+        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
         assert not art.outcome.aborted
         swapped = steane_config(rng_seed=5, stage1_pair=golay, abort_threshold=0.2)
         with pytest.raises(TranscriptError, match="23 stage-1 blocks.* use 7"):
@@ -452,7 +452,7 @@ class TestReplayGeometry:
 
         zero = LinearCode(np.zeros((0, 7), dtype=np.uint8), np.eye(7, dtype=np.uint8), 7,
                           name="zero[7,0]")
-        art = run_protocol_full(steane_config(rng_seed=31))
+        art = run_chunk(steane_config(), [31]).artifacts(0)
         wide = steane_config(rng_seed=31, stage1_pair=CssPair(make_hamming_7_4(), zero))
         with pytest.raises(TranscriptError, match="1 stage-2 blocks.* use 4"):
             replay_bob(art.transcript, art.bob_bases, art.bob_bits, wide)
@@ -461,7 +461,7 @@ class TestReplayGeometry:
         # under strict decoding only a stage with a failed block ends the
         # announcements; steane decodes every block, so stage 2 must follow
         cfg = steane_config(rng_seed=31, strict_decode=True)
-        art = run_protocol_full(cfg)
+        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
         cut = replace(art.transcript, stage2_blocks=StageAnnouncement())
         with pytest.raises(TranscriptError, match="0 stage-2 blocks.* use 1"):
             replay_bob(cut, art.bob_bases, art.bob_bits, cfg)
@@ -471,7 +471,7 @@ class TestReplayGeometry:
     @pytest.mark.parametrize("stage", [1, 2])
     def test_block_length(self, stage):
         cfg = steane_config(rng_seed=31)
-        art = run_protocol_full(cfg)
+        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
         field = f"stage{stage}_blocks"
         blocks = getattr(art.transcript, field)
         short = replace(art.transcript, **{field: _shortened(blocks)})
@@ -485,7 +485,7 @@ class TestReplayPositions:
 
     def setup_method(self):
         self.cfg = steane_config(rng_seed=31)
-        self.art = run_protocol_full(self.cfg)
+        self.art = run_chunk(self.cfg, [self.cfg.rng_seed]).artifacts(0)
 
     def replay(self, transcript, bases=None):
         bases = self.art.bob_bases if bases is None else bases
@@ -522,6 +522,35 @@ class TestReplayPositions:
         with pytest.raises(TranscriptError, match="kept position 215 outside transmission"):
             self.replay(bad, bases)
 
+    def test_repeated_positions_yield_no_key(self):
+        # check position 1 replaced by a copy of position 0, in CHECKPOS and
+        # in KEEP, keeps every count and the stage-1 partition; the repeat
+        # in KEEP is reported first
+        t = self.art.transcript
+        check = t.check_positions.copy()
+        check[1] = check[0]
+        kept = t.kept_positions.copy()
+        kept[kept == t.check_positions[1]] = check[0]
+        bad = replace(t, kept_positions=np.sort(kept), check_positions=check)
+        with pytest.raises(TranscriptError, match=f"kept position {check[0]} repeats"):
+            self.replay(bad)
+
+    def test_short_keep_of_an_aborted_transcript(self):
+        cfg = steane_config(rng_seed=0)
+        art = run_chunk(cfg, [0], AttackModel.intercept_resend(1.0)).artifacts(0)
+        assert art.outcome.aborted
+        t = replace(art.transcript, kept_positions=art.transcript.check_positions)
+        with pytest.raises(TranscriptError,
+                           match="49 kept positions, but the configured code pairs use 98"):
+            replay_bob(t, art.bob_bases, art.bob_bits, cfg)
+
+    def test_repeated_check_position(self):
+        t = self.art.transcript
+        p = t.check_positions[0]
+        bad = replace(t, check_positions=np.full(49, p))
+        with pytest.raises(TranscriptError, match=f"check position {p} repeats"):
+            self.replay(bad)
+
     @pytest.mark.parametrize("field", ["kept", "check", "stage-1 block", "stage-2 block"])
     @pytest.mark.parametrize("p", [2**63, 10**30, -2**63 - 1])
     def test_position_beyond_int64(self, field, p):
@@ -554,7 +583,7 @@ class TestReplayPartitions:
 
     def setup_method(self):
         self.cfg = steane_config(rng_seed=31)
-        self.art = run_protocol_full(self.cfg)
+        self.art = run_chunk(self.cfg, [self.cfg.rng_seed]).artifacts(0)
         assert not self.art.outcome.aborted
 
     def replay(self, transcript):
@@ -599,12 +628,14 @@ class TestReplayPartitions:
             self.replay(self.edited(1, (1, 2, p), (6, 6, check)))
 
     def test_kept_position_no_block_covers(self):
+        # the configured pairs fix how many positions are kept, so an extra
+        # one is refused by its count, before any block is read
         t = self.art.transcript
         matched = np.flatnonzero(self.art.bob_bases == parse_bits(t.b))
         extra = int(min(set(matched.tolist()) - set(t.kept_positions)))
         bad = replace(t, kept_positions=np.sort(np.append(t.kept_positions, extra)))
         with pytest.raises(TranscriptError,
-                           match="stage-1 blocks and check bits do not partition the kept"):
+                           match="99 kept positions, but the configured code pairs use 98"):
             self.replay(bad)
 
     @pytest.mark.parametrize("what", ["repeat", "too large"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bb84sim.channel import AttackModel
 from bb84sim.codes import builtin_pair
 from bb84sim.errors import TranscriptError
-from bb84sim.protocol import ProtocolConfig, replay_bob, run_chunk, run_protocol_full
+from bb84sim.protocol import ProtocolConfig, replay_bob, run_chunk
 from bb84sim.transcript import (
     StageAnnouncement,
     Transcript,
@@ -60,13 +60,13 @@ class TestRoundTrip:
 
     def test_real_runs_bit_exact(self):
         for seed in range(5):
-            art = run_protocol_full(run_config(seed), AttackModel.bitflip(0.05))
+            art = run_chunk(run_config(), [seed], AttackModel.bitflip(0.05)).artifacts(0)
             text = dump_transcript(art.transcript)
             assert parse_transcript(text) == art.transcript
             assert dump_transcript(parse_transcript(text)) == text
 
     def test_aborted_run_has_no_blocks(self):
-        art = run_protocol_full(run_config(3), AttackModel.intercept_resend(1.0))
+        art = run_chunk(run_config(), [3], AttackModel.intercept_resend(1.0)).artifacts(0)
         assert art.outcome.aborted
         t = parse_transcript(dump_transcript(art.transcript))
         assert t.stage1_blocks == t.stage2_blocks == StageAnnouncement()
@@ -76,7 +76,7 @@ class TestRoundTrip:
 class TestArrays:
     def test_every_array_is_read_only(self):
         # parsed transcripts, and a run's own, whose arrays are views of its chunk's
-        for t in real_transcripts() + [run_protocol_full(run_config(0)).transcript]:
+        for t in real_transcripts() + [run_chunk(run_config(), [0]).artifacts(0).transcript]:
             for array in (t.kept_positions, t.check_positions, t.stage1_blocks.positions,
                           t.stage2_blocks.positions):
                 assert array.dtype == np.int64
@@ -136,7 +136,7 @@ class TestParseErrors:
             parse_transcript("\n".join(lines) + "\n")
 
     def test_stage_blocks_of_unequal_length(self):
-        text = dump_transcript(run_protocol_full(run_config(0)).transcript)
+        text = dump_transcript(run_chunk(run_config(), [0]).artifacts(0).transcript)
         lines = text.splitlines()
         head, masked = lines[7].rsplit(" masked=", 1)
         lines[7] = head.rsplit(",", 1)[0] + " masked=" + masked[:-1]
@@ -162,7 +162,7 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("how", ["underscore", "plus", "id"])
     def test_numbers_are_decimal_digits_only(self, how):
-        text = dump_transcript(run_protocol_full(run_config(0)).transcript)
+        text = dump_transcript(run_chunk(run_config(), [0]).artifacts(0).transcript)
         assert parse_transcript(text)
         with pytest.raises(TranscriptError, match="line (2: bad position list|7: bad block id)"):
             parse_transcript(respelled(text, how))
@@ -206,7 +206,7 @@ class TestCorruptionSensitivity:
         # one flipped masked-word bit looks like one extra channel error, and
         # a distance-3 stage absorbs it: the replayed key still matches
         cfg = run_config(17)
-        art = run_protocol_full(cfg)
+        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
         text = dump_transcript(art.transcript)
         corrupted = parse_transcript(_flip_masked_bits(text, "BLK2", 1))
         result = replay_bob(corrupted, art.bob_bases, art.bob_bits, cfg)
@@ -217,7 +217,7 @@ class TestCorruptionSensitivity:
         # two flips exceed the correction radius: replay completes without
         # crashing and the key disagrees with the recorded one
         cfg = run_config(17)
-        art = run_protocol_full(cfg)
+        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
         text = dump_transcript(art.transcript)
         corrupted = parse_transcript(_flip_masked_bits(text, "BLK2", 2))
         result = replay_bob(corrupted, art.bob_bases, art.bob_bits, cfg)
