@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -283,27 +283,52 @@ class _BobRecord:
     key: Optional[str]
 
 
+def _read_ascii(path: str, split_lines: Callable[[str], list[str]]) -> str:
+    """The text of the file at `path`, read with universal newlines, whose
+    bytes must all be ASCII.
+
+    Raises:
+        TranscriptError: naming the first line, of the lines `split_lines`
+            makes of the text, that holds another byte.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        for line_no, line in enumerate(split_lines(text), start=1):
+            if not line.isascii():
+                # each byte outside ASCII reads as one of U+DC80..U+DCFF
+                byte = ord(next(c for c in line if not c.isascii())) - 0xDC00
+                raise TranscriptError(f"byte {byte:#04x} is not ASCII", line=line_no)
+    return text
+
+
+def _split_newlines(text: str) -> list[str]:
+    return text.split("\n")
+
+
 def _read_bob_file(path: str) -> _BobRecord:
     fields = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tag, _, value = line.partition(" ")
-            if tag not in ("BASES", "BITS", "KEY"):
-                raise TranscriptError(f"unexpected tag {tag!r}", line=line_no)
-            if tag in ("BASES", "BITS") and set(value) - {"0", "1"}:
-                raise TranscriptError(f"{tag} must be a 0/1 string", line=line_no)
-            fields[tag] = value
+    for line_no, raw in enumerate(_split_newlines(_read_ascii(path, _split_newlines)), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tag, _, value = line.partition(" ")
+        if tag not in ("BASES", "BITS", "KEY"):
+            raise TranscriptError(f"unexpected tag {tag!r}", line=line_no)
+        if tag != "KEY":
+            try:
+                value = parse_bits(value)
+            except ValueError:
+                raise TranscriptError(f"{tag} must be a 0/1 string", line=line_no) from None
+        fields[tag] = value
     for tag in ("BASES", "BITS", "KEY"):
         if tag not in fields:
             raise TranscriptError(f"missing tag {tag}")
     if len(fields["BASES"]) != len(fields["BITS"]):
         raise TranscriptError("BASES and BITS differ in length")
     return _BobRecord(
-        bases=parse_bits(fields["BASES"]),
-        bits=parse_bits(fields["BITS"]),
+        bases=fields["BASES"],
+        bits=fields["BITS"],
         key=None if fields["KEY"] == "-" else fields["KEY"],
     )
 
@@ -311,8 +336,7 @@ def _read_bob_file(path: str) -> _BobRecord:
 def cmd_replay(args) -> int:
     settings = _merge_settings(args)
     config = _build_protocol_config(settings)
-    with open(args.transcript, "r", encoding="ascii") as fh:
-        transcript = parse_transcript(fh.read())
+    transcript = parse_transcript(_read_ascii(args.transcript, str.splitlines))
     bob = _read_bob_file(args.bob_record)
     result = replay_bob(transcript, bob.bases, bob.bits, config)
     recomputed = result.key if result.key is not None else "-"

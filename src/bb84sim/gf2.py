@@ -32,12 +32,11 @@ from .errors import DimensionError
 __all__ = ["matmul", "row_reduce", "solve_membership", "format_bits", "parse_bits",
            "parse_decimal", "parse_decimals", "parse_float"]
 
-_BITS = re.compile("[01]*")
-# a number is 1 to 18 ASCII digits: no sign, space or underscore, and nothing
-# an int64 cannot hold; a list of them is comma-separated, with no empty entry
-_NUMBER = "[0-9]{1,18}"
-_DECIMAL = re.compile(_NUMBER)
-_DECIMALS = re.compile(f"{_NUMBER}(?:,{_NUMBER})*")
+# the bytes of a decimal list by class: each digit reads as b"9", the comma
+# as itself and every other byte as b"x", so that searches decide the list
+_DECIMAL_CLASSES = bytes(ord("9" if chr(c) in "0123456789" else "," if chr(c) == "," else "x")
+                         for c in range(256))
+_TOO_LONG = b"9" * 19
 # a float is digits, then an optional fraction and an optional exponent: no
 # sign, space, underscore, inf or nan
 _FLOAT = re.compile("[0-9]+(?:[.][0-9]+)?(?:[eE][+-]?[0-9]+)?")
@@ -55,9 +54,10 @@ def parse_bits(text: str) -> np.ndarray:
     Raises:
         ValueError: the string has a character other than 0 and 1.
     """
-    if _BITS.fullmatch(text) is None:
+    raw = text.encode("ascii", "replace")
+    if raw.translate(None, b"01"):
         raise ValueError(f"bit string {text!r} has characters outside 0/1")
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - 48
+    return np.frombuffer(raw, dtype=np.uint8) - 48
 
 
 def parse_decimal(text: str) -> int:
@@ -66,7 +66,8 @@ def parse_decimal(text: str) -> int:
     Raises:
         ValueError: the text is not such a number.
     """
-    if _DECIMAL.fullmatch(text) is None:
+    # an ASCII string's only digits are 0-9, which int() then reads alone
+    if not (len(text) <= 18 and text.isascii() and text.isdigit()):
         raise ValueError(f"bad decimal {text!r}")
     return int(text)
 
@@ -75,14 +76,18 @@ def parse_decimals(text: str) -> np.ndarray:
     """The int64 numbers of a comma-separated list of ASCII decimal numbers
     of at most 18 digits each; "" gives an empty array.
 
-    The pattern check comes first, and the conversion is one C call.
+    The text is checked by bytes passes, each one C call: one translation
+    to digit and comma classes, then searches for any other byte, an empty
+    entry and a run of 19 digits; the conversion is one C call too.
 
     Raises:
         ValueError: the text is not such a list.
     """
     if text == "":
         return np.zeros(0, dtype=np.int64)
-    if _DECIMALS.fullmatch(text) is None:
+    classes = text.encode("ascii", "replace").translate(_DECIMAL_CLASSES)
+    if (b"x" in classes or b",," in classes or classes.startswith(b",")
+            or classes.endswith(b",") or _TOO_LONG in classes):
         raise ValueError(f"bad decimal list {text!r}")
     return np.fromstring(text, dtype=np.int64, sep=",")
 

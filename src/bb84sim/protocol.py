@@ -73,10 +73,10 @@ bits 0/1 strings (`gf2.format_bits`), as transcripts are dumped.  Replay
 indexes with the transcript's position arrays as they are, parses its bit
 strings back to arrays and runs the same check and receiver stage functions
 as a live run, stage by stage on one row, after checking the positions
-with array passes (see `replay_bob`).  Each protocol
-step has this one implementation; the public `stage_correct_and_amplify`
-only adds checks of its inputs.  The tests hold a scalar per-block
-reference.
+with counting passes, a max and boolean masks (see `replay_bob`).  Each
+protocol step has this one implementation; the public
+`stage_correct_and_amplify` only adds checks of its inputs.  The tests hold
+a scalar per-block reference.
 """
 
 from __future__ import annotations
@@ -782,15 +782,24 @@ def _first_invalid(positions: np.ndarray, n: int, valid: Optional[np.ndarray] = 
     or, with `distinct`, that repeats an earlier position; None if there is
     none.
 
-    One array pass decides; only when it fails does a Python scan find that
+    Counting passes decide; only when one fails does a Python scan find that
     first position.
     """
     flat = positions.reshape(-1)
-    # in range first, so that `valid` and bincount see only [0, n)
-    if (flat.min(initial=0) >= 0 and flat.max(initial=-1) < n
-            and (valid is None or valid[flat].all())
-            and (not distinct or np.bincount(flat).max(initial=0) <= 1)):
-        return None
+    # a negative position reads as one above 2**63 as a uint64, so one max
+    # checks the range, which comes first, so that the masks see only [0, n)
+    if flat.view(np.uint64).max(initial=0) < n:
+        if not distinct:
+            if valid is None or valid[flat].all():
+                return None
+        else:
+            # each valid position met for the first time clears one entry, so
+            # all of them clear one each exactly when they are valid and distinct
+            unmet = np.ones(n, dtype=bool) if valid is None else valid.copy()
+            before = np.count_nonzero(unmet)
+            unmet[flat] = False
+            if before - np.count_nonzero(unmet) == flat.size:
+                return None
     seen = set()
     for i, p in enumerate(flat.tolist()):
         if not 0 <= p < n or (valid is not None and not valid[p]) or (distinct and p in seen):
@@ -808,11 +817,12 @@ def replay_bob(transcript: Transcript, bob_bases: np.ndarray, bob_bits: np.ndarr
     kept, both are as many as the configured code pairs use and none
     repeats, the stage-1 blocks and the check positions partition the kept
     positions, and each later stage's blocks permute the previous stage's
-    key bits.  Each check is one array pass over the kept and check
-    positions or a stage's (blocks x n) positions (the kept and check
-    repeats are counted on their masks, a stage's with `np.bincount`); only
-    a failed pass is followed by a Python scan, which names the first
-    offending position in block order.
+    key bits.  Each check is a counting pass over the kept and check
+    positions or a stage's (blocks x n) positions: one max for the range, a
+    boolean mask read at the positions for the basis and the kept and code
+    positions, and for repeats a count of the entries the positions set in,
+    or clear from, a boolean mask.  Only a failed pass is followed by a
+    Python scan, which names the first offending position in block order.
 
     Under strict decoding a stage with a failed block ends the replay
     aborted, as it ends the run (whose transcript announces no later stage),

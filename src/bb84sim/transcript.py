@@ -9,13 +9,18 @@ arrays: the kept and check positions one 1-D array each, and each stage's
 blocks one `StageAnnouncement`, a (blocks x n) array of positions whose
 row is the block id, with one masked string of the blocks' words in
 order.  Text is only the file form: dumping formats each array with one
-`tolist()`, and parsing splits the lines and fields once, joins every
-position list of the transcript (KEEP, CHECKPOS, every BLK ``pos``) and
-reads them with one `gf2.parse_decimals` call, one pattern check and one C
-conversion, then slices the result into the arrays.  Numbers are ASCII
-digits only, at most 18 to a number, so that every position fits an
-int64; a bad list is reported with its own line, as are a block out of
-order and a block whose length differs from its stage's first.
+`tolist()`.  Parsing joins every position list of the transcript (KEEP,
+CHECKPOS, every BLK ``pos``) and reads them with one `gf2.parse_decimals`
+call, bytes passes and one C conversion, then slices the result into the
+arrays.  A text laid out as dumped is read in whole-text passes: one split
+into lines, one split of each block line into its fields, taken apart as
+columns, literal compares of the tags, keys and block ids, and one bit
+check of all bit strings joined.  Any other text, or one such a pass
+refuses, is read line by line, which accepts other spacing and field
+order and names the first error and its line.  Numbers are ASCII digits
+only, at most 18 to a number, so that every position fits an int64; a bad
+list is reported with its own line, as are a block out of order and a
+block whose length differs from its stage's first.
 
 Tags in dump order: B, KEEP, CHECKPOS, ACHK, BCHK, then one BLK1 line per
 first-stage block and one BLK2 line per second-stage block (absent when
@@ -25,14 +30,15 @@ parse(dump(t)) == t.
 
 from __future__ import annotations
 
-import re
+import functools
 from dataclasses import dataclass, field
-from typing import NoReturn
+from itertools import repeat
+from typing import NoReturn, Optional
 
 import numpy as np
 
 from .errors import TranscriptError
-from .gf2 import parse_decimal, parse_decimals
+from .gf2 import parse_bits, parse_decimal, parse_decimals
 
 __all__ = ["NO_BLOCKS", "StageAnnouncement", "Transcript", "dump_transcript", "parse_transcript"]
 
@@ -162,8 +168,9 @@ def _parse_fields(body: str, line_no: int) -> dict[str, str]:
     return fields
 
 
-_BITS = re.compile("[01]*")
 _HEADER_TAGS = ("B", "KEEP", "CHECKPOS", "ACHK", "BCHK")
+# the start of each header line, in dump order, up to its value
+_HEADER_STARTS = ("B bits=", "KEEP pos=", "CHECKPOS pos=", "ACHK bits=", "BCHK bits=")
 _BLOCK_TAGS = {"BLK1": 0, "BLK2": 1}
 _BLOCK_FIELDS = ("id", "pos", "masked")
 
@@ -171,6 +178,81 @@ _BLOCK_FIELDS = ("id", "pos", "masked")
 def _count(positions: str) -> int:
     """The numbers a position list holds, if it is well formed."""
     return positions.count(",") + 1 if positions else 0
+
+
+def _assemble(b: str, achk: str, bchk: str, numbers: np.ndarray, kept: int, check: int,
+              stages) -> Transcript:
+    """The transcript whose position lists, KEEP's `kept` numbers, CHECKPOS's
+    `check`, then each stage's blocks, are `numbers` in turn; `stages` holds
+    each stage's (masked words, their common length).
+
+    Raises:
+        ValueError: from the `Transcript` constructor.
+    """
+    end = kept + check
+    announcements = []
+    for words, n in stages:
+        start, end = end, end + len(words) * n
+        announcements.append(StageAnnouncement(numbers[start:end].reshape(len(words), n),
+                                               "".join(words)) if words else NO_BLOCKS)
+    return Transcript(b, numbers[:kept], numbers[kept:kept + check], achk, bchk, *announcements)
+
+
+@functools.lru_cache(maxsize=16)
+def _block_ids(count: int) -> tuple[str, ...]:
+    """The id fields of a stage of `count` blocks, as they are dumped."""
+    return tuple(f"id={i}" for i in range(count))
+
+
+def _read_dumped(text: str) -> Optional[Transcript]:
+    """The transcript a text laid out exactly as `dump_transcript` writes it
+    holds, read in whole-text passes; None for any other text, and for one
+    a pass refuses.
+
+    One split makes the lines, and one split of each block line its fields,
+    which are taken apart as columns.  The tags, keys and block ids are
+    compared as literals, all bit strings joined pass one `parse_bits`
+    check, and all position lists joined are read by one `parse_decimals`
+    call, so every character is checked and what this accepts the line by
+    line reading accepts the same.
+    """
+    lines = text.split("\n")
+    header, blocks = lines[:5], lines[5:-1]
+    if len(lines) < 6 or lines[-1] or not all(map(str.startswith, header, _HEADER_STARTS)):
+        return None
+    b, kept, check, achk, bchk = map(str.removeprefix, header, _HEADER_STARTS)
+    try:
+        tags, ids, positions, words = (zip(*map(str.split, blocks, repeat(" ")), strict=True)
+                                       if blocks else ((),) * 4)
+    except ValueError:
+        return None
+    count1 = tags.count("BLK1")
+    counts = (count1, len(tags) - count1)
+    if (tags != ("BLK1",) * counts[0] + ("BLK2",) * counts[1]
+            or ids != _block_ids(counts[0]) + _block_ids(counts[1])
+            or not all(map(str.startswith, positions, repeat("pos=")))
+            or not all(map(str.startswith, words, repeat("masked=")))):
+        return None
+    positions = tuple(map(str.removeprefix, positions, repeat("pos=")))
+    words = tuple(map(str.removeprefix, words, repeat("masked=")))
+    # a stage's blocks each hold n masked bits and n positions, so n - 1
+    # commas, which also refuses n = 0 (a list of no commas holds one number)
+    widths, commas = tuple(map(len, words)), tuple(map(str.count, positions, repeat(",")))
+    stages, start = [], 0
+    for count in counts:
+        stop = start + count
+        n = widths[start] if count else 0
+        if widths[start:stop] != (n,) * count or commas[start:stop] != (n - 1,) * count:
+            return None
+        stages.append((words[start:stop], n))
+        start = stop
+    try:
+        parse_bits("".join((b, achk, bchk) + words))
+        numbers = parse_decimals(",".join((kept, check) + positions))
+        return _assemble(b, achk, bchk, numbers, kept.count(",") + 1, check.count(",") + 1,
+                         stages)
+    except ValueError:
+        return None
 
 
 def _read_positions(lists: list[tuple[str, int]]) -> np.ndarray:
@@ -195,14 +277,25 @@ def _read_positions(lists: list[tuple[str, int]]) -> np.ndarray:
 def parse_transcript(text: str) -> Transcript:
     """Parse a dumped transcript.
 
-    The checks run in line order, and the first failure is the one
-    reported.  The position lists are read together at the end, so a check
-    that fails reads the lists before it first and reports a bad one
-    instead.
+    A text laid out as `dump_transcript` writes it is read in whole-text
+    passes (`_read_dumped`).  Any other text, and one such a pass refuses,
+    is read line by line (`_read_lines`), which names the first error.
 
     Raises:
         TranscriptError: with the offending line number; a truncated file
             reports which mandatory tag is missing.
+    """
+    transcript = _read_dumped(text)
+    return _read_lines(text) if transcript is None else transcript
+
+
+def _read_lines(text: str) -> Transcript:
+    """`parse_transcript` of any text, one line after another.
+
+    The checks run in line order, and the first failure is the one
+    reported.  The position lists are read together at the end, so a check
+    that fails reads the lists before it first and reports a bad one
+    instead.
     """
     records: list[tuple[int, str, dict[str, str]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -226,6 +319,12 @@ def parse_transcript(text: str) -> Transcript:
         _read_positions(lists)
         raise TranscriptError(message, line=line_no) from None
 
+    def check_bits(value: str, line_no: int) -> None:
+        try:
+            parse_bits(value)
+        except ValueError as exc:
+            fail(str(exc), line_no)
+
     def header_field(tag: str, key: str) -> str:
         line_no, fields = header[tag]
         if key not in fields:
@@ -233,8 +332,8 @@ def parse_transcript(text: str) -> Transcript:
         value = fields[key]
         if key == "pos":
             lists.append((value, line_no))
-        elif _BITS.fullmatch(value) is None:
-            fail(f"bit string {value!r} has characters outside 0/1", line_no)
+        else:
+            check_bits(value, line_no)
         return value
 
     b = header_field("B", "bits")
@@ -266,8 +365,7 @@ def parse_transcript(text: str) -> Transcript:
         positions, word = fields["pos"], fields["masked"]
         lists.append((positions, line_no))
         count = _count(positions)
-        if _BITS.fullmatch(word) is None:
-            fail(f"bit string {word!r} has characters outside 0/1", line_no)
+        check_bits(word, line_no)
         if len(word) != count:
             fail(f"masked length {len(word)} != position count {count}", line_no)
         if words and count != widths[stage]:
@@ -276,24 +374,8 @@ def parse_transcript(text: str) -> Transcript:
         widths[stage] = count
         words.append(word)
 
-    # the numbers of KEEP, CHECKPOS, then each stage's blocks, in turn
     numbers = _read_positions(lists)
-    start, end = _count(kept), _count(kept) + _count(check)
-    kept, check = numbers[:start], numbers[start:end]
-    stages = []
-    for words, n in zip(masked, widths):
-        start, end = end, end + len(words) * n
-        stages.append(StageAnnouncement(numbers[start:end].reshape(len(words), n), "".join(words))
-                      if words else NO_BLOCKS)
     try:
-        return Transcript(
-            b=b,
-            kept_positions=kept,
-            check_positions=check,
-            alice_check_values=achk,
-            bob_check_values=bchk,
-            stage1_blocks=stages[0],
-            stage2_blocks=stages[1],
-        )
+        return _assemble(b, achk, bchk, numbers, _count(kept), _count(check), zip(masked, widths))
     except ValueError as exc:
         raise TranscriptError(str(exc)) from exc

@@ -423,6 +423,23 @@ class TestReplayErrors:
         assert err.startswith("parse error: line 2: bad position list")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("suffix, line_no", [(".transcript", 4), (".bob", 2)])
+    def test_non_ascii_byte_exit_three(self, capsys, tmp_path, suffix, line_no):
+        # the file was once read as strict ASCII, and a decode error was
+        # reported as a config error with exit 1
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--trials", "1", "--seed", "1", "--out-dir", str(out_dir),
+                "--dump-transcripts")
+        tpath = next((out_dir / "transcripts").glob("*.transcript"))
+        bpath = next((out_dir / "transcripts").glob("*.bob"))
+        path = tpath if suffix == ".transcript" else bpath
+        lines = path.read_bytes().split(b"\n")
+        lines[line_no - 1] = lines[line_no - 1][:3] + b"\xe9" + lines[line_no - 1][3:]
+        path.write_bytes(b"\n".join(lines))
+        code, _, err = run_cli(capsys, "replay", str(tpath), str(bpath))
+        assert code == 3
+        assert err.startswith(f"parse error: line {line_no}: byte 0xe9 is not ASCII")
+
     @pytest.mark.parametrize("flag", ["--threshold", "--delta"])
     def test_float_flag_bad_value_exit_one(self, capsys, tmp_path, flag):
         out_dir = tmp_path / "out"

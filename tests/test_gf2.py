@@ -101,7 +101,8 @@ class TestDecimals:
             with pytest.raises(ValueError, match="bad decimal list"):
                 parse_decimals(text)
 
-    @pytest.mark.parametrize("text", ["3,", ",3", "1,,2", "1, 2", "1,-2", "1;2", "1,2," + "4" * 19])
+    @pytest.mark.parametrize("text", ["3,", ",3", "1,,2", "1, 2", "1,-2", "1;2", "1,2," + "4" * 19,
+                                      "0" * 18 + "1"])
     def test_rejects_what_is_not_a_list(self, text):
         with pytest.raises(ValueError, match="bad decimal list"):
             parse_decimals(text)

@@ -522,6 +522,15 @@ class TestReplayPositions:
         with pytest.raises(TranscriptError, match="kept position 215 outside transmission"):
             self.replay(bad, bases)
 
+    def test_negative_kept_position_is_outside(self):
+        # indexing from the end of Bob's record, kept[5] - 215 would read
+        # as kept[5] itself
+        t = self.art.transcript
+        kept = t.kept_positions.copy()
+        kept[5] -= 215
+        with pytest.raises(TranscriptError, match=f"kept position {kept[5]} outside transmission"):
+            self.replay(replace(t, kept_positions=kept))
+
     def test_repeated_positions_yield_no_key(self):
         # check position 1 replaced by a copy of position 0, in CHECKPOS and
         # in KEEP, keeps every count and the stage-1 partition; the repeat

@@ -18,6 +18,7 @@ from bb84sim.transcript import (
     parse_transcript,
 )
 from oracle import parse_transcript_reference
+from test_protocol import simplex_pair
 
 
 def small_transcript():
@@ -149,6 +150,24 @@ class TestParseErrors:
         with pytest.raises(TranscriptError, match="masked length"):
             parse_transcript(text)
 
+    def test_masked_bit_moved_to_another_block(self):
+        # the stage's masked bits stay as many as its positions, but block 1
+        # has one bit more than its positions, and block 2 one less
+        lines = dump_transcript(run_chunk(run_config(), [0]).artifacts(0).transcript).splitlines()
+        assert lines[6].startswith("BLK1 id=1 ") and lines[7].startswith("BLK1 id=2 ")
+        lines[6] += lines[7][-1]
+        lines[7] = lines[7][:-1]
+        with pytest.raises(TranscriptError, match="line 7: masked length 8 != position count 7"):
+            parse_transcript("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("key", ["pos", "masked"])
+    def test_block_value_without_its_key(self, key):
+        text = dump_transcript(run_chunk(run_config(), [0]).artifacts(0).transcript)
+        head, line, tail = text.partition("\nBLK1 id=1 ")
+        line = line + tail.replace(f"{key}=", "", 1)
+        with pytest.raises(TranscriptError, match="line 7: malformed field"):
+            parse_transcript(head + line)
+
     def test_unexpected_tag(self):
         text = dump_transcript(small_transcript()) + "WHAT is=this\n"
         with pytest.raises(TranscriptError, match="unexpected tag"):
@@ -245,9 +264,18 @@ STACKS = [("steane", "steane"), ("steane", "golay"), ("golay", "golay")]
 
 @functools.lru_cache(maxsize=None)
 def real_dumps():
-    """Dumped transcripts of real runs: for each stack, one that aborts at the
-    check, then two that finish (golay/golay's last)."""
-    dumps = []
+    """Dumped transcripts of real runs: one under strict decoding that stops
+    after a stage-1 block fails to decode, so has no BLK2 lines, then for
+    each stack one that aborts at the check and two that finish (golay/golay's
+    last)."""
+    def inject(stage, block, n):
+        return [0, 1] if stage == 1 and block == 0 else []
+
+    strict = ProtocolConfig(simplex_pair(), simplex_pair(), abort_threshold=0.3, strict_decode=True)
+    failed = run_chunk(strict, [2], AttackModel.none(), inject).artifacts(0)
+    assert failed.outcome.abort_reason == "decode_failure"
+    dumps = [dump_transcript(failed.transcript)]
+    assert "\nBLK1 " in dumps[0] and "BLK2" not in dumps[0]
     for stage1, stage2 in STACKS:
         config = ProtocolConfig(builtin_pair(stage1), builtin_pair(stage2), abort_threshold=0.124)
         aborted = run_chunk(config, [0], AttackModel.intercept_resend(1.0)).artifacts(0)
@@ -283,7 +311,7 @@ def mutated_dumps(draw):
                 j = draw(st.integers(*draw(st.sampled_from(values))))
             else:
                 j = draw(st.integers(0, len(line)))
-            char = draw(st.sampled_from("0123456789,,,=+-_x B\n"))
+            char = draw(st.sampled_from("0123456789,,,=+-_x B\n\r\t"))
             end = j + (edit != "insert")
             lines[i] = line[:j] + ("" if edit == "delete" else char) + line[end:]
         elif edit == "duplicate field" and len(fields) > 1:
