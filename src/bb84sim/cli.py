@@ -4,7 +4,9 @@ sampling statistics, replay transcripts, and validate code files.
 Configuration is a flat key=value text file ('#' starts a comment); every
 key is also a command-line flag, and flags override the file.  Outputs are
 header-row CSV with '.' decimals, written in trial-index order so the same
-configuration and seed produce byte-identical files.  Exit codes:
+configuration and seed produce byte-identical files; `run` writes each
+chunk's trials.csv rows, and its transcripts, as the chunk finishes.
+Exit codes:
 0 success, 1 configuration error, 2 I/O error, 3 parse error.
 """
 
@@ -16,14 +18,14 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .channel import AttackModel
 from .codes import load_pair, parse_code, parse_pair
 from .errors import ConfigError, InsufficientSiftAbort, TranscriptError
-from .gf2 import format_bits, parse_bits, parse_decimal, parse_decimals, parse_float
+from .gf2 import parse_bits, parse_decimal, parse_decimals, parse_float, read_ascii
 from .protocol import ProtocolConfig, replay_bob, run_chunk
 from .stats import (
     RecursionModel,
@@ -34,7 +36,7 @@ from .stats import (
     iterate_error_rate,
     sigma,
 )
-from .transcript import dump_transcript, parse_transcript
+from .transcript import parse_transcript
 
 TRIAL_COLUMNS = ["trial", "seed", "aborted", "check_error_rate", "keys_equal", "decode_failures"]
 SUMMARY_COLUMNS = ["trials", "abort_fraction", "mean_check_error", "stddev_check_error",
@@ -166,15 +168,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _dump_trial(stem: str, art) -> None:
-    """Write one trial's transcript and Bob's record beside it."""
-    with open(stem + ".transcript", "w", encoding="ascii") as fh:
-        fh.write(dump_transcript(art.transcript))
-    key = art.outcome.bob_final_key
-    with open(stem + ".bob", "w", encoding="ascii") as fh:
-        fh.write(f"BASES {format_bits(art.bob_bases)}\n")
-        fh.write(f"BITS {format_bits(art.bob_bits)}\n")
-        fh.write(f"KEY {'-' if key is None else key}\n")
+# a file written whole, as bytes: O_BINARY, which only Windows has, stops its
+# C runtime from writing each "\n" as "\r\n"
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    """Write `data` as the whole file at `path`, as `open(path, "wb")` would
+    (mode 0o666 less the umask)."""
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def cmd_run(args) -> int:
@@ -191,37 +199,40 @@ def cmd_run(args) -> int:
     if transcript_dir:
         os.makedirs(transcript_dir, exist_ok=True)
 
-    rows = []
     rates = []
     aborts = 0
     agreements = 0
     completed = 0
     base_seed = settings["seed"]
     chunk_size = max(1, QUBITS_PER_CHUNK // base_config.transmitted_count)
-    for start in range(0, trials, chunk_size):
-        chunk = run_chunk(base_config, range(base_seed + start,
-                                             base_seed + min(start + chunk_size, trials)), attack)
-        failures = chunk.decode_failures.sum(axis=0)
-        for t, (aborted, rate, keys_equal, decode_failures) in enumerate(zip(
-                chunk.aborted.tolist(), chunk.check_error_rate.tolist(),
-                chunk.keys_equal.tolist(), failures.tolist())):
-            i = start + t
-            if aborted:
-                aborts += 1
-            else:
-                completed += 1
-                agreements += 1 if keys_equal else 0
-            rates.append(rate)
-            rows.append([i, base_seed + i, aborted, rate, None if aborted else keys_equal,
-                         decode_failures])
-            if transcript_dir:
-                _dump_trial(os.path.join(transcript_dir, f"trial_{i:05d}"), chunk.artifacts(t))
-
+    # each chunk's rows are written as it finishes, so that a run that fails
+    # leaves those of the chunks before, beside their transcripts
     with open(os.path.join(out_dir, "trials.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(value) for value in row])
+        for start in range(0, trials, chunk_size):
+            chunk = run_chunk(base_config, range(base_seed + start,
+                                                 base_seed + min(start + chunk_size, trials)),
+                              attack)
+            failures = chunk.decode_failures.sum(axis=0)
+            for t, (aborted, rate, keys_equal, decode_failures) in enumerate(zip(
+                    chunk.aborted.tolist(), chunk.check_error_rate.tolist(),
+                    chunk.keys_equal.tolist(), failures.tolist())):
+                i = start + t
+                if aborted:
+                    aborts += 1
+                else:
+                    completed += 1
+                    agreements += 1 if keys_equal else 0
+                rates.append(rate)
+                writer.writerow([_fmt(value) for value in (
+                    i, base_seed + i, aborted, rate, None if aborted else keys_equal,
+                    decode_failures)])
+            if transcript_dir:
+                for i, (transcript, bob) in enumerate(chunk.dumps(), start=start):
+                    stem = os.path.join(transcript_dir, f"trial_{i:05d}")
+                    _write_bytes(stem + ".transcript", transcript)
+                    _write_bytes(stem + ".bob", bob)
 
     mean_rate = math.fsum(rates) / len(rates) if rates else None
     if rates and len(rates) > 1:
@@ -283,32 +294,14 @@ class _BobRecord:
     key: Optional[str]
 
 
-def _read_ascii(path: str, split_lines: Callable[[str], list[str]]) -> str:
-    """The text of the file at `path`, read with universal newlines, whose
-    bytes must all be ASCII.
-
-    Raises:
-        TranscriptError: naming the first line, of the lines `split_lines`
-            makes of the text, that holds another byte.
-    """
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
-        text = fh.read()
-    if not text.isascii():
-        for line_no, line in enumerate(split_lines(text), start=1):
-            if not line.isascii():
-                # each byte outside ASCII reads as one of U+DC80..U+DCFF
-                byte = ord(next(c for c in line if not c.isascii())) - 0xDC00
-                raise TranscriptError(f"byte {byte:#04x} is not ASCII", line=line_no)
-    return text
-
-
 def _split_newlines(text: str) -> list[str]:
     return text.split("\n")
 
 
 def _read_bob_file(path: str) -> _BobRecord:
     fields = {}
-    for line_no, raw in enumerate(_split_newlines(_read_ascii(path, _split_newlines)), start=1):
+    text = read_ascii(path, _split_newlines, TranscriptError)
+    for line_no, raw in enumerate(_split_newlines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -336,7 +329,7 @@ def _read_bob_file(path: str) -> _BobRecord:
 def cmd_replay(args) -> int:
     settings = _merge_settings(args)
     config = _build_protocol_config(settings)
-    transcript = parse_transcript(_read_ascii(args.transcript, str.splitlines))
+    transcript = parse_transcript(read_ascii(args.transcript, str.splitlines, TranscriptError))
     bob = _read_bob_file(args.bob_record)
     result = replay_bob(transcript, bob.bases, bob.bits, config)
     recomputed = result.key if result.key is not None else "-"
@@ -350,8 +343,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_codes_validate(args) -> int:
-    with open(args.path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    text = read_ascii(args.path, str.splitlines, ConfigError)
     is_pair = any(line.strip() == "%" for line in text.splitlines())
     if is_pair:
         pair = parse_pair(text, name=args.path)

@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, InvalidPairError
-from .gf2 import format_bits, matmul, parse_bits, parse_decimal, row_reduce
+from .errors import ConfigError, DimensionError, InvalidPairError
+from .gf2 import format_bits, matmul, parse_bits, parse_decimal, read_ascii, row_reduce
 
 __all__ = [
     "LinearCode",
@@ -451,9 +451,12 @@ def format_pair(pair: CssPair) -> str:
 
 
 def load_pair(spec: str) -> CssPair:
-    """Resolve a pair reference: a built-in name or 'file:PATH'."""
+    """Resolve a pair reference: a built-in name or 'file:PATH'.
+
+    Raises:
+        ConfigError: the file holds a byte outside ASCII, named with its line.
+    """
     if spec.startswith("file:"):
         path = spec[5:]
-        with open(path, "r", encoding="ascii") as fh:
-            return parse_pair(fh.read(), name=path)
+        return parse_pair(read_ascii(path, str.splitlines, ConfigError), name=path)
     return builtin_pair(spec)

@@ -13,7 +13,18 @@ class NotInCodeError(ValueError):
     """A word required to be a codeword is not one."""
 
 
-class ConfigError(ValueError):
+class LineError(ValueError):
+    """An error in a file the program reads, whose message starts with the
+    line it is on when that is known."""
+
+    def __init__(self, message, line=None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+class ConfigError(LineError):
     """Invalid run configuration (parameters, attack spec, code files)."""
 
 
@@ -26,11 +37,5 @@ class ProtocolDesyncError(Exception):
     """Internal consistency violation between the two parties (bug surface)."""
 
 
-class TranscriptError(ValueError):
+class TranscriptError(LineError):
     """Malformed transcript or measurement-record file."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)

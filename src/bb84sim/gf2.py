@@ -10,33 +10,38 @@ from the public matrices without communicating.  `row_reduce` and
 `solve_membership` share one elimination loop.
 
 Outside the program, in transcripts, keys, code files and Bob's record,
-bits are 0/1 text with character i holding bit i; `format_bits` and
+bits are 0/1 text with character i holding bit i; `format_bits` (and
+`format_bit_rows`, the ASCII bytes of each row of an array) and
 `parse_bits` are the one conversion between the two forms.  The numbers
 in those files (positions, block ids, code-file headers) and in the
 `attack_positions` setting are ASCII decimal digits, at most 18 to a
 number so that each fits an int64; `parse_decimal` and `parse_decimals`
-(a comma-separated list) are their one reader.  The float settings are
-ASCII digits with an optional fraction and exponent, read by
-`parse_float`.  All indices are zero-based.
+(a comma-separated list) are their one reader, and `format_decimals`
+writes the lists.  The float settings are ASCII digits with an optional
+fraction and exponent, read by `parse_float`.  Those files are read by
+`read_ascii`, which names the line of a byte outside ASCII.  All indices
+are zero-based.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, LineError
 
-__all__ = ["matmul", "row_reduce", "solve_membership", "format_bits", "parse_bits",
-           "parse_decimal", "parse_decimals", "parse_float"]
+__all__ = ["matmul", "row_reduce", "solve_membership", "format_bits", "format_bit_rows",
+           "parse_bits", "parse_decimal", "parse_decimals", "format_decimals", "parse_float",
+           "read_ascii"]
 
 # the bytes of a decimal list by class: each digit reads as b"9", the comma
 # as itself and every other byte as b"x", so that searches decide the list
 _DECIMAL_CLASSES = bytes(ord("9" if chr(c) in "0123456789" else "," if chr(c) == "," else "x")
                          for c in range(256))
 _TOO_LONG = b"9" * 19
+_LARGEST = 10**18 - 1
 # a float is digits, then an optional fraction and an optional exponent: no
 # sign, space, underscore, inf or nan
 _FLOAT = re.compile("[0-9]+(?:[.][0-9]+)?(?:[eE][+-]?[0-9]+)?")
@@ -45,6 +50,14 @@ _FLOAT = re.compile("[0-9]+(?:[.][0-9]+)?(?:[eE][+-]?[0-9]+)?")
 def format_bits(bits: np.ndarray) -> str:
     """The 0/1 text of a 1-D array of bits, character i being bit i."""
     return (np.asarray(bits, dtype=np.uint8) + 48).tobytes().decode("ascii")
+
+
+def format_bit_rows(bits: np.ndarray) -> list[bytes]:
+    """The 0/1 ASCII bytes of each row of a 2-D array of bits, from one
+    conversion of the whole array and a slice per row."""
+    rows, n = np.shape(bits)
+    raw = (np.asarray(bits, dtype=np.uint8) + 48).tobytes()
+    return [raw[i:i + n] for i in range(0, rows * n, n)] if n else [b""] * rows
 
 
 def parse_bits(text: str) -> np.ndarray:
@@ -92,6 +105,64 @@ def parse_decimals(text: str) -> np.ndarray:
     return np.fromstring(text, dtype=np.int64, sep=",")
 
 
+def _group_words(comma: bool) -> np.ndarray:
+    """The ASCII text of each group of three decimal digits, 0-999, each a
+    little-endian uint32 whose four bytes hold its digits, and a comma if
+    `comma`, with 0 bytes for the rest: at index g its digits unpadded, the
+    text of a number's first group, and at 1000 + g zero-padded to three, the
+    text of a group after the first.  A number's units group has the comma;
+    unpadded, its 0 is "0", another group's is no text."""
+    g = np.arange(1000)[:, None]
+    digits = (g // (100, 10, 1) % 10 + ord("0")).astype(np.uint8)
+    words = np.zeros((2, 1000, 4), np.uint8)
+    columns = slice(0, 3) if comma else slice(1, 4)
+    words[0, :, columns] = digits * (g >= (100, 10, 0 if comma else 1))
+    words[1, :, columns] = digits
+    if comma:
+        words[..., 3] = ord(",")
+    return words.view("<u4").reshape(-1)
+
+
+_GROUP_WORDS, _UNITS_WORDS = _group_words(False), _group_words(True)
+
+
+def format_decimals(numbers: np.ndarray) -> list[bytes]:
+    """Each row of an (R, m) array of numbers in [0, 10**18) as the ASCII
+    comma-separated list of decimals that `parse_decimals` reads back; a row
+    of no numbers is b"".
+
+    All rows are made at once: a divide and a mod by 1000 per group of three
+    digits that the largest number has, a table lookup per group for its
+    text, in four bytes padded with 0 bytes, and one deletion of those bytes
+    from the text of all rows, split at each row's last comma, which was
+    made a newline.
+
+    Raises:
+        ValueError: a number is outside [0, 10**18).
+    """
+    numbers = np.asarray(numbers, dtype=np.int64)
+    rows, m = numbers.shape
+    if not numbers.size:
+        return [b""] * rows
+    # a negative number reads as one above 2**63 as a uint64
+    top = int(numbers.view(np.uint64).max())
+    if top > _LARGEST:
+        raise ValueError(f"a number outside [0, 10**18) in {numbers!r}")
+    groups = -(-len(str(top)) // 3)
+    words = np.empty((rows, m, groups), "<u4")
+    tables = [_GROUP_WORDS] * (groups - 1) + [_UNITS_WORDS]
+    rest = numbers
+    for k in range(groups - 1, 0, -1):
+        rest, group = np.divmod(rest, 1000)
+        # a group is zero-padded when the number has digits above it
+        words[..., k] = tables[k].take(group + 1000 * (rest > 0))
+    # the first group, which nothing is above
+    words[..., 0] = tables[0].take(rest)
+    text = words.view(np.uint8).reshape(rows, -1)
+    text[:, -1] = ord("\n")
+    return text.tobytes().translate(None, b"\0").split(b"\n")[:-1]
+
+
 def parse_float(text: str) -> float:
     """The float that ASCII digits with an optional fraction and an optional
     exponent spell, such as ``0.124`` or ``1e-05``.  An exponent past the
@@ -103,6 +174,26 @@ def parse_float(text: str) -> float:
     if _FLOAT.fullmatch(text) is None:
         raise ValueError(f"bad decimal {text!r}")
     return float(text)
+
+
+def read_ascii(path: str, split_lines: Callable[[str], list[str]],
+               error: type[LineError]) -> str:
+    """The text of the file at `path`, read with universal newlines, whose
+    bytes must all be ASCII.
+
+    Raises:
+        LineError: of the class `error`, naming the first line, of the lines
+            `split_lines` makes of the text, that holds another byte.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        for line_no, line in enumerate(split_lines(text), start=1):
+            if not line.isascii():
+                # each byte outside ASCII reads as one of U+DC80..U+DCFF
+                byte = ord(next(c for c in line if not c.isascii())) - 0xDC00
+                raise error(f"byte {byte:#04x} is not ASCII", line=line_no)
+    return text
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

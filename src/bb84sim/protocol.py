@@ -69,7 +69,11 @@ the row-major flattening of a trial's labels at that stage.  The objects of
 a trial (outcome, transcript and keys) are built only when asked for
 (`TrialChunk.artifacts`): its transcript's positions are read-only views of
 the trial's rows of the chunk's arrays, one per field and stage, and its
-bits 0/1 strings (`gf2.format_bits`), as transcripts are dumped.  Replay
+bits 0/1 strings (`gf2.format_bits`).  A run's dumps build no such objects:
+`TrialChunk.dumps` formats each field of all the chunk's trials at once,
+from its arrays (`gf2.format_decimals`, `gf2.format_bit_rows`), and joins
+each trial's rows with the one transcript layout (`transcript.dump_fields`)
+and the one layout of Bob's record (`transcript.dump_bob`).  Replay
 indexes with the transcript's position arrays as they are, parses its bit
 strings back to arrays and runs the same check and receiver stage functions
 as a live run, stage by stage on one row, after checking the positions
@@ -85,7 +89,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -98,8 +102,8 @@ from .errors import (
     ProtocolDesyncError,
     TranscriptError,
 )
-from .gf2 import format_bits, matmul, parse_bits
-from .transcript import NO_BLOCKS, StageAnnouncement, Transcript
+from .gf2 import format_bit_rows, format_bits, format_decimals, matmul, parse_bits
+from .transcript import NO_BLOCKS, StageAnnouncement, Transcript, dump_bob, dump_fields
 
 __all__ = [
     "ProtocolConfig",
@@ -350,7 +354,8 @@ class TrialChunk:
     trials that aborted at the check), `check_error_rate`, `keys_equal`
     (False where aborted), and `decode_failures`, one row per stage (0 where
     aborted, as in `RunOutcome`).  The objects of one trial (outcome,
-    transcript, keys) are built by `artifacts` only when asked for.
+    transcript, keys) are built by `artifacts` only when asked for; `dumps`
+    writes the files of every trial from the arrays, with no such objects.
     """
 
     def __init__(self, config: ProtocolConfig, draws: dict, bob_bits: np.ndarray):
@@ -446,6 +451,36 @@ class TrialChunk:
             stage2_blocks=stage2,
         )
         return RunArtifacts(outcome, transcript, d["bob_bases"][i], self.bob_bits[i])
+
+    def dumps(self) -> Iterator[tuple[bytes, bytes]]:
+        """Each trial's dumped transcript and Bob's record, in trial order:
+        the bytes `dump_transcript` and `dump_bob` make of its `artifacts`.
+
+        They are made from the chunk's arrays, with no object per trial: one
+        `format_decimals` call per position field and stage and one
+        `format_bit_rows` call per bit field for all trials, whose rows
+        `dump_fields` and `dump_bob` join.
+        """
+        d, bob_bits = self.draws, self.bob_bits
+        at = _flat_indices(np.arange(len(bob_bits)), d["check"], bob_bits.shape[1])
+        b, bases, bits, achk, bchk = map(format_bit_rows, (d["b"], d["bob_bases"], bob_bits,
+                                                           d["bits"].ravel().take(at),
+                                                           bob_bits.ravel().take(at)))
+        kept, check = format_decimals(d["kept"]), format_decimals(d["check"])
+        # per stage reached: its rows, its blocks' position lists, its block
+        # count and each row's masked words joined
+        stages = [(rows, format_decimals(order.reshape(-1, masked.shape[2])), masked.shape[1],
+                   format_bit_rows(masked.reshape(len(masked), -1)))
+                  for rows, order, masked in zip(self.rows, self.orders, self.masked) if rows]
+        keys = format_bit_rows(self.bob_key) if self.rows[-1] else []
+        for i, aborted in enumerate(self.aborted.tolist()):
+            announced = []
+            for rows, lists, blocks, words in stages:
+                r = rows.get(i)
+                announced.append(((), b"") if r is None
+                                 else (lists[r * blocks:(r + 1) * blocks], words[r]))
+            yield (dump_fields(b[i], kept[i], check[i], achk[i], bchk[i], announced),
+                   dump_bob(bases[i], bits[i], b"-" if aborted else keys[self.rows[-1][i]]))
 
 
 def _flat_indices(rows: np.ndarray, positions: np.ndarray, width: int) -> np.ndarray:

@@ -1,15 +1,21 @@
 """Public classical transcript of one protocol run and its text serialization.
 
 Line format: one record per line, ``TAG field=value ...``; bit strings are
-0/1 text, position lists comma-separated zero-based decimal integers.
+0/1 text, position lists comma-separated zero-based decimal integers.  A
+dump is ASCII with ``\n`` line ends.
 
 Inside the program a transcript holds its bits as that same 0/1 text
 (`str`), character i being bit i, and its positions as read-only int64
 arrays: the kept and check positions one 1-D array each, and each stage's
 blocks one `StageAnnouncement`, a (blocks x n) array of positions whose
 row is the block id, with one masked string of the blocks' words in
-order.  Text is only the file form: dumping formats each array with one
-`tolist()`.  Parsing joins every position list of the transcript (KEEP,
+order.  Text is only the file form.  The line layout is `dump_fields`,
+which joins a transcript's lines from its fields' ASCII bytes; a chunk of
+trials is dumped from its arrays (`protocol.TrialChunk.dumps`, with one
+`gf2.format_decimals` call per position field for all its trials), and
+`dump_transcript` dumps one `Transcript` through the same function.  Bob's
+record beside it, ``BASES``, ``BITS`` and ``KEY`` lines, is laid out by
+`dump_bob`.  Parsing joins every position list of the transcript (KEEP,
 CHECKPOS, every BLK ``pos``) and reads them with one `gf2.parse_decimals`
 call, bytes passes and one C conversion, then slices the result into the
 arrays.  A text laid out as dumped is read in whole-text passes: one split
@@ -38,9 +44,10 @@ from typing import NoReturn, Optional
 import numpy as np
 
 from .errors import TranscriptError
-from .gf2 import parse_bits, parse_decimal, parse_decimals
+from .gf2 import format_decimals, parse_bits, parse_decimal, parse_decimals
 
-__all__ = ["NO_BLOCKS", "StageAnnouncement", "Transcript", "dump_transcript", "parse_transcript"]
+__all__ = ["NO_BLOCKS", "StageAnnouncement", "Transcript", "dump_bob", "dump_fields",
+           "dump_transcript", "parse_transcript"]
 
 
 def _read_only(values, name: str, ndim: int) -> np.ndarray:
@@ -134,26 +141,35 @@ class Transcript:
         return self.kept_positions[~np.isin(self.kept_positions, self.check_positions)]
 
 
-def _positions_str(positions: list) -> str:
-    # the repr of a list of ints without its brackets and spaces, which
-    # takes about a quarter less time than joining the str of each
-    return repr(positions)[1:-1].replace(" ", "")
+def dump_fields(b: bytes, kept: bytes, check: bytes, achk: bytes, bchk: bytes,
+                stages) -> bytes:
+    """A dumped transcript, from the ASCII bytes of its fields: the bit
+    strings, the kept and check position lists and, per stage, the position
+    lists of its blocks and their masked words joined, all of one length.
+    """
+    parts = [b"B bits=", b, b"\nKEEP pos=", kept, b"\nCHECKPOS pos=", check,
+             b"\nACHK bits=", achk, b"\nBCHK bits=", bchk, b"\n"]
+    for tag, (lists, masked) in zip((b"BLK1", b"BLK2"), stages):
+        n = len(masked) // len(lists) if lists else 0
+        for i, positions in enumerate(lists):
+            parts += (b"%s id=%d pos=" % (tag, i), positions, b" masked=",
+                      masked[i * n:(i + 1) * n], b"\n")
+    return b"".join(parts)
+
+
+def dump_bob(bases: bytes, bits: bytes, key: bytes) -> bytes:
+    """Bob's record beside a dumped transcript, from the 0/1 ASCII bytes of
+    his bases, his bits and his final key (b"-" when the run aborted)."""
+    return b"BASES %s\nBITS %s\nKEY %s\n" % (bases, bits, key)
 
 
 def dump_transcript(t: Transcript) -> str:
-    lines = [
-        f"B bits={t.b}",
-        f"KEEP pos={_positions_str(t.kept_positions.tolist())}",
-        f"CHECKPOS pos={_positions_str(t.check_positions.tolist())}",
-        f"ACHK bits={t.alice_check_values}",
-        f"BCHK bits={t.bob_check_values}",
-    ]
-    for tag, stage in (("BLK1", t.stage1_blocks), ("BLK2", t.stage2_blocks)):
-        n = stage.positions.shape[1]
-        for i, row in enumerate(stage.positions.tolist()):
-            lines.append(f"{tag} id={i} pos={_positions_str(row)} "
-                         f"masked={stage.masked[i * n:(i + 1) * n]}")
-    return "\n".join(lines) + "\n"
+    """The text `dump_fields` lays out for the transcript `t`."""
+    kept, check = (format_decimals(p[None])[0] for p in (t.kept_positions, t.check_positions))
+    stages = [(format_decimals(stage.positions), stage.masked.encode("ascii"))
+              for stage in (t.stage1_blocks, t.stage2_blocks)]
+    return dump_fields(t.b.encode("ascii"), kept, check, t.alice_check_values.encode("ascii"),
+                       t.bob_check_values.encode("ascii"), stages).decode("ascii")
 
 
 def _parse_fields(body: str, line_no: int) -> dict[str, str]:

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import math
+import os
 import shutil
 import subprocess
 
@@ -10,6 +11,7 @@ import pytest
 from bb84sim import cli
 from bb84sim.cli import main
 from bb84sim.codes import CssPair, LinearCode, builtin_pair, format_pair, make_hamming_dual_7_3
+from bb84sim.errors import InsufficientSiftAbort
 from test_transcript import respelled
 
 
@@ -195,6 +197,61 @@ class TestRunCommand:
         code, out, _ = run_cli(capsys, "replay", str(transcripts[0]), str(bobs[0]))
         assert code == 0
         assert "MATCH" in out and "MISMATCH" not in out
+
+    def test_failed_chunk_leaves_the_rows_before_it(self, capsys, tmp_path, monkeypatch):
+        # steane/steane runs 152 trials to a chunk, so 160 trials are two
+        argv = ["run", "--trials", "160", "--seed", "4", "--dump-transcripts"]
+        whole = tmp_path / "whole"
+        assert run_cli(capsys, *argv, "--out-dir", str(whole))[0] == 0
+        run_chunk, calls = cli.run_chunk, []
+
+        def failing_second_chunk(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 2:
+                raise InsufficientSiftAbort("too few basis matches")
+            return run_chunk(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_chunk", failing_second_chunk)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
+        assert code == 1 and err.startswith("config error: too few basis matches")
+        first = len(calls[0])
+        assert 0 < first < 160
+        lines = (whole / "trials.csv").read_bytes().split(b"\r\n")
+        assert (out_dir / "trials.csv").read_bytes() == b"\r\n".join(lines[:1 + first] + [b""])
+        assert not (out_dir / "summary.csv").exists()
+        assert len(list((out_dir / "transcripts").iterdir())) == 2 * first
+
+    def test_io_error_in_a_dump_leaves_the_files_before_it(self, capsys, tmp_path):
+        argv = ["run", "--trials", "6", "--seed", "2", "--attack", "intercept_resend",
+                "--noise-p", "0.5", "--dump-transcripts"]
+        whole = tmp_path / "whole"
+        assert run_cli(capsys, *argv, "--out-dir", str(whole))[0] == 0
+        out_dir = tmp_path / "out"
+        blocked = out_dir / "transcripts" / "trial_00003.transcript"
+        blocked.mkdir(parents=True)
+        code, _, err = run_cli(capsys, *argv, "--out-dir", str(out_dir))
+        assert code == 2
+        assert err.startswith("i/o error: ") and str(blocked) in err
+        # trials 0-2 are written whole, and nothing after the failed file
+        names = [f"trial_{i:05d}{suffix}" for i in range(3) for suffix in (".transcript", ".bob")]
+        assert sorted(path.name for path in (out_dir / "transcripts").iterdir()) == sorted(
+            names + [blocked.name])
+        for name in names:
+            assert ((out_dir / "transcripts" / name).read_bytes()
+                    == (whole / "transcripts" / name).read_bytes()), name
+
+    def test_short_writes_are_written_on(self, capsys, tmp_path, monkeypatch):
+        argv = ["run", "--trials", "3", "--seed", "6", "--dump-transcripts"]
+        whole = tmp_path / "whole"
+        assert run_cli(capsys, *argv, "--out-dir", str(whole))[0] == 0
+        write = os.write
+        # a write that takes at most 100 bytes of the data it is given
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:100])))
+        out_dir = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--out-dir", str(out_dir))[0] == 0
+        for path in (whole / "transcripts").iterdir():
+            assert (out_dir / "transcripts" / path.name).read_bytes() == path.read_bytes()
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -516,6 +573,22 @@ class TestCodesValidate:
         code, _, err = run_cli(capsys, "codes", "validate", str(path))
         assert code == 1
         assert err.startswith("config error:") and "'3 5 1'" in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_ascii_byte_exit_one(self, capsys, tmp_path, command):
+        # code files were once read as strict ASCII, and the codec's error,
+        # with a byte offset, was the message
+        lines = format_pair(builtin_pair("steane")).encode("ascii").split(b"\n")
+        lines[4] = lines[4][:6] + b"\xe9"
+        path = tmp_path / "steane.pair"
+        path.write_bytes(b"\n".join(lines))
+        argv = (["codes", "validate", str(path)] if command == "validate" else
+                ["run", "--trials", "1", "--stage1-pair", f"file:{path}",
+                 "--out-dir", str(tmp_path / "out")])
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err == "config error: line 5: byte 0xe9 is not ASCII\n"
+        assert not (tmp_path / "out").exists()
 
     def test_run_with_pair_file(self, capsys, tmp_path):
         path = tmp_path / "steane.pair"

@@ -2,11 +2,13 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bb84sim.errors import DimensionError
 from bb84sim.gf2 import (
+    format_bit_rows,
     format_bits,
+    format_decimals,
     matmul,
     parse_bits,
     parse_decimal,
@@ -119,6 +121,42 @@ class TestDecimals:
     def test_rejects_what_is_not_a_float(self, text):
         with pytest.raises(ValueError, match="bad decimal"):
             parse_float(text)
+
+# numbers at the edges of a digit count, and of the three-digit groups
+EDGE_NUMBERS = [0, 9, 10, 99, 100, 999, 1000, 1001, 999_999, 10**6, 10**17, 10**18 - 1]
+
+
+class TestFormatDecimals:
+    """`format_decimals` writes each row as `parse_decimals` reads it."""
+
+    @given(st.integers(0, 4).flatmap(lambda rows: st.integers(0, 6).flatmap(
+        lambda m: st.lists(st.lists(st.one_of(st.sampled_from(EDGE_NUMBERS),
+                                              st.integers(0, 10**18 - 1)),
+                                    min_size=m, max_size=m),
+                           min_size=rows, max_size=rows).map(
+            lambda a: np.array(a, dtype=np.int64).reshape(rows, m)))))
+    @example(np.array([EDGE_NUMBERS]))
+    @example(np.array(EDGE_NUMBERS)[:, None])
+    @example(np.zeros((0, 3), dtype=np.int64))
+    @example(np.zeros((2, 0), dtype=np.int64))
+    def test_round_trip(self, a):
+        texts = format_decimals(a)
+        assert len(texts) == len(a)
+        for i, text in enumerate(texts):
+            assert parse_decimals(text.decode("ascii")).tolist() == a[i].tolist()
+            assert text == ",".join(map(str, a[i].tolist())).encode("ascii")
+
+    @pytest.mark.parametrize("number", [-1, 10**18, -(2**63), 2**63 - 1])
+    def test_rejects_what_parse_decimals_cannot_read(self, number):
+        with pytest.raises(ValueError, match="outside"):
+            format_decimals(np.array([[5, number]], dtype=np.int64))
+
+    def test_bit_rows(self):
+        a = bits("0110", "1001", "0000")
+        assert format_bit_rows(a) == [b"0110", b"1001", b"0000"]
+        assert format_bit_rows(np.zeros((2, 0), dtype=np.uint8)) == [b"", b""]
+        assert format_bit_rows(np.zeros((0, 5), dtype=np.uint8)) == []
+
 
 class TestMatVec:
     def test_identity(self):

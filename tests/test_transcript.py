@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from bb84sim.channel import AttackModel
 from bb84sim.codes import builtin_pair
 from bb84sim.errors import TranscriptError
+from bb84sim.gf2 import format_bits
 from bb84sim.protocol import ProtocolConfig, replay_bob, run_chunk
 from bb84sim.transcript import (
     StageAnnouncement,
@@ -72,6 +73,75 @@ class TestRoundTrip:
         t = parse_transcript(dump_transcript(art.transcript))
         assert t.stage1_blocks == t.stage2_blocks == StageAnnouncement()
         assert t.stage1_blocks.positions.shape == (0, 0)
+
+
+def bob_text(art):
+    """Bob's record of a trial, written from its objects."""
+    key = art.outcome.bob_final_key
+    return (f"BASES {format_bits(art.bob_bases)}\nBITS {format_bits(art.bob_bits)}\n"
+            f"KEY {'-' if key is None else key}\n")
+
+
+def chunk_dumps_agree(config, attack, sizes, injector=None, seed=100):
+    """Run one chunk of each of `sizes` trials on consecutive seeds, check
+    that every trial's chunk dump equals the dump of its objects, and return
+    each trial's objects."""
+    arts = []
+    for size in sizes:
+        chunk = run_chunk(config, range(seed, seed + size), attack, injector)
+        dumps = list(chunk.dumps())
+        assert len(dumps) == size
+        for t, (transcript, bob) in enumerate(dumps):
+            art = chunk.artifacts(t)
+            assert transcript == dump_transcript(art.transcript).encode("ascii"), f"seed {seed + t}"
+            assert bob == bob_text(art).encode("ascii"), f"seed {seed + t}"
+            arts.append(art)
+        seed += size
+    return arts
+
+
+class TestChunkDump:
+    """`TrialChunk.dumps`, which formats a whole chunk from its arrays,
+    writes the bytes of `dump_transcript` and of Bob's record from each
+    trial's objects."""
+
+    @pytest.mark.parametrize("attack", [AttackModel.none(), AttackModel.bitflip(0.05),
+                                        AttackModel.intercept_resend(0.5)],
+                             ids=["none", "bitflip", "intercept_resend"])
+    @pytest.mark.parametrize("name, sizes", [("steane", (1, 9, 14)), ("golay", (1, 2, 3))])
+    def test_pairs_and_attacks(self, name, sizes, attack):
+        pair = builtin_pair(name)
+        config = ProtocolConfig(pair, pair, abort_threshold=0.124)
+        arts = chunk_dumps_agree(config, attack, sizes)
+        if attack.kind == "intercept_resend":
+            assert {art.outcome.abort_reason for art in arts} == {"security", None}
+        else:
+            assert not any(art.outcome.aborted for art in arts)
+
+    @pytest.mark.parametrize("pair", [builtin_pair("steane"), simplex_pair()],
+                             ids=["steane", "simplex"])
+    def test_strict_decoding(self, pair):
+        # steane's Hamming outer code is perfect, so no block fails to decode
+        # there; the simplex outer code's injected double errors do, and
+        # those trials stop after stage 1
+        def inject(stage, block, n):
+            return [0, 1] if stage == 1 and block == 0 else []
+
+        config = ProtocolConfig(pair, pair, abort_threshold=0.2, strict_decode=True)
+        arts = chunk_dumps_agree(config, AttackModel.bitflip(0.06), (1, 8, 12),
+                                 None if pair.inner.k else inject)
+        completed = [not art.outcome.aborted for art in arts]
+        assert any(completed)
+        stopped = [len(art.transcript.stage1_blocks) and not len(art.transcript.stage2_blocks)
+                   for art in arts]
+        assert any(stopped) == (not pair.inner.k)
+
+    def test_fixed_assignment(self):
+        # the later stages' orders are broadcast views of one row
+        steane = builtin_pair("steane")
+        config = ProtocolConfig(steane, steane, abort_threshold=0.124, random_assignment=False)
+        arts = chunk_dumps_agree(config, AttackModel.bitflip(0.03), (1, 5, 7))
+        assert not all(art.outcome.aborted for art in arts)
 
 
 class TestArrays:
