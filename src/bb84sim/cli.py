@@ -17,15 +17,12 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from array import array
 
 from .channel import AttackModel
 from .codes import load_pair, parse_code, parse_pair
 from .errors import ConfigError, InsufficientSiftAbort, TranscriptError
-from .gf2 import parse_bits, parse_decimal, parse_decimals, parse_float, read_ascii
+from .gf2 import parse_decimal, parse_decimals, parse_float, read_ascii
 from .protocol import ProtocolConfig, replay_bob, run_chunk
 from .stats import (
     RecursionModel,
@@ -36,7 +33,7 @@ from .stats import (
     iterate_error_rate,
     sigma,
 )
-from .transcript import parse_transcript
+from .transcript import bob_lines, parse_bob, parse_transcript
 
 TRIAL_COLUMNS = ["trial", "seed", "aborted", "check_error_rate", "keys_equal", "decode_failures"]
 SUMMARY_COLUMNS = ["trials", "abort_fraction", "mean_check_error", "stddev_check_error",
@@ -199,10 +196,9 @@ def cmd_run(args) -> int:
     if transcript_dir:
         os.makedirs(transcript_dir, exist_ok=True)
 
-    rates = []
-    aborts = 0
-    agreements = 0
-    completed = 0
+    # one check rate per trial: a trial that cannot sift stops the run
+    rates = array("d")
+    aborts = agreements = 0
     base_seed = settings["seed"]
     chunk_size = max(1, QUBITS_PER_CHUNK // base_config.transmitted_count)
     # each chunk's rows are written as it finishes, so that a run that fails
@@ -214,38 +210,32 @@ def cmd_run(args) -> int:
             chunk = run_chunk(base_config, range(base_seed + start,
                                                  base_seed + min(start + chunk_size, trials)),
                               attack)
-            failures = chunk.decode_failures.sum(axis=0)
-            for t, (aborted, rate, keys_equal, decode_failures) in enumerate(zip(
-                    chunk.aborted.tolist(), chunk.check_error_rate.tolist(),
-                    chunk.keys_equal.tolist(), failures.tolist())):
-                i = start + t
-                if aborted:
-                    aborts += 1
-                else:
-                    completed += 1
-                    agreements += 1 if keys_equal else 0
-                rates.append(rate)
-                writer.writerow([_fmt(value) for value in (
-                    i, base_seed + i, aborted, rate, None if aborted else keys_equal,
-                    decode_failures)])
+            aborts += int(chunk.aborted.sum())
+            # keys_equal is False where a trial aborted
+            agreements += int(chunk.keys_equal.sum())
+            rates.extend(chunk.check_error_rate)
+            writer.writerows(
+                [_fmt(value) for value in (i, base_seed + i, aborted, rate,
+                                           None if aborted else keys_equal, decode_failures)]
+                for i, aborted, rate, keys_equal, decode_failures in zip(
+                    range(start, trials), chunk.aborted.tolist(),
+                    chunk.check_error_rate.tolist(), chunk.keys_equal.tolist(),
+                    chunk.decode_failures.sum(axis=0).tolist()))
             if transcript_dir:
                 for i, (transcript, bob) in enumerate(chunk.dumps(), start=start):
                     stem = os.path.join(transcript_dir, f"trial_{i:05d}")
                     _write_bytes(stem + ".transcript", transcript)
                     _write_bytes(stem + ".bob", bob)
 
-    mean_rate = math.fsum(rates) / len(rates) if rates else None
-    if rates and len(rates) > 1:
-        m = mean_rate
-        std_rate = math.sqrt(math.fsum((x - m) ** 2 for x in rates) / (len(rates) - 1))
-    else:
-        std_rate = None
+    mean_rate = math.fsum(rates) / trials
+    std_rate = (math.sqrt(math.fsum((x - mean_rate) ** 2 for x in rates) / (trials - 1))
+                if trials > 1 else None)
     summary = {
         "trials": trials,
         "abort_fraction": aborts / trials,
         "mean_check_error": mean_rate,
         "stddev_check_error": std_rate,
-        "key_agreement_fraction": (agreements / completed) if completed else None,
+        "key_agreement_fraction": (agreements / (trials - aborts)) if aborts < trials else None,
     }
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
@@ -287,58 +277,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
-@dataclass
-class _BobRecord:
-    bases: np.ndarray
-    bits: np.ndarray
-    key: Optional[str]
-
-
-def _split_newlines(text: str) -> list[str]:
-    return text.split("\n")
-
-
-def _read_bob_file(path: str) -> _BobRecord:
-    fields = {}
-    text = read_ascii(path, _split_newlines, TranscriptError)
-    for line_no, raw in enumerate(_split_newlines(text), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tag, _, value = line.partition(" ")
-        if tag not in ("BASES", "BITS", "KEY"):
-            raise TranscriptError(f"unexpected tag {tag!r}", line=line_no)
-        if tag != "KEY":
-            try:
-                value = parse_bits(value)
-            except ValueError:
-                raise TranscriptError(f"{tag} must be a 0/1 string", line=line_no) from None
-        fields[tag] = value
-    for tag in ("BASES", "BITS", "KEY"):
-        if tag not in fields:
-            raise TranscriptError(f"missing tag {tag}")
-    if len(fields["BASES"]) != len(fields["BITS"]):
-        raise TranscriptError("BASES and BITS differ in length")
-    return _BobRecord(
-        bases=fields["BASES"],
-        bits=fields["BITS"],
-        key=None if fields["KEY"] == "-" else fields["KEY"],
-    )
-
-
 def cmd_replay(args) -> int:
     settings = _merge_settings(args)
     config = _build_protocol_config(settings)
     transcript = parse_transcript(read_ascii(args.transcript, str.splitlines, TranscriptError))
-    bob = _read_bob_file(args.bob_record)
-    result = replay_bob(transcript, bob.bases, bob.bits, config)
+    bases, bits, recorded = parse_bob(read_ascii(args.bob_record, bob_lines, TranscriptError))
+    result = replay_bob(transcript, bases, bits, config)
     recomputed = result.key if result.key is not None else "-"
-    recorded = bob.key if bob.key is not None else "-"
-    match = recomputed == recorded
     print(f"check_error_rate={result.check_error_rate!r} aborted={int(result.aborted)}")
     print(f"recomputed_key={recomputed}")
     print(f"recorded_key={recorded}")
-    print("MATCH" if match else "MISMATCH")
+    print("MATCH" if recomputed == recorded else "MISMATCH")
     return 0
 
 

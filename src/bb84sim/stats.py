@@ -170,18 +170,8 @@ def iterate_error_rate(model: RecursionModel, steps: int) -> list[float]:
     out: list[float] = []
     r = model.r0
     for _ in range(steps):
-        try:
-            exponent = t_squared / r
-        except (OverflowError, ZeroDivisionError):
-            exponent = math.inf
-        if exponent == math.inf:
-            r = 0.0
-        else:
-            try:
-                r = math.exp(-exponent)
-            except OverflowError:
-                r = 0.0
-        if r == 0.0:
-            r = UNDERFLOW_FLOOR
+        # r > 0, so t_squared / r is a float or inf, and exp of its negation
+        # a float in [0, 1]
+        r = max(math.exp(-t_squared / r), UNDERFLOW_FLOOR)
         out.append(r)
     return out

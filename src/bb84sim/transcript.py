@@ -13,20 +13,25 @@ order.  Text is only the file form.  The line layout is `dump_fields`,
 which joins a transcript's lines from its fields' ASCII bytes; a chunk of
 trials is dumped from its arrays (`protocol.TrialChunk.dumps`, with one
 `gf2.format_decimals` call per position field for all its trials), and
-`dump_transcript` dumps one `Transcript` through the same function.  Bob's
-record beside it, ``BASES``, ``BITS`` and ``KEY`` lines, is laid out by
-`dump_bob`.  Parsing joins every position list of the transcript (KEEP,
-CHECKPOS, every BLK ``pos``) and reads them with one `gf2.parse_decimals`
-call, bytes passes and one C conversion, then slices the result into the
-arrays.  A text laid out as dumped is read in whole-text passes: one split
-into lines, one split of each block line into its fields, taken apart as
-columns, literal compares of the tags, keys and block ids, and one bit
-check of all bit strings joined.  Any other text, or one such a pass
-refuses, is read line by line, which accepts other spacing and field
-order and names the first error and its line.  Numbers are ASCII digits
-only, at most 18 to a number, so that every position fits an int64; a bad
-list is reported with its own line, as are a block out of order and a
-block whose length differs from its stage's first.
+`dump_transcript` dumps one `Transcript` through the same function.
+
+A text laid out as dumped is read in whole-text passes: one split into
+lines, one split of each block line into its fields, taken apart as
+columns, literal compares of the tags, keys and block ids, one bit check
+of all bit strings joined, and one `gf2.parse_decimals` call (bytes passes
+and one C conversion) over every position list joined (KEEP, CHECKPOS,
+every BLK ``pos``), sliced into the arrays.  Any other text, or one such a
+pass refuses, is read line by line: each field is read on its own line, a
+position list by `gf2.parse_decimals` and a bit string checked by
+`gf2.parse_bits`, and the first failure met is raised with its line.  The
+line reader accepts other spacing and field order.  Numbers are ASCII
+digits only, at most 18 to a number, so that every position fits an
+int64; a block out of order and a block whose length differs from its
+stage's first are refused with their lines.
+
+Bob's record beside a transcript, ``BASES``, ``BITS`` and ``KEY`` lines,
+is written by `dump_bob` and read by `parse_bob`, whose lines are
+numbered as `bob_lines` splits them, at each ``\n`` alone.
 
 Tags in dump order: B, KEEP, CHECKPOS, ACHK, BCHK, then one BLK1 line per
 first-stage block and one BLK2 line per second-stage block (absent when
@@ -39,15 +44,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import NoReturn, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import TranscriptError
 from .gf2 import format_decimals, parse_bits, parse_decimal, parse_decimals
 
-__all__ = ["NO_BLOCKS", "StageAnnouncement", "Transcript", "dump_bob", "dump_fields",
-           "dump_transcript", "parse_transcript"]
+__all__ = ["NO_BLOCKS", "StageAnnouncement", "Transcript", "bob_lines", "dump_bob",
+           "dump_fields", "dump_transcript", "parse_bob", "parse_transcript"]
 
 
 def _read_only(values, name: str, ndim: int) -> np.ndarray:
@@ -163,6 +168,46 @@ def dump_bob(bases: bytes, bits: bytes, key: bytes) -> bytes:
     return b"BASES %s\nBITS %s\nKEY %s\n" % (bases, bits, key)
 
 
+_BOB_TAGS = ("BASES", "BITS", "KEY")
+
+
+def bob_lines(text: str) -> list[str]:
+    """The lines of a `.bob` record as `parse_bob` numbers them: the text
+    split at each "\n" alone."""
+    return text.split("\n")
+
+
+def parse_bob(text: str) -> tuple[np.ndarray, np.ndarray, str]:
+    """Bob's bases and bits, as uint8 arrays, and his key as written (``-``
+    when the run aborted), from his record beside a dumped transcript.
+
+    Raises:
+        TranscriptError: an unexpected tag or a BASES or BITS value that is
+            not a 0/1 string, with its line; a missing tag, or BASES and BITS
+            of unequal length.
+    """
+    fields = {}
+    for line_no, raw in enumerate(bob_lines(text), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tag, _, value = line.partition(" ")
+        if tag not in _BOB_TAGS:
+            raise TranscriptError(f"unexpected tag {tag!r}", line=line_no)
+        if tag != "KEY":
+            try:
+                value = parse_bits(value)
+            except ValueError:
+                raise TranscriptError(f"{tag} must be a 0/1 string", line=line_no) from None
+        fields[tag] = value
+    for tag in _BOB_TAGS:
+        if tag not in fields:
+            raise TranscriptError(f"missing tag {tag}")
+    if len(fields["BASES"]) != len(fields["BITS"]):
+        raise TranscriptError("BASES and BITS differ in length")
+    return fields["BASES"], fields["BITS"], fields["KEY"]
+
+
 def dump_transcript(t: Transcript) -> str:
     """The text `dump_fields` lays out for the transcript `t`."""
     kept, check = (format_decimals(p[None])[0] for p in (t.kept_positions, t.check_positions))
@@ -172,46 +217,12 @@ def dump_transcript(t: Transcript) -> str:
                        t.bob_check_values.encode("ascii"), stages).decode("ascii")
 
 
-def _parse_fields(body: str, line_no: int) -> dict[str, str]:
-    fields = {}
-    for part in body.split():
-        key, equals, value = part.partition("=")
-        if not equals:
-            raise TranscriptError(f"malformed field {part!r}", line=line_no)
-        if key in fields:
-            raise TranscriptError(f"duplicate field {key!r}", line=line_no)
-        fields[key] = value
-    return fields
-
-
-_HEADER_TAGS = ("B", "KEEP", "CHECKPOS", "ACHK", "BCHK")
-# the start of each header line, in dump order, up to its value
-_HEADER_STARTS = ("B bits=", "KEEP pos=", "CHECKPOS pos=", "ACHK bits=", "BCHK bits=")
+# each header line's tag and field, in dump order
+_HEADER = (("B", "bits"), ("KEEP", "pos"), ("CHECKPOS", "pos"), ("ACHK", "bits"), ("BCHK", "bits"))
+# the start of each header line, up to its value
+_HEADER_STARTS = tuple(f"{tag} {key}=" for tag, key in _HEADER)
 _BLOCK_TAGS = {"BLK1": 0, "BLK2": 1}
 _BLOCK_FIELDS = ("id", "pos", "masked")
-
-
-def _count(positions: str) -> int:
-    """The numbers a position list holds, if it is well formed."""
-    return positions.count(",") + 1 if positions else 0
-
-
-def _assemble(b: str, achk: str, bchk: str, numbers: np.ndarray, kept: int, check: int,
-              stages) -> Transcript:
-    """The transcript whose position lists, KEEP's `kept` numbers, CHECKPOS's
-    `check`, then each stage's blocks, are `numbers` in turn; `stages` holds
-    each stage's (masked words, their common length).
-
-    Raises:
-        ValueError: from the `Transcript` constructor.
-    """
-    end = kept + check
-    announcements = []
-    for words, n in stages:
-        start, end = end, end + len(words) * n
-        announcements.append(StageAnnouncement(numbers[start:end].reshape(len(words), n),
-                                               "".join(words)) if words else NO_BLOCKS)
-    return Transcript(b, numbers[:kept], numbers[kept:kept + check], achk, bchk, *announcements)
 
 
 @functools.lru_cache(maxsize=16)
@@ -265,29 +276,18 @@ def _read_dumped(text: str) -> Optional[Transcript]:
     try:
         parse_bits("".join((b, achk, bchk) + words))
         numbers = parse_decimals(",".join((kept, check) + positions))
-        return _assemble(b, achk, bchk, numbers, kept.count(",") + 1, check.count(",") + 1,
-                         stages)
+        # the numbers are KEEP's, CHECKPOS's, then each stage's blocks', in turn
+        kept_end = kept.count(",") + 1
+        check_end = end = kept_end + check.count(",") + 1
+        announcements = []
+        for masked, n in stages:
+            start, end = end, end + len(masked) * n
+            announcements.append(StageAnnouncement(numbers[start:end].reshape(len(masked), n),
+                                                   "".join(masked)) if masked else NO_BLOCKS)
+        return Transcript(b, numbers[:kept_end], numbers[kept_end:check_end], achk, bchk,
+                          *announcements)
     except ValueError:
         return None
-
-
-def _read_positions(lists: list[tuple[str, int]]) -> np.ndarray:
-    """The numbers of every (position list, line number) of `lists`, in
-    order, from one `parse_decimals` call over the lists joined.  Joining
-    keeps a bad list bad, so only a failed call scans the lists one by one.
-
-    Raises:
-        TranscriptError: naming the first bad list and its line.
-    """
-    try:
-        return parse_decimals(",".join(value for value, _ in lists if value))
-    except ValueError:
-        for value, line_no in lists:
-            try:
-                parse_decimals(value)
-            except ValueError:
-                raise TranscriptError(f"bad position list {value!r}", line=line_no) from None
-        raise
 
 
 def parse_transcript(text: str) -> Transcript:
@@ -305,14 +305,44 @@ def parse_transcript(text: str) -> Transcript:
     return _read_lines(text) if transcript is None else transcript
 
 
-def _read_lines(text: str) -> Transcript:
-    """`parse_transcript` of any text, one line after another.
+def _parse_fields(body: str, line_no: int) -> dict[str, str]:
+    fields = {}
+    for part in body.split():
+        key, equals, value = part.partition("=")
+        if not equals:
+            raise TranscriptError(f"malformed field {part!r}", line=line_no)
+        if key in fields:
+            raise TranscriptError(f"duplicate field {key!r}", line=line_no)
+        fields[key] = value
+    return fields
 
-    The checks run in line order, and the first failure is the one
-    reported.  The position lists are read together at the end, so a check
-    that fails reads the lists before it first and reports a bad one
-    instead.
+
+def _read_field(record: tuple[int, str, dict[str, str]], key: str) -> np.ndarray | str:
+    """The field `key` of a (line number, tag, fields) record: a position
+    list as the int64 array `parse_decimals` reads, a bit string as its text
+    once `parse_bits` has checked it.
+
+    Raises:
+        TranscriptError: the field is missing or bad, with its line.
     """
+    line_no, tag, fields = record
+    if key not in fields:
+        raise TranscriptError(f"tag {tag} is missing field {key!r}", line=line_no)
+    value = fields[key]
+    try:
+        if key == "pos":
+            return parse_decimals(value)
+        parse_bits(value)
+    except ValueError as exc:
+        message = f"bad position list {value!r}" if key == "pos" else str(exc)
+        raise TranscriptError(message, line=line_no) from None
+    return value
+
+
+def _read_lines(text: str) -> Transcript:
+    """`parse_transcript` of any text, one line after another: each field is
+    read on its own line, in line order, and the first failure met is the
+    one reported."""
     records: list[tuple[int, str, dict[str, str]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -321,77 +351,48 @@ def _read_lines(text: str) -> Transcript:
         tag, _, body = line.partition(" ")
         records.append((line_no, tag, _parse_fields(body, line_no)))
 
-    for idx, expected in enumerate(_HEADER_TAGS):
+    for idx, (expected, _) in enumerate(_HEADER):
         if idx >= len(records) or records[idx][1] != expected:
             found = records[idx][1] if idx < len(records) else "end of file"
             line = records[idx][0] if idx < len(records) else len(text.splitlines()) + 1
             raise TranscriptError(f"missing tag {expected} (found {found})", line=line)
-    header = {tag: (line_no, fields) for line_no, tag, fields in records[:len(_HEADER_TAGS)]}
+    b, kept, check, achk, bchk = (_read_field(record, key)
+                                  for record, (_, key) in zip(records, _HEADER))
 
-    # every position list met so far, with its line
-    lists: list[tuple[str, int]] = []
-
-    def fail(message: str, line_no: int) -> NoReturn:
-        _read_positions(lists)
-        raise TranscriptError(message, line=line_no) from None
-
-    def check_bits(value: str, line_no: int) -> None:
-        try:
-            parse_bits(value)
-        except ValueError as exc:
-            fail(str(exc), line_no)
-
-    def header_field(tag: str, key: str) -> str:
-        line_no, fields = header[tag]
-        if key not in fields:
-            fail(f"tag {tag} is missing field {key!r}", line_no)
-        value = fields[key]
-        if key == "pos":
-            lists.append((value, line_no))
-        else:
-            check_bits(value, line_no)
-        return value
-
-    b = header_field("B", "bits")
-    kept = header_field("KEEP", "pos")
-    check = header_field("CHECKPOS", "pos")
-    achk = header_field("ACHK", "bits")
-    bchk = header_field("BCHK", "bits")
-
-    # per stage, the masked words of its blocks and their common length
+    # per stage, the positions and the masked word of each block
+    rows: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
     masked: tuple[list[str], list[str]] = ([], [])
-    widths = [0, 0]
-    for line_no, tag, fields in records[len(_HEADER_TAGS):]:
+    for record in records[len(_HEADER):]:
+        line_no, tag, fields = record
         stage = _BLOCK_TAGS.get(tag)
         if stage is None:
-            fail(f"unexpected tag {tag}", line_no)
-        if stage == 0 and masked[1]:
-            fail("BLK1 after BLK2", line_no)
-        if not ("id" in fields and "pos" in fields and "masked" in fields):
-            key = next(key for key in _BLOCK_FIELDS if key not in fields)
-            fail(f"tag {tag} is missing field {key!r}", line_no)
-        words = masked[stage]
-        if fields["id"] != str(len(words)):  # "007" is block 7 too
-            try:
-                block_id = parse_decimal(fields["id"])
-            except ValueError:
-                fail(f"bad block id {fields['id']!r}", line_no)
-            if block_id != len(words):
-                fail(f"block id {block_id} out of order (expected {len(words)})", line_no)
-        positions, word = fields["pos"], fields["masked"]
-        lists.append((positions, line_no))
-        count = _count(positions)
-        check_bits(word, line_no)
-        if len(word) != count:
-            fail(f"masked length {len(word)} != position count {count}", line_no)
-        if words and count != widths[stage]:
-            fail(f"stage-{stage + 1} block {len(words)} has {count} positions, but block 0 "
-                 f"has {widths[stage]}", line_no)
-        widths[stage] = count
-        words.append(word)
+            raise TranscriptError(f"unexpected tag {tag}", line=line_no)
+        if stage == 0 and rows[1]:
+            raise TranscriptError("BLK1 after BLK2", line=line_no)
+        for key in _BLOCK_FIELDS:
+            if key not in fields:
+                raise TranscriptError(f"tag {tag} is missing field {key!r}", line=line_no)
+        try:
+            block_id = parse_decimal(fields["id"])
+        except ValueError:
+            raise TranscriptError(f"bad block id {fields['id']!r}", line=line_no) from None
+        blocks = rows[stage]
+        if block_id != len(blocks):
+            raise TranscriptError(f"block id {block_id} out of order (expected {len(blocks)})",
+                                  line=line_no)
+        positions, word = _read_field(record, "pos"), _read_field(record, "masked")
+        if len(word) != len(positions):
+            raise TranscriptError(f"masked length {len(word)} != position count "
+                                  f"{len(positions)}", line=line_no)
+        if blocks and len(positions) != len(blocks[0]):
+            raise TranscriptError(f"stage-{stage + 1} block {len(blocks)} has {len(positions)} "
+                                  f"positions, but block 0 has {len(blocks[0])}", line=line_no)
+        blocks.append(positions)
+        masked[stage].append(word)
 
-    numbers = _read_positions(lists)
     try:
-        return _assemble(b, achk, bchk, numbers, _count(kept), _count(check), zip(masked, widths))
+        return Transcript(b, kept, check, achk, bchk,
+                          *(StageAnnouncement(np.array(blocks), "".join(words)) if blocks
+                            else NO_BLOCKS for blocks, words in zip(rows, masked)))
     except ValueError as exc:
         raise TranscriptError(str(exc)) from exc

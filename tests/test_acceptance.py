@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from bb84sim.channel import AttackModel
-from bb84sim.cli import _read_bob_file, main as cli_main
+from bb84sim.cli import main as cli_main
 from bb84sim.codes import builtin_pair
 from bb84sim.protocol import (
     ProtocolConfig,
@@ -43,7 +43,7 @@ from bb84sim.stats import (
     iterate_error_rate,
     sigma,
 )
-from bb84sim.transcript import parse_transcript
+from bb84sim.transcript import parse_bob, parse_transcript
 from oracle import one_error_per_block
 
 STEANE = builtin_pair("steane")
@@ -296,10 +296,10 @@ def test_10_transcript_replay(tmp_path):
     for i in range(100):
         stem = out_dir / "transcripts" / f"trial_{i:05d}"
         transcript = parse_transcript((stem.with_suffix(".transcript")).read_text())
-        bob = _read_bob_file(str(stem.with_suffix(".bob")))
-        result = replay_bob(transcript, bob.bases, bob.bits, steane_config(500 + i))
+        bases, bits, key = parse_bob(stem.with_suffix(".bob").read_text())
+        result = replay_bob(transcript, bases, bits, steane_config(500 + i))
         recomputed = str(result.key) if result.key is not None else "-"
-        recorded = bob.key if bob.key is not None else "-"
+        recorded = key
         exact += recomputed == recorded
     elapsed = time.perf_counter() - start
     ok = exact == 100 and elapsed < 10

@@ -12,7 +12,7 @@ from bb84sim import cli
 from bb84sim.cli import main
 from bb84sim.codes import CssPair, LinearCode, builtin_pair, format_pair, make_hamming_dual_7_3
 from bb84sim.errors import InsufficientSiftAbort
-from test_transcript import respelled
+from test_transcript import BOB_REFUSALS, respelled
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +147,27 @@ class TestRunCommand:
         completed = [t for t in trials if t["aborted"] == "0"]
         agree = sum(t["keys_equal"] == "1" for t in completed)
         assert float(summary["key_agreement_fraction"]) == pytest.approx(agree / len(completed))
+
+    @pytest.mark.parametrize("flags", [
+        ["--trials", "1"],
+        ["--trials", "40", "--attack", "bitflip", "--noise-p", "0.5", "--threshold", "0"],
+    ], ids=["one trial", "all aborted"])
+    def test_summary_is_the_trial_rows_summed(self, capsys, tmp_path, flags):
+        out_dir = tmp_path / "out"
+        assert run_cli(capsys, "run", "--seed", "4", *flags, "--out-dir", str(out_dir))[0] == 0
+        with open(out_dir / "trials.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rates = [float(row["check_error_rate"]) for row in rows]
+        mean = math.fsum(rates) / len(rates)
+        completed = [row for row in rows if row["aborted"] == "0"]
+        assert len(completed) == (1 if len(rows) == 1 else 0)
+        fields = [str(len(rows)), repr((len(rows) - len(completed)) / len(rows)), repr(mean),
+                  repr(math.sqrt(math.fsum((x - mean) ** 2 for x in rates) / (len(rates) - 1)))
+                  if len(rates) > 1 else "",
+                  repr(sum(row["keys_equal"] == "1" for row in completed) / len(completed))
+                  if completed else ""]
+        assert (out_dir / "summary.csv").read_bytes() == (
+            ",".join(cli.SUMMARY_COLUMNS) + "\r\n" + ",".join(fields) + "\r\n").encode("ascii")
 
     def test_bitflip_mean_check_error_tracks_noise(self, capsys, tmp_path):
         # binomial oracle: mean observed check error over the batch sits
@@ -496,6 +517,17 @@ class TestReplayErrors:
         code, _, err = run_cli(capsys, "replay", str(tpath), str(bpath))
         assert code == 3
         assert err.startswith(f"parse error: line {line_no}: byte 0xe9 is not ASCII")
+
+    @pytest.mark.parametrize("text, error", [(text, error) for text, _, error
+                                             in BOB_REFUSALS.values()], ids=BOB_REFUSALS)
+    def test_bad_bob_record_exit_three(self, capsys, tmp_path, text, error):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--trials", "1", "--seed", "1", "--out-dir", str(out_dir),
+                "--dump-transcripts")
+        tpath = next((out_dir / "transcripts").glob("*.transcript"))
+        bpath = tmp_path / "bad.bob"
+        bpath.write_bytes(text.encode("ascii"))
+        assert run_cli(capsys, "replay", str(tpath), str(bpath)) == (3, "", f"parse error: {error}\n")
 
     @pytest.mark.parametrize("flag", ["--threshold", "--delta"])
     def test_float_flag_bad_value_exit_one(self, capsys, tmp_path, flag):

@@ -170,6 +170,17 @@ class TestRecursion:
         assert seq[-1] == UNDERFLOW_FLOOR
         assert seq[-2] == UNDERFLOW_FLOOR
 
+    def test_exponent_below_rounding_stays_at_one(self):
+        # T^2 / r0 = 2e-20 is below half an ulp of 1.0, so exp gives 1.0 and
+        # every later step divides by 1.0
+        assert iterate_error_rate(RecursionModel(1e-10, 0.5), 12) == [1.0] * 12
+
+    def test_tiny_start_floors_at_step_one(self):
+        # T^2 / r0 is about 1e300, so exp underflows at once; from the floor
+        # T^2 / r is inf, and exp(-inf) is 0 again
+        seq = iterate_error_rate(RecursionModel(0.999999, 1e-300), 12)
+        assert seq == [UNDERFLOW_FLOOR] * 12
+
     @given(st.floats(0.05, 0.9), st.floats(1e-6, 0.9))
     # converges to the upper fixed point r* = exp(-T^2 / r*) ~ 0.99387770476,
     # where the condition margin (5e-17) lies below rounding

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bb84sim import transcript
 from bb84sim.channel import AttackModel
+from bb84sim.cli import main
 from bb84sim.codes import builtin_pair
 from bb84sim.errors import TranscriptError
 from bb84sim.gf2 import format_bits
@@ -15,7 +17,9 @@ from bb84sim.protocol import ProtocolConfig, replay_bob, run_chunk
 from bb84sim.transcript import (
     StageAnnouncement,
     Transcript,
+    dump_bob,
     dump_transcript,
+    parse_bob,
     parse_transcript,
 )
 from oracle import parse_transcript_reference
@@ -144,6 +148,72 @@ class TestChunkDump:
         assert not all(art.outcome.aborted for art in arts)
 
 
+def read_by_either_reader(monkeypatch, texts):
+    """Read `texts` line by line, then check that `parse_transcript` reads
+    each to the same transcript without the line reader."""
+    by_lines = [transcript._read_lines(text) for text in texts]
+
+    def refuse(text):
+        raise AssertionError(f"read line by line: {text[:40]!r}")
+
+    monkeypatch.setattr(transcript, "_read_lines", refuse)
+    assert [parse_transcript(text) for text in texts] == by_lines
+
+
+class TestWhichReader:
+    """Every dump `run` writes is read in whole-text passes; the line reader
+    is the fallback for other text, and reads a dump the same."""
+
+    @pytest.mark.parametrize("attack", ["none 0", "bitflip 0.05", "intercept_resend 1.0"])
+    @pytest.mark.parametrize("stack", ["steane steane", "golay golay", "steane golay"])
+    def test_run_dumps(self, monkeypatch, capsys, tmp_path, stack, attack):
+        (stage1, stage2), (kind, p) = stack.split(), attack.split()
+        assert main(["run", "--trials", "4", "--seed", "21", "--attack", kind, "--noise-p", p,
+                     "--stage1-pair", stage1, "--stage2-pair", stage2,
+                     "--out-dir", str(tmp_path), "--dump-transcripts"]) == 0
+        capsys.readouterr()
+        paths = sorted((tmp_path / "transcripts").glob("*.transcript"))
+        assert len(paths) == 4
+        read_by_either_reader(monkeypatch, [path.read_text() for path in paths])
+
+    def test_strict_dump_that_stops_after_stage_one(self, monkeypatch):
+        def inject(stage, block, n):
+            return [0, 1] if stage == 1 and block == 0 else []
+
+        strict = ProtocolConfig(simplex_pair(), simplex_pair(), abort_threshold=0.3,
+                                strict_decode=True)
+        [(text, _)] = run_chunk(strict, [2], AttackModel.none(), inject).dumps()
+        text = text.decode("ascii")
+        assert "\nBLK1 " in text and "BLK2" not in text
+        read_by_either_reader(monkeypatch, [text])
+
+
+# `.bob` records `parse_bob` refuses, each with the line and the message
+# that `bb84sim replay` prints after "parse error: "
+BOB_REFUSALS = {
+    "tag": ("BASES 01\nBITS 10\nKEYS 1\n", 3, "line 3: unexpected tag 'KEYS'"),
+    "bases": ("BASES 0121\nBITS 1000\nKEY -\n", 1, "line 1: BASES must be a 0/1 string"),
+    "key": ("BASES 01\nBITS 10\n", None, "missing tag KEY"),
+    "lengths": ("BASES 011\nBITS 10\nKEY -\n", None, "BASES and BITS differ in length"),
+    # lines end at "\n" alone, so a vertical tab stays inside its line
+    "line ends": ("BASES 01\nBITS 10\x0bX\nKEY -\n", 2, "line 2: BITS must be a 0/1 string"),
+}
+
+
+class TestBobRecord:
+    @pytest.mark.parametrize("key", [b"0110", b"-"])
+    def test_round_trip(self, key):
+        bases, bits, read_key = parse_bob(dump_bob(b"01011", b"11000", key).decode("ascii"))
+        assert (format_bits(bases), format_bits(bits), read_key) == ("01011", "11000",
+                                                                      key.decode("ascii"))
+
+    @pytest.mark.parametrize("text, line, message", BOB_REFUSALS.values(), ids=BOB_REFUSALS)
+    def test_refusals(self, text, line, message):
+        with pytest.raises(TranscriptError) as exc:
+            parse_bob(text)
+        assert (exc.value.line, str(exc.value)) == (line, message)
+
+
 class TestArrays:
     def test_every_array_is_read_only(self):
         # parsed transcripts, and a run's own, whose arrays are views of its chunk's
@@ -197,6 +267,24 @@ class TestParseErrors:
         text = dump_transcript(small_transcript()).replace("KEEP pos=0,2", "KEEP pos=0,x")
         with pytest.raises(TranscriptError, match="position"):
             parse_transcript(text)
+
+    @pytest.mark.parametrize("edits, error", [
+        ((("KEEP pos=0,2", "KEEP pos=0,x"), ("ACHK bits=1", "ACHK bits=2")),
+         "line 2: bad position list '0,x'"),
+        ((("BLK1 id=0 pos=2 masked=0", "BLK1 id=0 pos=x masked=2"),),
+         "line 6: bad position list 'x'"),
+        ((("BLK1 id=0 pos=2 masked=0", "BLK1 id=0 pos=2 masked=2"),
+          ("BLK2 id=0 pos=0 ", "BLK2 id=0 pos=x ")),
+         "line 6: bit string '2' has characters outside 0/1"),
+    ], ids=["header", "one block line", "two block lines"])
+    def test_first_failure_in_line_and_field_order(self, edits, error):
+        text = dump_transcript(small_transcript())
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        with pytest.raises(TranscriptError) as exc:
+            parse_transcript(text)
+        assert str(exc.value) == error
 
     def test_out_of_order_blocks(self):
         t = small_transcript()
