@@ -44,7 +44,8 @@ SUMMARY_COLUMNS = ["trials", "abort_fraction", "mean_check_error", "stddev_check
 # chunk's arrays peak at about 50 bytes per qubit, 1.4-1.8 MB at this size
 # (tracemalloc, numpy 2.4: 14 golay/golay trials, 152 steane/steane).  Each
 # chunk carries about 0.2 ms of fixed cost, which larger chunks spread over
-# more trials.
+# more trials: 0.17-0.26 ms for either built-in pair (tools/fixed_costs.py,
+# 2-core x86 container, Python 3.11, numpy 2.4).
 QUBITS_PER_CHUNK = 1 << 15
 
 # Each `run` setting, declared once: (the reader of its text, its default,
@@ -165,6 +166,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# the text of a flag column's codes: 0 and 1, and 2 for no value
+_FLAGS = ("0", "1", "")
+
+
+def _trial_rows(chunk, start: int, base_seed: int):
+    """The trials.csv rows of a chunk whose first trial is `start`, made from
+    its whole columns: the ints and the rates as they are (the csv module
+    writes an int's str and a float's repr), the flags as "0" and "1", and
+    keys_equal as "" where the trial aborted."""
+    end = start + len(chunk.aborted)
+    # keys_equal is False where a trial aborted, so that code 2 is ""
+    keys = chunk.keys_equal + 2 * chunk.aborted
+    return zip(range(start, end), range(base_seed + start, base_seed + end),
+               map(_FLAGS.__getitem__, chunk.aborted.tolist()), chunk.check_error_rate.tolist(),
+               map(_FLAGS.__getitem__, keys.tolist()), chunk.decode_failures.sum(axis=0).tolist())
+
+
 # a file written whole, as bytes: O_BINARY, which only Windows has, stops its
 # C runtime from writing each "\n" as "\r\n"
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
@@ -214,13 +232,7 @@ def cmd_run(args) -> int:
             # keys_equal is False where a trial aborted
             agreements += int(chunk.keys_equal.sum())
             rates.extend(chunk.check_error_rate)
-            writer.writerows(
-                [_fmt(value) for value in (i, base_seed + i, aborted, rate,
-                                           None if aborted else keys_equal, decode_failures)]
-                for i, aborted, rate, keys_equal, decode_failures in zip(
-                    range(start, trials), chunk.aborted.tolist(),
-                    chunk.check_error_rate.tolist(), chunk.keys_equal.tolist(),
-                    chunk.decode_failures.sum(axis=0).tolist()))
+            writer.writerows(_trial_rows(chunk, start, base_seed))
             if transcript_dir:
                 for i, (transcript, bob) in enumerate(chunk.dumps(), start=start):
                     stem = os.path.join(transcript_dir, f"trial_{i:05d}")

@@ -192,9 +192,9 @@ class SyndromeTable:
             syndrome's error, and a (B,) bool mask of syndromes outside the
             table, which index the zero row.
         """
+        keys = _syndrome_keys(syndromes)
         miss = len(self._index)
-        get = self._index.get
-        rows = np.array([get(key, miss) for key in _syndrome_keys(syndromes)], dtype=np.intp)
+        rows = np.fromiter(map(self._index.get, keys, itertools.repeat(miss)), np.intp, len(keys))
         return rows, rows == miss
 
     def __len__(self) -> int:
@@ -363,9 +363,10 @@ def make_golay_23_12() -> LinearCode:
 
 
 def make_golay_dual_23_11() -> LinearCode:
-    """The [23,11,8] dual of the Golay code, contained in it."""
-    golay = make_golay_23_12()
-    return LinearCode(golay.parity_check, golay.generator, 8, name="golay-dual[23,11]")
+    """The [23,11,8] dual of the Golay code, contained in it: the Golay
+    code's matrices swapped."""
+    g, h = _golay_matrices()
+    return LinearCode(h, g, 8, name="golay-dual[23,11]")
 
 
 BUILTIN_PAIR_NAMES = ("steane", "golay")

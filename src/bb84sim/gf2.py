@@ -7,7 +7,9 @@ of two matrices, ``a @ b & 1``, is `matmul`, which multiplies in float32.
 Row reduction always picks the leftmost pivot, which makes reduced forms
 canonical; both protocol parties therefore derive identical coset labels
 from the public matrices without communicating.  `row_reduce` and
-`solve_membership` share one elimination loop.
+`solve_membership` share one elimination loop, which runs on the rows
+packed into Python ints, column j as bit j, so that a row operation is one
+int xor; the rows are packed and unpacked once per elimination.
 
 Outside the program, in transcripts, keys, code files and Bob's record,
 bits are 0/1 text with character i holding bit i; `format_bits` (and
@@ -197,35 +199,60 @@ def read_ascii(path: str, split_lines: Callable[[str], list[str]],
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The GF(2) product ``a @ b & 1`` of two 0/1 arrays, as uint8.
+    """The GF(2) product ``a @ b & 1`` of two 2-D 0/1 arrays, as uint8.
 
-    The product runs in float32, which numpy multiplies through BLAS (its
-    integer matmul has no such path); pass b as float32 to skip its copy.
-    Each entry is a count of at most a.shape[-1] ones, which float32 holds
-    exactly while that is below 2**24.  The parity is taken after a cast to
-    int32, since a cast of a float above 255 to uint8 is undefined.
+    The product runs in float32 (or wider, if a is), which numpy multiplies
+    through BLAS (its integer products have no such path), by `np.dot`,
+    whose call costs about half of `np.matmul`'s on the few-row arrays of a
+    small chunk; pass b as float32 to skip its copy.  Each entry is a count
+    of at most a.shape[-1] ones, which float32 holds exactly while that is
+    below 2**24.  A count of at most 255 casts to uint8 exactly; a cast of a
+    float above 255 to uint8 is undefined, so a longer sum is cast through
+    int32, whose cast to uint8 keeps the parity.
     """
-    return (np.matmul(a, b, dtype=np.float32).astype(np.int32) & 1).astype(np.uint8)
+    product = np.dot(a, b.astype(np.float32, copy=False))
+    if a.shape[-1] > 255:
+        product = product.astype(np.int32)
+    parity = product.astype(np.uint8)
+    parity &= 1
+    return parity
 
 
 def _eliminate(a: np.ndarray, ncols: int) -> list[int]:
     """Reduce the first `ncols` columns of the 0/1 array `a`, in place, to
     reduced row-echelon form, taking the leftmost pivot each time; columns
-    after them ride along with their rows.  Returns the pivot columns."""
+    after them ride along with their rows.  Returns the pivot columns.
+
+    The rows are eliminated as Python ints, column j as bit j, packed by one
+    `np.packbits` and written back by one `np.unpackbits`: a row operation
+    is one int xor, where it is several numpy calls on a row of an array."""
+    m, width = a.shape
+    if not m or not ncols:
+        return []
+    raw = np.packbits(a, axis=1, bitorder="little").tobytes()
+    size = len(raw) // m
+    rows = [int.from_bytes(raw[i:i + size], "little") for i in range(0, len(raw), size)]
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
-        if r == len(a):
-            break
-        hits = a[r:, col].nonzero()[0]
-        if not hits.size:
+        bit = 1 << col
+        for p in range(r, m):
+            if rows[p] & bit:
+                break
+        else:
             continue
-        p = r + hits[0]
-        a[[r, p]] = a[[p, r]]
-        others = a[:, col].nonzero()[0]
-        a[others[others != r]] ^= a[r]
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot = rows[r]
+        # every row with the bit, the pivot's own included, then the pivot back
+        rows = [row ^ pivot if row & bit else row for row in rows]
+        rows[r] = pivot
         pivots.append(col)
         r += 1
+        if r == m:
+            break
+    packed = b"".join(row.to_bytes(size, "little") for row in rows)
+    a[:] = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(m, size), axis=1,
+                         count=width, bitorder="little")
     return pivots
 
 

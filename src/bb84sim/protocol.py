@@ -233,7 +233,7 @@ def _select(matched: np.ndarray, counts: np.ndarray, config: ProtocolConfig, par
     # each row starts among them, and the flat index of each row's start
     flat = matched.ravel().nonzero()[0]
     starts = counts.cumsum() - counts
-    offsets = np.arange(0, matched.size, matched.shape[1])[:, None]
+    offsets = _row_starts(matched)[:, None]
     if not config.random_assignment:
         kept = flat[starts[:, None] + np.arange(target)] - offsets
         return kept, kept[:, :count], kept[:, count:]
@@ -241,13 +241,13 @@ def _select(matched: np.ndarray, counts: np.ndarray, config: ProtocolConfig, par
     # positions, which compress to ascending positions with no sort
     chosen = np.zeros(flat.size, dtype=bool)
     is_check = np.zeros((len(parties), target), dtype=bool)
-    for t, (party, start) in enumerate(zip(parties, starts.tolist())):
-        chosen[start + party.choice(counts[t], size=target, replace=False)] = True
+    for t, (party, start, matches) in enumerate(zip(parties, starts.tolist(), counts.tolist())):
+        chosen[start + party.choice(matches, size=target, replace=False)] = True
         is_check[t, party.choice(target, size=count, replace=False)] = True
     kept = flat[chosen].reshape(-1, target) - offsets
     is_check = is_check.ravel()
-    return (kept, kept.take(np.flatnonzero(is_check)).reshape(-1, count),
-            kept.take(np.flatnonzero(~is_check)).reshape(-1, count))
+    return (kept, kept.take(is_check.nonzero()[0]).reshape(-1, count),
+            kept.take((~is_check).nonzero()[0]).reshape(-1, count))
 
 
 def _check_and_abort(alice_check: np.ndarray, bob_check: np.ndarray, config: ProtocolConfig):
@@ -260,7 +260,9 @@ def _check_and_abort(alice_check: np.ndarray, bob_check: np.ndarray, config: Pro
         bool mask of trials whose rate exceeds the abort threshold (scalars
         for one trial).
     """
-    rate = (alice_check ^ bob_check).sum(axis=-1) / alice_check.shape[-1]
+    # an int32 count of bytes or bools sums about twice as fast as numpy's
+    # default 64-bit one, and a transmission holds far fewer than 2**31 bits
+    rate = (alice_check ^ bob_check).sum(axis=-1, dtype=np.int32) / alice_check.shape[-1]
     return rate, rate > config.abort_threshold
 
 
@@ -276,9 +278,13 @@ def _labels(pair: CssPair, product: np.ndarray,
         NotInCodeError: an unflagged row is not an outer-code codeword.
     """
     r = pair.outer.n - pair.outer.k
-    syndromes = product[:, :r] if projected is None else product[~projected, :r]
+    syndromes = product[:, :r]
+    # the flagged rows are left out only when some syndrome is nonzero
     if np.count_nonzero(syndromes):
-        raise NotInCodeError(f"{syndromes.any(axis=1).sum()} stage words are not in the outer code")
+        unflagged = syndromes if projected is None else syndromes[~projected]
+        if np.count_nonzero(unflagged):
+            raise NotInCodeError(
+                f"{unflagged.any(axis=1).sum()} stage words are not in the outer code")
     return product[:, r:]
 
 
@@ -315,7 +321,8 @@ def _bob_stage(pair: CssPair, blocks: np.ndarray, announcements: np.ndarray):
     product = matmul(blocks ^ announcements, pair.check_label_f32)
     rows, failed = pair.outer.syndrome_table().lookup_rows(
         product[:, :pair.outer.n - pair.outer.k])
-    return _labels(pair, product ^ pair.error_check_labels[rows], failed), failed
+    product ^= pair.error_check_labels.take(rows, axis=0)
+    return _labels(pair, product, failed), failed
 
 
 def _alice_stage(pair: CssPair, values: np.ndarray, coeffs: np.ndarray):
@@ -364,9 +371,9 @@ class TrialChunk:
         self.draws = draws
         self.bob_bits = bob_bits
         count = len(bob_bits)
-        at = _flat_indices(np.arange(count), draws["check"], bob_bits.shape[1])
+        at = draws["check"] + _row_starts(bob_bits)[:, None]
         self.check_error_rate, self.check_failed = _check_and_abort(
-            draws["bits"].ravel().take(at), bob_bits.ravel().take(at), config)
+            draws["bits"].take(at), bob_bits.take(at), config)
         self.aborted = self.check_failed.copy()
         self.keys_equal = np.zeros(count, dtype=bool)
         stages = len(config.pairs)
@@ -385,27 +392,41 @@ class TrialChunk:
         blocks and announces positions and u+v, Bob decodes).  Under strict
         decoding a trial with a failed block aborts after that stage."""
         c = self.config
-        alice, bob, rows = self.draws["bits"], self.bob_bits, live
+        alice, bob = self.draws["bits"], self.bob_bits
+        # where each trial's row of the stage's input starts in its flattening
+        starts = (live * alice.shape[1])[:, None]
+        # the row of each trial in a stage's arrays, until strict decoding drops some
+        rows = dict(zip(live.tolist(), range(live.size)))
         failures = np.zeros((len(c.pairs), live.size), np.int64)
-        for s, pair in enumerate(c.pairs):
+        for s, (pair, blocks) in enumerate(zip(c.pairs, c.block_counts)):
             if not live.size:
                 return
             order, coeffs = stage_draws[s]
-            self.rows[s] = dict(zip(live.tolist(), range(live.size)))
-            self.orders[s] = order
-            at = _flat_indices(rows, order, alice.shape[1])
-            failed, alice, bob, self.masked[s] = _run_stage(
-                s + 1, pair, alice.ravel().take(at), bob.ravel().take(at), coeffs, error_injection)
+            m, n = live.size, pair.n
+            self.rows[s], self.orders[s] = rows, order
+            # each block's positions in the flattened input, one block per
+            # row: a take at them costs about a third of the two-array index
+            # [live[:, None], order] on a chunk
+            at = (order + starts).reshape(-1, n)
+            masked, alice = _alice_stage(pair, alice.take(at), coeffs.reshape(-1, pair.outer.k))
+            bob, failed = _bob_stage(pair, _inject(error_injection, s + 1, bob.take(at), blocks),
+                                     masked)
+            alice, bob = alice.reshape(m, -1), bob.reshape(m, -1)
             # the final keys are the last stage's, one row per trial in its `rows`
             self.alice_key, self.bob_key = alice, bob
-            failures[s] = failed.sum(axis=1)
+            self.masked[s] = masked.reshape(m, blocks, n)
+            # a chunk's blocks mostly all decode: the count per trial is
+            # taken only when some block failed
+            if np.count_nonzero(failed):
+                failures[s] = failed.reshape(m, blocks).sum(axis=1)
             if c.strict_decode:
                 ok = failures[s] == 0
                 self.aborted[live[~ok]] = True
                 live, alice, bob, failures = live[ok], alice[ok], bob[ok], failures[:, ok]
                 stage_draws = [(order[ok], coeffs[ok]) for order, coeffs in stage_draws]
+                rows = dict(zip(live.tolist(), range(live.size)))
             # the stage's keys hold one row per trial left
-            rows = np.arange(live.size)
+            starts = _row_starts(alice)[:, None]
         if self.alice_key.shape[1] != c.final_key_bits:
             raise ProtocolDesyncError(
                 f"final key length {self.alice_key.shape[1]} != expected {c.final_key_bits}")
@@ -462,10 +483,9 @@ class TrialChunk:
         `dump_fields` and `dump_bob` join.
         """
         d, bob_bits = self.draws, self.bob_bits
-        at = _flat_indices(np.arange(len(bob_bits)), d["check"], bob_bits.shape[1])
+        at = d["check"] + _row_starts(bob_bits)[:, None]
         b, bases, bits, achk, bchk = map(format_bit_rows, (d["b"], d["bob_bases"], bob_bits,
-                                                           d["bits"].ravel().take(at),
-                                                           bob_bits.ravel().take(at)))
+                                                           d["bits"].take(at), bob_bits.take(at)))
         kept, check = format_decimals(d["kept"]), format_decimals(d["check"])
         # per stage reached: its rows, its blocks' position lists, its block
         # count and each row's masked words joined
@@ -483,31 +503,11 @@ class TrialChunk:
                    dump_bob(bases[i], bits[i], b"-" if aborted else keys[self.rows[-1][i]]))
 
 
-def _flat_indices(rows: np.ndarray, positions: np.ndarray, width: int) -> np.ndarray:
-    """Where the elements ``[rows[:, None], positions]`` of a 2-D array with
-    rows of `width` sit in its row-major flattening, for (M,) rows and
-    (M, m) positions.  A take at them costs about a third of that two-array
-    index on a chunk."""
-    return positions + (rows * width)[:, None]
-
-
-def _run_stage(stage: int, pair: CssPair, alice_bits: np.ndarray, bob_bits: np.ndarray,
-               coeffs: np.ndarray, error_injection: Optional[ErrorInjector]):
-    """One stage for M trials, from their (M, B*n) bits, one trial per row
-    with its B blocks in order, and their (M, B, k) coefficients.
-
-    Returns:
-        (failed, alice_key, bob_key, masked): the (M, B) decode-failure
-        flags, Alice's and Bob's (M, B*key_width) keys, and the (M, B, n)
-        announced words.
-    """
-    m, blocks, n = len(coeffs), coeffs.shape[1], pair.n
-    masked, alice_labels = _alice_stage(pair, alice_bits.reshape(-1, n),
-                                        coeffs.reshape(-1, pair.outer.k))
-    bob_labels, failed = _bob_stage(
-        pair, _inject(error_injection, stage, bob_bits.reshape(-1, n), blocks), masked)
-    return (failed.reshape(m, blocks), alice_labels.reshape(m, -1),
-            bob_labels.reshape(m, -1), masked.reshape(m, blocks, n))
+def _row_starts(a: np.ndarray) -> np.ndarray:
+    """The flat index of the start of each row of a 2-D array: a take at
+    ``positions + _row_starts(a)[:, None]`` reads ``a[i, positions[i]]`` for
+    each row i of (rows, m) positions."""
+    return np.arange(0, a.size, a.shape[1])
 
 
 def _bit_rows(words: np.ndarray, rows: int, n: int) -> np.ndarray:
@@ -605,16 +605,17 @@ def _hash_lanes(seeds: list, width: int) -> np.ndarray:
     for word, spawn in zip(words, spawned):
         mixed = (_MIX_L * (word | word << lane * count) + spawn) & pair_mask
         pool.append((mixed ^ mixed >> 16) & pair_mask)
-    halves = []
+    # the bytes of each output half's 2*count lanes, one half after another
+    size = count * lane // 4
+    out = bytearray()
     for i, (xor, mult) in enumerate(out_steps):
         hashed = (pool[i % 4] ^ xor) * mult & pair_mask
-        halves.append(hashed ^ hashed >> 16)
-    out = np.frombuffer(b"".join(h.to_bytes(count * lane // 4, "little") for h in halves), "<u4")
-    # (half, stream, seed, lane word) -> (seed, stream, half): a half is word
-    # 0 of its lane (the last step leaves the rest unmasked), two halves to a
-    # uint64, low half first
-    out = np.ascontiguousarray(out.reshape(8, 2, count, width)[..., 0].transpose(2, 1, 0))
-    return out.view("<u8").astype(np.uint64, copy=False)
+        out += (hashed ^ hashed >> 16).to_bytes(size, "little")
+    # (seed, stream, half) read in place: a half is word 0 of its lane (the
+    # last step leaves the rest unmasked), two halves to a uint64, low half
+    # first
+    out = np.ndarray((count, 2, 8), "<u4", out, strides=(lane // 8, size // 2, size))
+    return np.ascontiguousarray(out).view("<u8").astype(np.uint64, copy=False)
 
 
 def _entropy_width(seed: int) -> int:
@@ -714,7 +715,8 @@ def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
     # bit rows: preparation bits, bases, Bob's bases, then the channel's
     bits = _bit_rows(np.concatenate((np.array(party_words), split[:, :halves]), axis=1), rows, n)
     matched = bits[:, 1] == bits[:, 2]
-    counts = matched.sum(axis=1)
+    # an int32 count, as in `_check_and_abort`
+    counts = matched.sum(axis=1, dtype=np.int32)
     restarts = [0] * len(parties)
     for t in (counts < target).nonzero()[0]:
         carry = split[t, halves:]
@@ -750,7 +752,8 @@ def _draw_stages(config: ProtocolConfig, parties: list, code: np.ndarray):
 
     Returns:
         one (order, coeffs) pair per stage: the (M, B*n) input positions in
-        assigned order and the (M, B, k) uint8 coefficients.
+        assigned order and the (M, B, k) 0/1 coefficients as float32, the
+        form `gf2.matmul` multiplies in.
     """
     stages = list(zip(config.pairs, config.block_counts))
     orders = [[] for _ in stages]
@@ -766,7 +769,7 @@ def _draw_stages(config: ProtocolConfig, parties: list, code: np.ndarray):
     if not config.random_assignment:
         sizes = [blocks * pair.key_width for pair, blocks in stages[:-1]]
         orders = [code] + [np.broadcast_to(np.arange(k), (len(parties), k)) for k in sizes]
-    return [(np.asarray(order), np.array(c, dtype=np.uint8)) for order, c in zip(orders, coeffs)]
+    return [(np.asarray(order), np.array(c, dtype=np.float32)) for order, c in zip(orders, coeffs)]
 
 
 def run_chunk(config: ProtocolConfig, seeds: Iterable[int],
@@ -793,7 +796,7 @@ def run_chunk(config: ProtocolConfig, seeds: Iterable[int],
     live = (~chunk.aborted).nonzero()[0]
     if live.size:
         stage_draws = _draw_stages(config, [parties[t] for t in live.tolist()],
-                                   draws["code"][live])
+                                   draws["code"].take(live, axis=0))
         chunk._run_stages(live, stage_draws, error_injection)
     return chunk
 

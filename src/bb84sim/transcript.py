@@ -182,9 +182,9 @@ def parse_bob(text: str) -> tuple[np.ndarray, np.ndarray, str]:
     when the run aborted), from his record beside a dumped transcript.
 
     Raises:
-        TranscriptError: an unexpected tag or a BASES or BITS value that is
-            not a 0/1 string, with its line; a missing tag, or BASES and BITS
-            of unequal length.
+        TranscriptError: an unexpected or repeated tag, or a BASES or BITS
+            value that is not a 0/1 string, with its line; a missing tag, or
+            BASES and BITS of unequal length.
     """
     fields = {}
     for line_no, raw in enumerate(bob_lines(text), start=1):
@@ -194,6 +194,8 @@ def parse_bob(text: str) -> tuple[np.ndarray, np.ndarray, str]:
         tag, _, value = line.partition(" ")
         if tag not in _BOB_TAGS:
             raise TranscriptError(f"unexpected tag {tag!r}", line=line_no)
+        if tag in fields:
+            raise TranscriptError(f"duplicate tag {tag!r}", line=line_no)
         if tag != "KEY":
             try:
                 value = parse_bits(value)

@@ -11,6 +11,11 @@ in the tables or matrices the protocol uses therefore shows up as a
 disagreement with it.  `test_stage_oracle.py` checks that this module stays
 independent of them.  Vectors in and out are 1-D uint8 arrays of 0/1 bits.
 
+`row_reduce_reference` and `solve_membership_reference` run the
+elimination as numpy row operations on the rows of a uint8 array, where
+`gf2` packs the rows into ints; `test_gf2.py` checks that both give the same
+reduced arrays, pivots and coefficients.
+
 `draw_quantum_reference` takes one trial's quantum phase, restarts
 included, as the sequence of ``Generator`` calls that defines the party and
 channel streams: three uint8 `integers` party draws, the channel's
@@ -139,6 +144,50 @@ def _reduce(words: list[int], ncols: int) -> list[int]:
         pivots.append(col)
         r += 1
     return pivots
+
+
+def eliminate_reference(a: np.ndarray, ncols: int) -> list[int]:
+    """Leftmost-pivot reduction of the first `ncols` columns of the 0/1 array
+    `a`, in place, as numpy row operations on its rows (the elimination the
+    program ran before it packed rows into ints); columns after them ride
+    along.  Returns the pivot columns."""
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        if r == len(a):
+            break
+        hits = a[r:, col].nonzero()[0]
+        if not hits.size:
+            continue
+        p = r + hits[0]
+        a[[r, p]] = a[[p, r]]
+        others = a[:, col].nonzero()[0]
+        a[others[others != r]] ^= a[r]
+        pivots.append(col)
+        r += 1
+    return pivots
+
+
+def row_reduce_reference(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+    """(reduced, rank, pivots) of `gf2.row_reduce`, by `eliminate_reference`."""
+    reduced = np.array(a, dtype=np.uint8)
+    pivots = eliminate_reference(reduced, reduced.shape[1])
+    return reduced, len(pivots), pivots
+
+
+def solve_membership_reference(a: np.ndarray, v: np.ndarray):
+    """`gf2.solve_membership` by `eliminate_reference`: the rows of a, tagged
+    with their indices in the columns after a's, are reduced over a's
+    columns, and clearing v's pivot bits leaves its coefficients in the tag
+    columns; None when v is not in the row space."""
+    a = np.asarray(a, dtype=np.uint8)
+    m, n = a.shape
+    aug = np.hstack([a, np.eye(m, dtype=np.uint8)])
+    word = np.concatenate([np.asarray(v, dtype=np.uint8), np.zeros(m, dtype=np.uint8)])
+    for i, col in enumerate(eliminate_reference(aug, n)):
+        if word[col]:
+            word ^= aug[i]
+    return None if word[:n].any() else word[n:]
 
 
 def _in_span(rows: list[int], word: int, ncols: int) -> bool:

@@ -33,6 +33,7 @@ from oracle import (
     random_codeword,
     scalar_table_items,
     syndrome,
+    word_rows,
 )
 
 
@@ -155,6 +156,52 @@ class TestSyndromeTable:
         assert (errors.sum(axis=1) <= hamming.t).all()
         rows, failed = table.lookup_rows(np.array([syndrome(hamming, e) for e in errors]))
         assert not failed.any() and rows.tolist() == list(range(len(errors)))
+
+    @staticmethod
+    def check_lookup(code, syndromes):
+        """lookup_rows of the (B, r) syndromes against the table's own
+        entries: a tabulated syndrome gives its error's row, any other one
+        `failed` and the zero row after the errors."""
+        table = code.syndrome_table()
+        known = {syndrome(code, e).tobytes(): i for i, e in enumerate(table.errors[:-1])}
+        rows, failed = table.lookup_rows(syndromes)
+        assert rows.dtype == np.intp and failed.dtype == bool
+        want = [known.get(s.tobytes(), len(table)) for s in syndromes]
+        assert rows.tolist() == want
+        assert failed.tolist() == [r == len(table) for r in want]
+        assert not table.errors[rows[failed]].any()
+        return failed
+
+    def test_misses_of_a_code_that_is_not_perfect(self):
+        # the simplex [7,3,4] code tabulates 8 errors of weight <= 1 for its
+        # 16 syndromes: the other 8 fail
+        from test_engine_equivalence import simplex_pair
+
+        failed = self.check_lookup(simplex_pair().outer, word_rows(range(16), 4))
+        assert failed.sum() == 8
+
+    def test_no_syndromes(self, hamming):
+        rows, failed = hamming.syndrome_table().lookup_rows(np.zeros((0, 3), dtype=np.uint8))
+        assert rows.shape == failed.shape == (0,)
+        assert rows.dtype == np.intp and failed.dtype == bool
+
+    def test_keys_of_eight_bytes(self):
+        # the wide pair's outer code has 64 parity checks, so a key is 8
+        # bytes: each tabulated syndrome with the top bit of one byte flipped,
+        # for every byte, and random syndromes
+        from test_engine_equivalence import wide_pair_text
+
+        code = parse_pair(wide_pair_text()).outer
+        hits = np.array([syndrome(code, e) for e in code.syndrome_table().errors[:-1]])
+        assert hits.shape == (67, 64)
+        flipped = np.repeat(hits, 8, axis=0)
+        flipped[np.arange(len(flipped)), np.tile(np.arange(0, 64, 8) + 7, len(hits))] ^= 1
+        rng = np.random.default_rng(64)
+        randoms = rng.integers(0, 2, size=(50, 64), dtype=np.uint8)
+        failed = self.check_lookup(code, np.concatenate([hits, flipped, randoms]))
+        assert not failed[:len(hits)].any() and failed[-len(randoms):].all()
+        # a flip in the last byte alone misses for most entries
+        assert failed[len(hits):-len(randoms)].reshape(-1, 8)[:, 7].sum() > len(hits) // 2
 
     @pytest.mark.parametrize("slice_bytes", [None, 50])
     @pytest.mark.parametrize("name", ["steane", "golay", "simplex", "wide"])

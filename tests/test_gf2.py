@@ -17,7 +17,13 @@ from bb84sim.gf2 import (
     row_reduce,
     solve_membership,
 )
-from oracle import mat_vec, to_word, word_rows
+from oracle import (
+    mat_vec,
+    row_reduce_reference,
+    solve_membership_reference,
+    to_word,
+    word_rows,
+)
 
 
 def bits(*rows):
@@ -45,6 +51,19 @@ def brute_force_mat_vec(m, v):
 
 def random_matrix(rng, rows, cols):
     return word_rows([rng.getrandbits(cols) for _ in range(rows)], cols)
+
+
+@st.composite
+def bit_matrices(draw, max_rows=40, max_cols=130):
+    """0/1 matrices of 0..max_rows rows by 0..max_cols columns, the empty
+    shapes and widths past 64 included; a row may be masked by another draw,
+    so that sparse rows, zero columns and repeated pivots come up."""
+    rows, cols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    row = st.integers(0, 2**cols - 1)
+    words = draw(st.lists(row, min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        words = [w & draw(row) & draw(row) for w in words]
+    return word_rows(words, cols)
 
 
 def arrays(draw, rows, cols):
@@ -271,6 +290,20 @@ class TestRowReduce:
         assert pivots2 == pivots
 
 
+    @given(bit_matrices(), st.booleans())
+    @example(np.zeros((0, 0), np.uint8), False)
+    @example(np.zeros((0, 7), np.uint8), True)
+    @example(np.zeros((5, 0), np.uint8), True)
+    def test_matches_the_reference(self, m, augmented):
+        # [M | I] is the shape _build_label_matrix reduces
+        if augmented:
+            m = np.hstack([m, np.eye(len(m), dtype=np.uint8)])
+        reduced, rank, pivots = row_reduce(m)
+        want, want_rank, want_pivots = row_reduce_reference(m)
+        assert reduced.dtype == np.uint8 and reduced.shape == m.shape
+        assert (reduced.tolist(), rank, pivots) == (want.tolist(), want_rank, want_pivots)
+
+
 class TestSolveMembership:
     def test_identity_matrix(self):
         assert solve_membership(EYE3, parse_bits("110")).tolist() == [1, 1, 0]
@@ -311,6 +344,23 @@ class TestSolveMembership:
         recovered = solve_membership(m, v)
         assert recovered is not None
         assert (recovered @ m & 1).tolist() == v.tolist()
+
+
+    @given(bit_matrices(), st.data())
+    @example(np.zeros((0, 0), np.uint8), None)
+    @example(np.zeros((3, 0), np.uint8), None)
+    def test_matches_the_reference(self, m, data):
+        # a member (a combination of the rows) or any vector
+        rows, cols = m.shape
+        if data is None or data.draw(st.booleans()):
+            c = word_rows([data.draw(st.integers(0, 2**rows - 1)) if data else 0], rows)[0]
+            v = c @ m & 1 if rows else np.zeros(cols, np.uint8)
+        else:
+            v = word_rows([data.draw(st.integers(0, 2**cols - 1))], cols)[0]
+        got, want = solve_membership(m, v), solve_membership_reference(m, v)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 23, 64, 66])

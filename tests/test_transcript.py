@@ -197,6 +197,12 @@ BOB_REFUSALS = {
     "lengths": ("BASES 011\nBITS 10\nKEY -\n", None, "BASES and BITS differ in length"),
     # lines end at "\n" alone, so a vertical tab stays inside its line
     "line ends": ("BASES 01\nBITS 10\x0bX\nKEY -\n", 2, "line 2: BITS must be a 0/1 string"),
+    # a repeated tag is refused at its second line, whatever its value; the
+    # last one read was once kept
+    "repeated BASES": ("BASES 01\nBITS 10\nKEY -\nBASES 11\nKEY 0101\n", 4,
+                       "line 4: duplicate tag 'BASES'"),
+    "repeated BITS": ("BASES 01\nBITS 10\nBITS 2\nKEY -\n", 3, "line 3: duplicate tag 'BITS'"),
+    "repeated KEY": ("KEY 0101\nBASES 01\nBITS 10\nKEY -\n", 4, "line 4: duplicate tag 'KEY'"),
 }
 
 
@@ -206,6 +212,10 @@ class TestBobRecord:
         bases, bits, read_key = parse_bob(dump_bob(b"01011", b"11000", key).decode("ascii"))
         assert (format_bits(bases), format_bits(bits), read_key) == ("01011", "11000",
                                                                       key.decode("ascii"))
+
+    def test_tags_in_any_order_once_each(self):
+        bases, bits, key = parse_bob("KEY 1\n\nBITS 10\nBASES 01\n")
+        assert (format_bits(bases), format_bits(bits), key) == ("01", "10", "1")
 
     @pytest.mark.parametrize("text, line, message", BOB_REFUSALS.values(), ids=BOB_REFUSALS)
     def test_refusals(self, text, line, message):
