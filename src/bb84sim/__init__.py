@@ -2,7 +2,7 @@
 BB84 key-distribution protocol, with the classical nested-code machinery for
 error correction and privacy amplification."""
 
-from .channel import AttackModel, Basis, attack_arrays, measure_bits
+from .channel import AttackModel, Basis, attack_arrays
 from .codes import (
     CssPair,
     LinearCode,
@@ -18,7 +18,6 @@ from .protocol import (
     RunOutcome,
     replay_bob,
     run_protocol,
-    stage_correct_and_amplify,
 )
 from .stats import (
     RecursionModel,

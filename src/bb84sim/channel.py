@@ -20,8 +20,7 @@ sampling never rejects at range 2 and starts a fresh four-byte buffer at
 each call.  The rows are the interceptor's bases (`intercept_resend` only)
 and then the measurement coins.  A half left over after the last row, when
 the rows take an odd number, comes first in the rows of the trial's next
-attempt (a restart), as ``Generator`` keeps it.  `measure_bits` draws
-nothing; its random outcomes are the coins.
+attempt (a restart), as ``Generator`` keeps it.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 
-__all__ = ["Basis", "AttackModel", "channel_draws", "attack_arrays", "measure_bits"]
+__all__ = ["Basis", "AttackModel", "channel_draws", "attack_arrays"]
 
 
 class Basis(IntEnum):
@@ -128,15 +127,16 @@ def attack_arrays(attack: AttackModel, n: int, words: np.ndarray, bases: np.ndar
             intercept_resend.
 
     Returns:
-        (flip, eve_basis): (T, n) uint8 flip indicators and int8 interceptor
-        bases (-1 where not intercepted).
+        (flip, eve_basis): (T, n) uint8 flip indicators, and (T, n) int8
+        interceptor bases (-1 where not intercepted) under intercept_resend,
+        None under every other kind, which intercepts nothing.
 
     Raises:
         ConfigError: a correlated position lies outside the transmission.
     """
     shape = (len(words), n)
     if attack.kind == "bitflip":
-        return _below(words, attack.probability).view(np.uint8), np.full(shape, -1, np.int8)
+        return _below(words, attack.probability).view(np.uint8), None
     flip = np.zeros(shape, dtype=np.uint8)
     if attack.kind == "intercept_resend":
         # the basis where intercepted, else -1: an or with 0 or with all ones
@@ -148,46 +148,16 @@ def attack_arrays(attack: AttackModel, n: int, words: np.ndarray, bases: np.ndar
         rows, hit = _below(words, attack.probability).nonzero()
         # a position listed twice toggles twice
         np.bitwise_xor.at(flip, (rows, np.array(attack.positions, dtype=np.intp)[hit]), 1)
-    return flip, np.full(shape, -1, np.int8)
-
-
-def measure_bits(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin):
-    """Measurement outcomes for a batch of transmitted qubits, one per element
-    of the equally shaped inputs (one transmission, or one per row).
-
-    Args:
-        prep_basis: uint8 array, preparation basis per position (0=Z, 1=X).
-        prep_bit: uint8 array, prepared bit values.
-        flip: uint8 array, 1 where the channel flipped the bit in its
-            preparation basis.
-        eve_basis: int8 array, interceptor's measurement basis per position,
-            -1 where the position was not intercepted.
-        bob_basis: uint8 array, receiver's measurement basis.
-        coin: uint8 array, pre-drawn fair coins used wherever the outcome is
-            random (mismatched measurement basis, or interception in the
-            wrong basis).
-
-    Returns:
-        uint8 array of measured bits, shaped as the inputs.
-
-    Raises:
-        DimensionError: an input's shape differs from prep_basis's.
-    """
-    prep_basis = np.asarray(prep_basis, dtype=np.uint8)
-    prep_bit = np.asarray(prep_bit, dtype=np.uint8)
-    flip = np.asarray(flip, dtype=np.uint8)
-    eve_basis = np.asarray(eve_basis, dtype=np.int8)
-    bob_basis = np.asarray(bob_basis, dtype=np.uint8)
-    coin = np.asarray(coin, dtype=np.uint8)
-    for arr in (prep_bit, flip, eve_basis, bob_basis, coin):
-        if arr.shape != prep_basis.shape:
-            raise DimensionError(f"measurement input shape {arr.shape} != {prep_basis.shape}")
-    return _measure(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin)
+    return flip, None
 
 
 def _measure(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin):
-    """`measure_bits` of arrays that have its dtypes and one shape already,
-    as the protocol's chunk arrays do."""
+    """Measurement outcomes, as uint8, of equally shaped uint8 0/1 arrays
+    with one element per transmitted qubit: preparation bases (0=Z, 1=X) and
+    bits, the channel's flips in the preparation basis, Bob's bases, and the
+    fair coins of the random outcomes.  `eve_basis` holds the int8
+    interceptor bases (-1 where not intercepted), or is None where the
+    attack intercepts nothing."""
     # A qubit whose interceptor measured in the wrong basis is re-randomized,
     # whatever Bob does; otherwise a matched-basis measurement is the prepared
     # bit plus any in-channel flip, and a mismatched one is a fair coin.  As
@@ -195,7 +165,8 @@ def _measure(prep_basis, prep_bit, flip, eve_basis, bob_basis, coin):
     # exactly when it measured in the wrong one (-1 reads 255).  Every input
     # is 0/1, so the outcome is picked by one xor or and pass each, as
     # kept ^ ((coin ^ kept) & random), rather than by a slower np.where.
-    scrambled = ((eve_basis.view(np.uint8) ^ prep_basis) == 1).view(np.uint8)
-    random = scrambled | (bob_basis ^ prep_basis)
+    random = bob_basis ^ prep_basis
+    if eve_basis is not None:
+        random |= ((eve_basis.view(np.uint8) ^ prep_basis) == 1).view(np.uint8)
     kept = prep_bit ^ flip
     return kept ^ ((coin ^ kept) & random)

@@ -65,22 +65,19 @@ party stream exactly as one draw per block does; syndromes, codewords and
 labels are GF(2) matrix products over all rows (`gf2.matmul`, in float32
 against float32 copies of the pair's matrices, exact below 2**24 ones a
 sum), and decoding is one syndrome-table lookup per row.  A stage's key is
-the row-major flattening of a trial's labels at that stage.  The objects of
-a trial (outcome, transcript and keys) are built only when asked for
-(`TrialChunk.artifacts`): its transcript's positions are read-only views of
-the trial's rows of the chunk's arrays, one per field and stage, and its
-bits 0/1 strings (`gf2.format_bits`).  A run's dumps build no such objects:
-`TrialChunk.dumps` formats each field of all the chunk's trials at once,
-from its arrays (`gf2.format_decimals`, `gf2.format_bit_rows`), and joins
+the row-major flattening of a trial's labels at that stage.  A trial has
+no object form: `TrialChunk.outcome` reads one trial's outcome fields from
+the arrays, and a run's transcripts and Bob's records are the bytes
+`TrialChunk.dumps` makes of them, formatting each field of all the chunk's
+trials at once (`gf2.format_decimals`, `gf2.format_bit_rows`) and joining
 each trial's rows with the one transcript layout (`transcript.dump_fields`)
 and the one layout of Bob's record (`transcript.dump_bob`).  Replay
 indexes with the transcript's position arrays as they are, parses its bit
 strings back to arrays and runs the same check and receiver stage functions
 as a live run, stage by stage on one row, after checking the positions
 with counting passes, a max and boolean masks (see `replay_bob`).  Each
-protocol step has this one implementation; the public
-`stage_correct_and_amplify` only adds checks of its inputs.  The tests hold
-a scalar per-block reference.
+protocol step has this one implementation; the tests hold a scalar
+per-block reference.
 """
 
 from __future__ import annotations
@@ -89,7 +86,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -103,23 +100,17 @@ from .errors import (
     TranscriptError,
 )
 from .gf2 import format_bit_rows, format_bits, format_decimals, matmul, parse_bits
-from .transcript import NO_BLOCKS, StageAnnouncement, Transcript, dump_bob, dump_fields
+from .transcript import StageAnnouncement, Transcript, dump_bob, dump_fields
 
 __all__ = [
     "ProtocolConfig",
     "RunOutcome",
-    "RunArtifacts",
     "ReplayResult",
-    "stage_correct_and_amplify",
     "TrialChunk",
     "run_chunk",
     "run_protocol",
     "replay_bob",
 ]
-
-# injector(stage, block_index, block_length) -> positions to flip in Bob's block
-ErrorInjector = Callable[[int, int, int], Iterable[int]]
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -191,16 +182,6 @@ class RunOutcome:
         if self.alice_final_key is None or self.bob_final_key is None:
             return None
         return self.alice_final_key == self.bob_final_key
-
-
-@dataclass(frozen=True)
-class RunArtifacts:
-    """Run result plus the receiver-side raw data needed to dump and replay."""
-
-    outcome: RunOutcome
-    transcript: Transcript
-    bob_bases: np.ndarray
-    bob_bits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -288,33 +269,20 @@ def _labels(pair: CssPair, product: np.ndarray,
     return product[:, r:]
 
 
-def stage_correct_and_amplify(pair: CssPair, blocks: np.ndarray, announcements: np.ndarray):
-    """Receiver side of one stage, over (B, n) 0/1 arrays with one block per
-    row: unmask, correct, and extract coset labels.
+def _bob_stage(pair: CssPair, blocks: np.ndarray, announcements: np.ndarray):
+    """Receiver side of one stage, over (B, n) uint8 0/1 arrays with one
+    block per row: unmask, correct, and extract coset labels.
 
     For each block the receiver adds the announced u+v to his noisy code bits
     v+e, decodes the result u+e back to a codeword, and keeps the coset label.
     A block whose syndrome falls outside the decoding radius is flagged and
-    labeled best-effort (the raw word projected as if error-free).
+    labeled best-effort (the raw word projected as if error-free).  A run
+    passes its chunk's blocks, and a replay its blocks once checked.
 
     Returns:
         (labels, failed): a (B, key_width) uint8 array of labels, and a (B,)
         bool array of decode-failure flags.
     """
-    blocks = np.asarray(blocks, dtype=np.uint8)
-    announcements = np.asarray(announcements, dtype=np.uint8)
-    if len(blocks) != len(announcements):
-        raise ProtocolDesyncError(
-            f"{len(blocks)} blocks but {len(announcements)} announcements")
-    for arr in (blocks, announcements):
-        if arr.ndim != 2 or arr.shape[1] != pair.n:
-            raise ProtocolDesyncError(f"blocks of shape {arr.shape}, need (B, {pair.n})")
-    return _bob_stage(pair, blocks, announcements)
-
-
-def _bob_stage(pair: CssPair, blocks: np.ndarray, announcements: np.ndarray):
-    """`stage_correct_and_amplify` of two uint8 arrays of one (B, n) shape,
-    as a run and a replay, which checks its blocks first, pass them."""
     # syndromes and projected labels of u+e = (v+e) + (u+v); adding those of
     # the tabulated error gives the decoded word's, and a failed row's error
     # is zero, so it is labelled as the raw word
@@ -339,30 +307,16 @@ def _alice_stage(pair: CssPair, values: np.ndarray, coeffs: np.ndarray):
     return product[:, :pair.n] ^ values, _labels(pair, product[:, pair.n:])
 
 
-def _inject(injector: Optional[ErrorInjector], stage: int, words: np.ndarray,
-            blocks: int) -> np.ndarray:
-    """Apply the test injector's flips to Bob's words, in place: a (T*blocks, n)
-    array holding each trial's blocks in order, so the injector sees block
-    indices 0..blocks-1 per trial."""
-    if injector is not None:
-        n = words.shape[1]
-        for i, row in enumerate(words):
-            for j in injector(stage, i % blocks, n):
-                if not 0 <= j < n:
-                    raise IndexError(f"injected flip {j} out of range for block length {n}")
-                row[j] ^= 1
-    return words
-
-
 class TrialChunk:
     """The results of a chunk of trials, one trial per row of its arrays.
 
     The per-trial outcome fields are arrays: `aborted`, `check_failed` (the
     trials that aborted at the check), `check_error_rate`, `keys_equal`
     (False where aborted), and `decode_failures`, one row per stage (0 where
-    aborted, as in `RunOutcome`).  The objects of one trial (outcome,
-    transcript, keys) are built by `artifacts` only when asked for; `dumps`
-    writes the files of every trial from the arrays, with no such objects.
+    aborted, as in `RunOutcome`).  `outcome` reads one trial's `RunOutcome`
+    from them, and `dumps` writes every trial's transcript and Bob's record
+    from them; a trial has no other form.  Bob's stage words hold any test
+    flips `run_chunk` was given.
     """
 
     def __init__(self, config: ProtocolConfig, draws: dict, bob_bits: np.ndarray):
@@ -384,12 +338,14 @@ class TrialChunk:
         self.orders: list = [None] * stages
         self.masked: list = [None] * stages
 
-    def _run_stages(self, live: np.ndarray, stage_draws, error_injection) -> None:
+    def _run_stages(self, live: np.ndarray, stage_draws, flips) -> None:
         """Every stage for the trials `live` that passed the check, given
         their `_draw_stages` rows.  Stage s corrects and amplifies the bits
         its order picks from the previous stage's keys, or from the
         transmitted bits for stage 1 (steps 8-11: Alice assigns positions to
-        blocks and announces positions and u+v, Bob decodes).  Under strict
+        blocks and announces positions and u+v, Bob decodes).  `flips`, if
+        given, holds each stage's (T, blocks, n) test flips, whose rows of
+        the trials still live are xored into Bob's words.  Under strict
         decoding a trial with a failed block aborts after that stage."""
         c = self.config
         alice, bob = self.draws["bits"], self.bob_bits
@@ -409,8 +365,10 @@ class TrialChunk:
             # [live[:, None], order] on a chunk
             at = (order + starts).reshape(-1, n)
             masked, alice = _alice_stage(pair, alice.take(at), coeffs.reshape(-1, pair.outer.k))
-            bob, failed = _bob_stage(pair, _inject(error_injection, s + 1, bob.take(at), blocks),
-                                     masked)
+            bob = bob.take(at)
+            if flips is not None:
+                bob ^= flips[s][live].reshape(bob.shape)
+            bob, failed = _bob_stage(pair, bob, masked)
             alice, bob = alice.reshape(m, -1), bob.reshape(m, -1)
             # the final keys are the last stage's, one row per trial in its `rows`
             self.alice_key, self.bob_key = alice, bob
@@ -433,16 +391,9 @@ class TrialChunk:
         self.decode_failures[:, live] = failures
         self.keys_equal[live] = (alice == bob).all(axis=1)
 
-    def artifacts(self, i: int) -> RunArtifacts:
-        """Trial i's outcome, transcript and Bob's raw data, as objects."""
-        d = self.draws
+    def outcome(self, i: int) -> RunOutcome:
+        """Trial i's outcome, read from the chunk's arrays."""
         aborted = bool(self.aborted[i])
-        # each stage's positions are a view of the trial's row of its order
-        stage1, stage2 = [
-            StageAnnouncement(order[rows[i]].reshape(masked.shape[1:]),
-                              format_bits(masked[rows[i]].reshape(-1)))
-            if i in rows else NO_BLOCKS
-            for rows, order, masked in zip(self.rows, self.orders, self.masked)]
         if aborted:
             reason = "security" if self.check_failed[i] else "decode_failure"
             alice_key = bob_key = None
@@ -450,7 +401,7 @@ class TrialChunk:
             reason = None
             k = self.rows[-1][i]
             alice_key, bob_key = format_bits(self.alice_key[k]), format_bits(self.bob_key[k])
-        outcome = RunOutcome(
+        return RunOutcome(
             aborted=aborted,
             abort_reason=reason,
             observed_check_error_rate=float(self.check_error_rate[i]),
@@ -458,24 +409,15 @@ class TrialChunk:
             bob_final_key=bob_key,
             stage1_decode_failures=int(self.decode_failures[0, i]),
             stage2_decode_failures=int(self.decode_failures[1, i]),
-            sifted_count=int(d["matched"][i]),
-            restarts=d["restarts"][i],
+            sifted_count=int(self.draws["matched"][i]),
+            restarts=self.draws["restarts"][i],
         )
-        check = d["check"][i]
-        transcript = Transcript(
-            b=format_bits(d["b"][i]),
-            kept_positions=d["kept"][i],
-            check_positions=check,
-            alice_check_values=format_bits(d["bits"][i][check]),
-            bob_check_values=format_bits(self.bob_bits[i][check]),
-            stage1_blocks=stage1,
-            stage2_blocks=stage2,
-        )
-        return RunArtifacts(outcome, transcript, d["bob_bases"][i], self.bob_bits[i])
 
     def dumps(self) -> Iterator[tuple[bytes, bytes]]:
         """Each trial's dumped transcript and Bob's record, in trial order:
-        the bytes `dump_transcript` and `dump_bob` make of its `artifacts`.
+        the bytes `dump_transcript` writes of its transcript, and Bob's
+        bases, bits and final key (``-`` where aborted) in `dump_bob`'s
+        layout.
 
         They are made from the chunk's arrays, with no object per trial: one
         `format_decimals` call per position field and stage and one
@@ -774,15 +716,17 @@ def _draw_stages(config: ProtocolConfig, parties: list, code: np.ndarray):
 
 def run_chunk(config: ProtocolConfig, seeds: Iterable[int],
               attack: AttackModel = AttackModel.none(),
-              error_injection: Optional[ErrorInjector] = None) -> TrialChunk:
+              flips: Optional[Sequence[np.ndarray]] = None) -> TrialChunk:
     """Run one trial per seed (config.rng_seed is not used); each trial's
     result equals its run alone, deterministic given (seed, attack).
 
     A trial's draws come from its own party and channel generators, one trial
     at a time and in the order the protocol consumes them.  Everything else
     runs once over the whole chunk: measurement and the check comparison over
-    all trials, then both stages over the trials that passed the check.  A
-    test injector is called per stage, trial and block, in that order.
+    all trials, then both stages over the trials that passed the check.
+    `flips` is a test hook: one uint8 array per stage, shaped (T, blocks, n)
+    for the T seeds, xored into Bob's blocks of each trial that reaches the
+    stage, before he decodes them.
 
     Raises:
         InsufficientSiftAbort: a trial had too few basis matches in
@@ -797,20 +741,20 @@ def run_chunk(config: ProtocolConfig, seeds: Iterable[int],
     if live.size:
         stage_draws = _draw_stages(config, [parties[t] for t in live.tolist()],
                                    draws["code"].take(live, axis=0))
-        chunk._run_stages(live, stage_draws, error_injection)
+        chunk._run_stages(live, stage_draws, flips)
     return chunk
 
 
-def run_protocol(config: ProtocolConfig, attack: AttackModel = AttackModel.none(),
-                 error_injection: Optional[ErrorInjector] = None):
+def run_protocol(config: ProtocolConfig, attack: AttackModel = AttackModel.none()):
     """Execute one full run, a chunk of one trial; deterministic given
     (config.rng_seed, attack).
 
     Returns:
-        (RunOutcome, Transcript).
+        (RunOutcome, TrialChunk): the trial's outcome and its chunk, whose
+        `dumps` give its transcript and Bob's record.
     """
-    artifacts = run_chunk(config, [config.rng_seed], attack, error_injection).artifacts(0)
-    return artifacts.outcome, artifacts.transcript
+    chunk = run_chunk(config, [config.rng_seed], attack)
+    return chunk.outcome(0), chunk
 
 
 def _first_invalid(positions: np.ndarray, n: int, valid: Optional[np.ndarray] = None,

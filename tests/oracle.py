@@ -248,15 +248,6 @@ def project_label(pair, word: np.ndarray) -> np.ndarray:
     return mat_vec(label_matrix(pair), word)
 
 
-def one_error_per_block(rng):
-    """Injector flipping one uniformly placed bit in every block, both stages."""
-
-    def inject(stage: int, block_index: int, block_len: int):
-        return [int(rng.integers(0, block_len))]
-
-    return inject
-
-
 def attack_arrays_reference(attack, n: int, rng):
     """The channel's tampering for one transmission of n qubits, drawn from
     the Generator `rng`: `random` uniforms, then int8 interceptor bases.

@@ -27,11 +27,11 @@ from bb84sim.codes import builtin_pair
 from bb84sim.protocol import (
     ProtocolConfig,
     _alice_stage,
+    _bob_stage,
     _labels,
     replay_bob,
     run_chunk,
     run_protocol,
-    stage_correct_and_amplify,
 )
 from bb84sim.stats import (
     RecursionModel,
@@ -44,7 +44,7 @@ from bb84sim.stats import (
     sigma,
 )
 from bb84sim.transcript import parse_bob, parse_transcript
-from oracle import one_error_per_block
+from trials import one_error_per_block, read_trial
 
 STEANE = builtin_pair("steane")
 GOLAY = builtin_pair("golay")
@@ -115,14 +115,14 @@ def test_04_half_distance_robustness():
     values = np.zeros((len(coeffs), 7), dtype=np.uint8)
     masked, alice_labels = _alice_stage(STEANE, values, coeffs)
     errors = np.tile(np.eye(7, dtype=np.uint8), (16, 1))
-    labels, failed = stage_correct_and_amplify(STEANE, values ^ errors, masked)
+    labels, failed = _bob_stage(STEANE, values ^ errors, masked)
     exhaustive_ok = (len(np.unique(masked, axis=0)) == 16 and not failed.any()
                      and bool((labels == alice_labels).all()))
     agreements = 0
     for seed in range(100):
-        inject = one_error_per_block(np.random.default_rng(10_000 + seed))
-        outcome, _ = run_protocol(steane_config(seed), AttackModel.none(),
-                                  error_injection=inject)
+        config = steane_config(seed)
+        flips = one_error_per_block(np.random.default_rng(10_000 + seed), config)
+        outcome = run_chunk(config, [seed], AttackModel.none(), flips).outcome(0)
         agreements += (not outcome.aborted) and outcome.keys_equal
     elapsed = time.perf_counter() - start
     ok = exhaustive_ok and agreements == 100 and elapsed < 10
@@ -238,7 +238,7 @@ def weight2_label_mismatch_fixture():
                       for pos in itertools.combinations(range(7), 2)], dtype=np.uint8)
     codewords = np.repeat(STEANE.outer.codewords(), len(pairs), axis=0)
     errors = np.tile(pairs, (16, 1))
-    labels, _ = stage_correct_and_amplify(STEANE, errors, codewords)
+    labels, _ = _bob_stage(STEANE, errors, codewords)
     wrong = labels != _labels(STEANE, codewords @ STEANE.check_label_t & 1)
     return int(wrong.any(axis=1).sum()) / len(codewords)
 
@@ -250,7 +250,7 @@ def test_09_randomness_necessity():
 
     # an adversary who knows the (non-random) assignment plants two flips in
     # each of the first two stage-1 blocks: all errors land in code bits
-    clean = run_chunk(hooked, [hooked.rng_seed]).artifacts(0)
+    clean = read_trial(run_chunk(hooked, [hooked.rng_seed]))
     blocks = clean.transcript.stage1_blocks
     target = blocks.positions[:2, :2].ravel()
     attack = AttackModel.correlated_positions(target, 1.0)

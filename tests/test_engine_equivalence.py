@@ -9,7 +9,8 @@ parity checks and hash every output file.
 
 The chunk cases run `bb84sim run --dump-transcripts` over at least three of
 its trial chunks and compare every trials.csv row, transcript and .bob record
-with a chunk of that trial's seed alone.
+with that trial's single run, `run_protocol` on its seed, whose outcome and
+chunk are what the benchmark's single-trial latency run reads.
 
 The digests were computed by this module's own functions on the engine
 that predates the array stages; print them for any checkout with
@@ -39,9 +40,10 @@ from bb84sim.protocol import (
     ProtocolConfig,
     replay_bob,
     run_chunk,
+    run_protocol,
 )
-from bb84sim.transcript import dump_transcript, parse_transcript
-from oracle import one_error_per_block
+from bb84sim.transcript import parse_bob
+from trials import one_error_per_block, read_trial, read_trials, stage_flips
 
 DIGESTS_PATH = Path(__file__).resolve().parent / "engine_digests.json"
 REPLAY_EVERY = 10
@@ -99,14 +101,20 @@ def _key(vec):
     return None if vec is None else str(vec)
 
 
-def _artifact_parts(art):
-    """The outcome fields, dumped transcript and Bob's bases and bits of a run."""
-    o = art.outcome
+def _artifact_parts(o, dumped):
+    """The outcome fields, dumped transcript and Bob's bases and bits of a
+    trial, from its outcome and its chunk's dumps."""
+    transcript, bob = dumped
+    bob_bases, bob_bits, _ = parse_bob(bob.decode("ascii"))
     fields = (o.aborted, o.abort_reason, o.observed_check_error_rate,
               _key(o.alice_final_key), _key(o.bob_final_key), o.stage1_decode_failures,
               o.stage2_decode_failures, o.sifted_count, o.restarts)
-    return [repr(fields), dump_transcript(art.transcript),
-            art.bob_bases.tobytes(), art.bob_bits.tobytes()]
+    return [repr(fields), transcript, bob_bases.tobytes(), bob_bits.tobytes()]
+
+
+def _outcomes_and_dumps(chunk):
+    """Each trial's outcome and its dumped transcript and Bob's record."""
+    return [(chunk.outcome(i), dumped) for i, dumped in enumerate(chunk.dumps())]
 
 
 def case_digest(name):
@@ -118,10 +126,11 @@ def case_digest(name):
     h = hashlib.sha256()
     for seed in range(seeds):
         config = replace(base, rng_seed=seed)
-        injector = one_error_per_block(np.random.default_rng(10**6 + seed)) if inject else None
-        art = run_chunk(config, [config.rng_seed], attack, injector).artifacts(0)
-        parts = _artifact_parts(art)
+        flips = one_error_per_block(np.random.default_rng(10**6 + seed), config) if inject else None
+        chunk = run_chunk(config, [config.rng_seed], attack, flips)
+        parts = _artifact_parts(chunk.outcome(0), next(chunk.dumps()))
         if seed % REPLAY_EVERY == 0:
+            art = read_trial(chunk)
             try:
                 r = replay_bob(art.transcript, art.bob_bases, art.bob_bits, config)
                 parts.append(repr((_key(r.key), r.check_error_rate, r.aborted,
@@ -268,19 +277,20 @@ def test_run_across_chunks_matches_single_trials(name, tmp_path, monkeypatch):
     attack = AttackModel(kind, probability=noise_p)
     outcomes = []
     for i, row in enumerate(rows):
-        art = run_chunk(config, [base + i], attack).artifacts(0)
-        o = art.outcome
+        # each trial alone, as a single run makes it: its outcome formats the
+        # trials.csv row, with the two stages' decode failures summed, and
+        # its chunk dumps the files the run wrote
+        o, single = run_protocol(replace(config, rng_seed=base + i), attack)
         outcomes.append(o)
         expected = [i, base + i, o.aborted, o.observed_check_error_rate, o.keys_equal,
                     o.stage1_decode_failures + o.stage2_decode_failures]
         assert row == ",".join(cli._fmt(v) for v in expected), f"trial {i}"
         stem = out_dir / "transcripts" / f"trial_{i:05d}"
-        assert stem.with_suffix(".transcript").read_text(encoding="ascii") == \
-            dump_transcript(art.transcript), f"trial {i}"
-        key = "-" if o.bob_final_key is None else str(o.bob_final_key)
-        bob = (f"BASES {''.join(str(x) for x in art.bob_bases)}\n"
-               f"BITS {''.join(str(x) for x in art.bob_bits)}\nKEY {key}\n")
-        assert stem.with_suffix(".bob").read_text(encoding="ascii") == bob, f"trial {i}"
+        [(transcript, bob)] = single.dumps()
+        assert stem.with_suffix(".transcript").read_bytes() == transcript, f"trial {i}"
+        assert stem.with_suffix(".bob").read_bytes() == bob, f"trial {i}"
+        key = "-" if o.bob_final_key is None else o.bob_final_key
+        assert parse_bob(bob.decode("ascii"))[2] == key, f"trial {i}"
     # the cases reach what they are there for
     reasons = {o.abort_reason for o in outcomes}
     if name == "steane:bitflip":
@@ -300,10 +310,9 @@ def test_chunk_trials_equal_single_trials(name):
     base = ProtocolConfig(pair(stage1), pair(stage2), abort_threshold=0.124, delta=0.1,
                           **overrides)
     attack = attack_for(kind, base.transmitted_count)
-    chunk = run_chunk(base, range(100, 160), attack)
-    for i in range(len(chunk.aborted)):
-        single = run_chunk(base, [100 + i], attack).artifacts(0)
-        assert _artifact_parts(chunk.artifacts(i)) == _artifact_parts(single), f"trial {i}"
+    chunk = _outcomes_and_dumps(run_chunk(base, range(100, 160), attack))
+    for i, trial in enumerate(chunk):
+        assert trial == _outcomes_and_dumps(run_chunk(base, [100 + i], attack))[0], f"trial {i}"
 
 
 def test_chunk_aborting_at_every_step_equals_single_trials():
@@ -313,16 +322,16 @@ def test_chunk_aborting_at_every_step_equals_single_trials():
                             strict_decode=True)
     attack = AttackModel.bitflip(0.1)
     chunk = run_chunk(config, range(100, 300), attack)
+    trials = _outcomes_and_dumps(chunk)
     steps = set()
-    for i in range(200):
-        art = chunk.artifacts(i)
+    for i, art in enumerate(read_trials(chunk)):
         o, t = art.outcome, art.transcript
         steps.add((o.abort_reason, bool(t.stage1_blocks), bool(t.stage2_blocks)))
         if o.aborted:  # an aborted run reports no failures and no keys
             assert (o.stage1_decode_failures, o.stage2_decode_failures) == (0, 0)
             assert o.alice_final_key is o.bob_final_key is None
-        single = run_chunk(config, [100 + i], attack).artifacts(0)
-        assert _artifact_parts(art) == _artifact_parts(single), f"trial {i}"
+        single = run_chunk(config, [100 + i], attack)
+        assert trials[i] == _outcomes_and_dumps(single)[0], f"trial {i}"
     assert steps == {("security", False, False), ("decode_failure", True, False),
                      ("decode_failure", True, True), (None, True, True)}
 
@@ -335,11 +344,9 @@ def test_strict_replays_equal_live_outcomes():
                             strict_decode=True)
     chunk = run_chunk(config, range(100, 300), AttackModel.bitflip(0.1))
     reasons = []
-    for i in range(200):
-        art = chunk.artifacts(i)
+    for i, art in enumerate(read_trials(chunk)):
         o = art.outcome
-        r = replay_bob(parse_transcript(dump_transcript(art.transcript)), art.bob_bases,
-                       art.bob_bits, config)
+        r = replay_bob(art.transcript, art.bob_bases, art.bob_bits, config)
         assert (r.key, r.check_error_rate, r.aborted, r.stage1_decode_failures,
                 r.stage2_decode_failures) == (o.bob_final_key, o.observed_check_error_rate,
                                               o.aborted, o.stage1_decode_failures,
@@ -349,17 +356,20 @@ def test_strict_replays_equal_live_outcomes():
 
 
 def test_chunk_injects_per_trial_block_indices():
-    # a stateless injector, so that each trial alone sees the same flips;
-    # four flips a block are beyond golay's radius, so they change the keys
-    def inject(stage, block, n):
-        return [(block + j) % n for j in range(4)]
-
+    # trial i's rows of the flips are what trial i alone gets: four flips in
+    # block b, at b to b+3, are beyond golay's radius, so they change the keys
     config = ProtocolConfig(pair("golay"), pair("steane"), abort_threshold=0.124, delta=0.1)
-    chunk = run_chunk(config, range(30), AttackModel.bitflip(0.02), inject)
+    flips = stage_flips(config, 30)
+    for stage in flips:
+        n = stage.shape[2]
+        for b in range(stage.shape[1]):
+            stage[:, b, (b + np.arange(4)) % n] = 1
+    chunk = run_chunk(config, range(30), AttackModel.bitflip(0.02), flips)
     assert not chunk.keys_equal.all()
+    trials = _outcomes_and_dumps(chunk)
     for i in range(30):
-        single = run_chunk(config, [i], AttackModel.bitflip(0.02), inject).artifacts(0)
-        assert _artifact_parts(chunk.artifacts(i)) == _artifact_parts(single), f"trial {i}"
+        single = run_chunk(config, [i], AttackModel.bitflip(0.02), [f[i:i + 1] for f in flips])
+        assert trials[i] == _outcomes_and_dumps(single)[0], f"trial {i}"
 
 
 def test_exhausted_restarts_mid_chunk_is_a_config_error(tmp_path, monkeypatch, capsys):
@@ -377,7 +387,7 @@ def test_exhausted_restarts_mid_chunk_is_a_config_error(tmp_path, monkeypatch, c
 
 def _needs_restart(config):
     try:
-        run_chunk(config, [config.rng_seed], AttackModel.bitflip(0.04)).artifacts(0)
+        run_chunk(config, [config.rng_seed], AttackModel.bitflip(0.04))
     except InsufficientSiftAbort:
         return True
     return False

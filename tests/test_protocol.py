@@ -6,25 +6,21 @@ import pytest
 
 from bb84sim.channel import AttackModel
 from bb84sim.codes import builtin_pair
-from bb84sim.errors import (
-    ConfigError,
-    InsufficientSiftAbort,
-    ProtocolDesyncError,
-    TranscriptError,
-)
+from bb84sim.errors import ConfigError, InsufficientSiftAbort, TranscriptError
 from bb84sim.gf2 import parse_bits
 from bb84sim.protocol import (
     ProtocolConfig,
+    _bob_stage,
     _check_and_abort,
     _draw_quantum,
     _select,
     replay_bob,
     run_chunk,
     run_protocol,
-    stage_correct_and_amplify,
 )
 from bb84sim.transcript import StageAnnouncement
-from oracle import coset_label, one_error_per_block, random_codeword
+from oracle import coset_label, random_codeword
+from trials import double_error_in_first_block, one_error_per_block, read_trial
 
 STEANE = builtin_pair("steane")
 
@@ -178,7 +174,7 @@ class TestCheckAndDecide:
 
     def test_length_mismatch(self):
         # the two check strings of a transcript must have equal lengths
-        _, transcript = run_protocol(steane_config())
+        transcript = read_trial(run_protocol(steane_config())[1]).transcript
         with pytest.raises(ValueError, match="check value strings differ in length"):
             replace(transcript, bob_check_values="0" * 48)
 
@@ -194,7 +190,7 @@ class TestStageCorrectAndAmplify:
         for _ in range(20):
             u = random_codeword(STEANE.outer, rng)
             v = rng.integers(0, 2, size=7, dtype=np.uint8)
-            labels, failed = stage_correct_and_amplify(STEANE, rows(v), rows(u ^ v))
+            labels, failed = _bob_stage(STEANE, rows(v), rows(u ^ v))
             assert labels.tolist() == [coset_label(STEANE, u).tolist()]
             assert failed.tolist() == [False]
 
@@ -204,7 +200,7 @@ class TestStageCorrectAndAmplify:
             for j in range(7):
                 v = np.zeros(7, dtype=np.uint8)
                 noisy = v ^ np.eye(7, dtype=np.uint8)[j]
-                labels, failed = stage_correct_and_amplify(STEANE, rows(noisy), rows(u ^ v))
+                labels, failed = _bob_stage(STEANE, rows(noisy), rows(u ^ v))
                 assert labels.tolist() == [coset_label(STEANE, u).tolist()]
                 assert failed.tolist() == [False]
 
@@ -218,26 +214,17 @@ class TestStageCorrectAndAmplify:
         for u in STEANE.outer.codewords():
             for pos in itertools.combinations(range(7), 2):
                 err = np.array([1 if i in pos else 0 for i in range(7)], dtype=np.uint8)
-                labels, _ = stage_correct_and_amplify(STEANE, rows(err), rows(u))
+                labels, _ = _bob_stage(STEANE, rows(err), rows(u))
                 total += 1
                 mismatches += labels[0].tolist() != coset_label(STEANE, u).tolist()
         assert total == 336
         assert mismatches / total == 1.0
 
-    def test_count_mismatch_raises(self):
-        with pytest.raises(ProtocolDesyncError):
-            stage_correct_and_amplify(STEANE, np.zeros((1, 7), dtype=np.uint8),
-                                      np.zeros((0, 7), dtype=np.uint8))
-
-    def test_block_length_mismatch_raises(self):
-        with pytest.raises(ProtocolDesyncError, match=r"\(2, 6\), need \(B, 7\)"):
-            stage_correct_and_amplify(STEANE, np.zeros((2, 6), dtype=np.uint8),
-                                      np.zeros((2, 6), dtype=np.uint8))
-
 
 class TestRunProtocol:
     def test_clean_run(self):
-        outcome, transcript = run_protocol(steane_config(rng_seed=42))
+        outcome, chunk = run_protocol(steane_config(rng_seed=42))
+        transcript = read_trial(chunk).transcript
         assert not outcome.aborted
         assert outcome.alice_final_key == outcome.bob_final_key
         assert len(outcome.alice_final_key) == 1
@@ -250,10 +237,10 @@ class TestRunProtocol:
     def test_deterministic_given_seed_and_attack(self):
         cfg = steane_config(rng_seed=9)
         attack = AttackModel.bitflip(0.05)
-        a1, t1 = run_protocol(cfg, attack)
-        a2, t2 = run_protocol(cfg, attack)
+        a1, c1 = run_protocol(cfg, attack)
+        a2, c2 = run_protocol(cfg, attack)
         assert a1 == a2
-        assert t1 == t2
+        assert list(c1.dumps()) == list(c2.dumps())
 
     def test_zero_noise_zero_threshold_never_aborts(self):
         cfg = steane_config(abort_threshold=0.0)
@@ -276,7 +263,7 @@ class TestRunProtocol:
 
     def test_check_code_partition_every_run(self):
         for seed in range(10):
-            _, transcript = run_protocol(steane_config(rng_seed=seed))
+            transcript = read_trial(run_protocol(steane_config(rng_seed=seed))[1]).transcript
             kept = set(transcript.kept_positions)
             check = set(transcript.check_positions)
             block_positions = transcript.stage1_blocks.positions.ravel().tolist()
@@ -299,8 +286,8 @@ class TestRunProtocol:
     def test_injected_single_errors_always_corrected(self):
         for seed in range(20):
             cfg = steane_config(rng_seed=seed)
-            inject = one_error_per_block(np.random.default_rng(1000 + seed))
-            outcome, _ = run_protocol(cfg, AttackModel.none(), error_injection=inject)
+            flips = one_error_per_block(np.random.default_rng(1000 + seed), cfg)
+            outcome = run_chunk(cfg, [cfg.rng_seed], AttackModel.none(), flips).outcome(0)
             assert not outcome.aborted
             assert outcome.keys_equal
             assert outcome.stage1_decode_failures == 0
@@ -310,22 +297,18 @@ class TestRunProtocol:
         # syndrome), so decode failures need a non-perfect outer code: the
         # [7,3,4] simplex over a zero inner code, where the weight-2 error
         # e0+e1 has a syndrome outside the radius-1 table
-        def inject(stage, block, n):
-            return [0, 1] if stage == 1 and block == 0 else []
-
         cfg = ProtocolConfig(stage1_pair=simplex_pair(), stage2_pair=simplex_pair(),
                              abort_threshold=0.3, rng_seed=2, strict_decode=True)
-        outcome, _ = run_protocol(cfg, AttackModel.none(), error_injection=inject)
+        flips = double_error_in_first_block(cfg)
+        outcome = run_chunk(cfg, [cfg.rng_seed], AttackModel.none(), flips).outcome(0)
         assert outcome.aborted
         assert outcome.abort_reason == "decode_failure"
 
     def test_flag_and_continue_counts_failures(self):
-        def inject(stage, block, n):
-            return [0, 1] if stage == 1 and block == 0 else []
-
         cfg = ProtocolConfig(stage1_pair=simplex_pair(), stage2_pair=simplex_pair(),
                              abort_threshold=0.3, rng_seed=2, strict_decode=False)
-        outcome, _ = run_protocol(cfg, AttackModel.none(), error_injection=inject)
+        flips = double_error_in_first_block(cfg)
+        outcome = run_chunk(cfg, [cfg.rng_seed], AttackModel.none(), flips).outcome(0)
         assert not outcome.aborted
         assert outcome.stage1_decode_failures == 1
 
@@ -333,7 +316,8 @@ class TestRunProtocol:
         golay = builtin_pair("golay")
         cfg = ProtocolConfig(stage1_pair=STEANE, stage2_pair=golay,
                              abort_threshold=0.124, rng_seed=5)
-        outcome, transcript = run_protocol(cfg)
+        outcome, chunk = run_protocol(cfg)
+        transcript = read_trial(chunk).transcript
         assert not outcome.aborted
         assert outcome.keys_equal
         assert len(outcome.alice_final_key) == 1
@@ -344,7 +328,7 @@ class TestRunProtocol:
 class TestFixedAssignmentHook:
     def test_selection_is_first_positions_in_order(self):
         cfg = steane_config(random_assignment=False, rng_seed=4)
-        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
+        art = read_trial(run_chunk(cfg, [cfg.rng_seed]))
         matched = np.flatnonzero(art.bob_bases == parse_bits(art.transcript.b))
         kept = art.transcript.kept_positions
         assert np.array_equal(kept, matched[:98])
@@ -357,9 +341,10 @@ class TestFixedAssignmentHook:
         # aim a certain flip at every eventual check position: the check
         # string lights up completely while the code bits stay clean
         cfg = steane_config(random_assignment=False, rng_seed=8, abort_threshold=1.0)
-        clean = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
+        clean = read_trial(run_chunk(cfg, [cfg.rng_seed]))
         attack = AttackModel.correlated_positions(clean.transcript.check_positions, 1.0)
-        outcome, transcript = run_protocol(cfg, attack)
+        outcome, chunk = run_protocol(cfg, attack)
+        transcript = read_trial(chunk).transcript
         assert np.array_equal(transcript.check_positions, clean.transcript.check_positions)
         assert outcome.observed_check_error_rate == 1.0
         assert not outcome.aborted  # threshold 1.0 tolerates anything
@@ -371,7 +356,7 @@ class TestFixedAssignmentHook:
         # decode wrong, the second stage sees two errors and miscorrects, and
         # not one check bit fires
         cfg = steane_config(random_assignment=False, rng_seed=12)
-        clean = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
+        clean = read_trial(run_chunk(cfg, [cfg.rng_seed]))
         blocks = clean.transcript.stage1_blocks
         target = blocks.positions[:2, :2].ravel()
         attack = AttackModel.correlated_positions(target, 1.0)
@@ -384,7 +369,7 @@ class TestFixedAssignmentHook:
 class TestReplay:
     def test_replay_reproduces_clean_run(self):
         cfg = steane_config(rng_seed=31)
-        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
+        art = read_trial(run_chunk(cfg, [cfg.rng_seed]))
         result = replay_bob(art.transcript, art.bob_bases, art.bob_bits, cfg)
         assert result.key == art.outcome.bob_final_key
         assert result.check_error_rate == art.outcome.observed_check_error_rate
@@ -394,7 +379,7 @@ class TestReplay:
     def test_replay_reproduces_noisy_runs(self):
         for seed in range(15):
             cfg = steane_config(rng_seed=seed)
-            art = run_chunk(cfg, [cfg.rng_seed], AttackModel.bitflip(0.08)).artifacts(0)
+            art = read_trial(run_chunk(cfg, [cfg.rng_seed], AttackModel.bitflip(0.08)))
             result = replay_bob(art.transcript, art.bob_bases, art.bob_bits, cfg)
             assert result.aborted == art.outcome.aborted
             if art.outcome.aborted:
@@ -406,7 +391,7 @@ class TestReplay:
         from bb84sim.errors import TranscriptError
 
         cfg = steane_config(rng_seed=2)
-        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
+        art = read_trial(run_chunk(cfg, [cfg.rng_seed]))
         with pytest.raises(TranscriptError):
             replay_bob(art.transcript, art.bob_bases[:-1], art.bob_bits[:-1], cfg)
 
@@ -423,14 +408,14 @@ class TestReplayGeometry:
     TranscriptError, whatever the mismatch."""
 
     def test_check_count_of_other_pairs(self):
-        art = run_chunk(steane_config(), [31]).artifacts(0)
+        art = read_trial(run_chunk(steane_config(), [31]))
         other = steane_config(rng_seed=31, stage2_pair=builtin_pair("golay"))
         with pytest.raises(TranscriptError, match="49 check positions.* use 161"):
             replay_bob(art.transcript, art.bob_bases, art.bob_bits, other)
 
     def test_aborted_transcript_under_other_pairs(self):
         cfg = steane_config(rng_seed=0)
-        art = run_chunk(cfg, [cfg.rng_seed], AttackModel.intercept_resend(1.0)).artifacts(0)
+        art = read_trial(run_chunk(cfg, [cfg.rng_seed], AttackModel.intercept_resend(1.0)))
         assert art.outcome.aborted
         other = steane_config(rng_seed=0, stage1_pair=builtin_pair("golay"))
         with pytest.raises(TranscriptError, match="check positions"):
@@ -440,7 +425,7 @@ class TestReplayGeometry:
         # steane/golay and golay/steane both compare 161 check bits
         golay = builtin_pair("golay")
         cfg = steane_config(rng_seed=5, stage2_pair=golay, abort_threshold=0.2)
-        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
+        art = read_trial(run_chunk(cfg, [cfg.rng_seed]))
         assert not art.outcome.aborted
         swapped = steane_config(rng_seed=5, stage1_pair=golay, abort_threshold=0.2)
         with pytest.raises(TranscriptError, match="23 stage-1 blocks.* use 7"):
@@ -452,7 +437,7 @@ class TestReplayGeometry:
 
         zero = LinearCode(np.zeros((0, 7), dtype=np.uint8), np.eye(7, dtype=np.uint8), 7,
                           name="zero[7,0]")
-        art = run_chunk(steane_config(), [31]).artifacts(0)
+        art = read_trial(run_chunk(steane_config(), [31]))
         wide = steane_config(rng_seed=31, stage1_pair=CssPair(make_hamming_7_4(), zero))
         with pytest.raises(TranscriptError, match="1 stage-2 blocks.* use 4"):
             replay_bob(art.transcript, art.bob_bases, art.bob_bits, wide)
@@ -461,7 +446,7 @@ class TestReplayGeometry:
         # under strict decoding only a stage with a failed block ends the
         # announcements; steane decodes every block, so stage 2 must follow
         cfg = steane_config(rng_seed=31, strict_decode=True)
-        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
+        art = read_trial(run_chunk(cfg, [cfg.rng_seed]))
         cut = replace(art.transcript, stage2_blocks=StageAnnouncement())
         with pytest.raises(TranscriptError, match="0 stage-2 blocks.* use 1"):
             replay_bob(cut, art.bob_bases, art.bob_bits, cfg)
@@ -471,7 +456,7 @@ class TestReplayGeometry:
     @pytest.mark.parametrize("stage", [1, 2])
     def test_block_length(self, stage):
         cfg = steane_config(rng_seed=31)
-        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
+        art = read_trial(run_chunk(cfg, [cfg.rng_seed]))
         field = f"stage{stage}_blocks"
         blocks = getattr(art.transcript, field)
         short = replace(art.transcript, **{field: _shortened(blocks)})
@@ -485,7 +470,7 @@ class TestReplayPositions:
 
     def setup_method(self):
         self.cfg = steane_config(rng_seed=31)
-        self.art = run_chunk(self.cfg, [self.cfg.rng_seed]).artifacts(0)
+        self.art = read_trial(run_chunk(self.cfg, [self.cfg.rng_seed]))
 
     def replay(self, transcript, bases=None):
         bases = self.art.bob_bases if bases is None else bases
@@ -546,7 +531,7 @@ class TestReplayPositions:
 
     def test_short_keep_of_an_aborted_transcript(self):
         cfg = steane_config(rng_seed=0)
-        art = run_chunk(cfg, [0], AttackModel.intercept_resend(1.0)).artifacts(0)
+        art = read_trial(run_chunk(cfg, [0], AttackModel.intercept_resend(1.0)))
         assert art.outcome.aborted
         t = replace(art.transcript, kept_positions=art.transcript.check_positions)
         with pytest.raises(TranscriptError,
@@ -592,7 +577,7 @@ class TestReplayPartitions:
 
     def setup_method(self):
         self.cfg = steane_config(rng_seed=31)
-        self.art = run_chunk(self.cfg, [self.cfg.rng_seed]).artifacts(0)
+        self.art = read_trial(run_chunk(self.cfg, [self.cfg.rng_seed]))
         assert not self.art.outcome.aborted
 
     def replay(self, transcript):

@@ -1,6 +1,6 @@
 """The array stage functions against the scalar oracle in tests/oracle.py.
 
-`_alice_stage` and `stage_correct_and_amplify` work on (B, n) arrays; each
+`_alice_stage` and `_bob_stage` work on (B, n) arrays; each
 row, with the coefficients drawn as one (B, k) draw, must match what the
 per-block functions `random_codeword`, `decode_to_codeword`, `coset_label`
 and `project_label` give for that block, decode failures included.  The
@@ -16,17 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bb84sim.channel import AttackModel
 from bb84sim.codes import CssPair, LinearCode, builtin_pair
 from bb84sim.errors import NotInCodeError
 from bb84sim.gf2 import row_reduce
-from bb84sim.protocol import (
-    ProtocolConfig,
-    _alice_stage,
-    _labels,
-    run_protocol,
-    stage_correct_and_amplify,
-)
+from bb84sim.protocol import _alice_stage, _bob_stage, _labels
 from oracle import (
     DecodeFailure,
     build_label_matrix,
@@ -108,7 +101,7 @@ def test_receiver_stage_matches_per_block_decode(pair_seed, blocks):
     # errors of every weight, so that non-perfect codes fail to decode
     weights = rng.integers(0, pair.n + 1, size=blocks)
     noisy = values ^ (rng.random((blocks, pair.n)).argsort(axis=1) < weights[:, None])
-    labels, failed = stage_correct_and_amplify(pair, noisy, masked)
+    labels, failed = _bob_stage(pair, noisy, masked)
     assert labels.shape == (blocks, pair.key_width) and failed.shape == (blocks,)
     for w, a, label, flag in zip(noisy, masked, labels, failed):
         try:
@@ -127,7 +120,7 @@ def test_every_word_of_a_non_perfect_pair():
     pair = random_pair(np.random.default_rng(0), 10, 4, 1)
     assert len(pair.outer.syndrome_table()) < 2 ** (pair.n - pair.outer.k)
     words = word_rows(range(1 << pair.n), pair.n)
-    labels, failed = stage_correct_and_amplify(pair, words, np.zeros_like(words))
+    labels, failed = _bob_stage(pair, words, np.zeros_like(words))
     assert failed.any() and not failed.all()
     for w, label, flag in zip(words, labels, failed):
         try:
@@ -148,19 +141,6 @@ def test_labelling_a_non_codeword_raises():
     labels = _labels(steane, words @ steane.check_label_t & 1, np.array([False, True]))
     assert labels.tolist() == [coset_label(steane, words[0]).tolist(),
                                project_label(steane, words[1]).tolist()]
-
-
-@pytest.mark.parametrize("stage", [1, 2])
-@pytest.mark.parametrize("flip", [-1, 7])
-def test_injected_flip_outside_block_raises_index_error(stage, flip):
-    steane = builtin_pair("steane")
-    config = ProtocolConfig(steane, steane, abort_threshold=0.124, rng_seed=3)
-
-    def inject(s, block, n):
-        return [flip] if s == stage else []
-
-    with pytest.raises(IndexError, match=f"injected flip {flip} out of range"):
-        run_protocol(config, AttackModel.none(), error_injection=inject)
 
 
 # what the engine decodes and labels with; the oracle must build its own

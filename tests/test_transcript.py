@@ -24,6 +24,7 @@ from bb84sim.transcript import (
 )
 from oracle import parse_transcript_reference
 from test_protocol import simplex_pair
+from trials import double_error_in_first_block, read_trial, read_trials
 
 
 def small_transcript():
@@ -42,6 +43,12 @@ def run_config(seed=0):
     steane = builtin_pair("steane")
     return ProtocolConfig(stage1_pair=steane, stage2_pair=steane,
                           abort_threshold=0.124, rng_seed=seed)
+
+
+def run_dump(seed=0, attack=AttackModel.none()):
+    """The transcript a steane/steane run of one trial dumps."""
+    [(text, _)] = run_chunk(run_config(), [seed], attack).dumps()
+    return text.decode("ascii")
 
 
 class TestRoundTrip:
@@ -66,48 +73,51 @@ class TestRoundTrip:
 
     def test_real_runs_bit_exact(self):
         for seed in range(5):
-            art = run_chunk(run_config(), [seed], AttackModel.bitflip(0.05)).artifacts(0)
-            text = dump_transcript(art.transcript)
-            assert parse_transcript(text) == art.transcript
+            text = run_dump(seed, AttackModel.bitflip(0.05))
             assert dump_transcript(parse_transcript(text)) == text
 
     def test_aborted_run_has_no_blocks(self):
-        art = run_chunk(run_config(), [3], AttackModel.intercept_resend(1.0)).artifacts(0)
+        art = read_trial(run_chunk(run_config(), [3], AttackModel.intercept_resend(1.0)))
         assert art.outcome.aborted
-        t = parse_transcript(dump_transcript(art.transcript))
+        t = art.transcript
         assert t.stage1_blocks == t.stage2_blocks == StageAnnouncement()
         assert t.stage1_blocks.positions.shape == (0, 0)
 
 
-def bob_text(art):
-    """Bob's record of a trial, written from its objects."""
-    key = art.outcome.bob_final_key
-    return (f"BASES {format_bits(art.bob_bases)}\nBITS {format_bits(art.bob_bits)}\n"
-            f"KEY {'-' if key is None else key}\n")
-
-
-def chunk_dumps_agree(config, attack, sizes, injector=None, seed=100):
+def chunk_dumps_agree(config, attack, sizes, flips=None, seed=100):
     """Run one chunk of each of `sizes` trials on consecutive seeds, check
-    that every trial's chunk dump equals the dump of its objects, and return
-    each trial's objects."""
-    arts = []
+    each trial's dumps and return each trial, read back from them.
+
+    A trial's dumps must equal those of a chunk of that trial alone (with
+    its rows of the flips `flips(config, trials)` makes, if given), be
+    written again unchanged from what `parse_transcript` and `parse_bob`
+    read of them, and give Bob's final key as the trial's outcome does."""
+    trials = []
     for size in sizes:
-        chunk = run_chunk(config, range(seed, seed + size), attack, injector)
+        chunk = run_chunk(config, range(seed, seed + size), attack,
+                          None if flips is None else flips(config, size))
         dumps = list(chunk.dumps())
         assert len(dumps) == size
         for t, (transcript, bob) in enumerate(dumps):
-            art = chunk.artifacts(t)
-            assert transcript == dump_transcript(art.transcript).encode("ascii"), f"seed {seed + t}"
-            assert bob == bob_text(art).encode("ascii"), f"seed {seed + t}"
-            arts.append(art)
+            single = run_chunk(config, [seed + t], attack,
+                               None if flips is None else flips(config, 1))
+            assert [(transcript, bob)] == list(single.dumps()), f"seed {seed + t}"
+            text = transcript.decode("ascii")
+            assert dump_transcript(parse_transcript(text)) == text, f"seed {seed + t}"
+            bases, bits, key = parse_bob(bob.decode("ascii"))
+            assert dump_bob(format_bits(bases).encode(), format_bits(bits).encode(),
+                            key.encode()) == bob, f"seed {seed + t}"
+            final = chunk.outcome(t).bob_final_key
+            assert key == ("-" if final is None else final), f"seed {seed + t}"
+        trials += read_trials(chunk)
         seed += size
-    return arts
+    return trials
 
 
 class TestChunkDump:
     """`TrialChunk.dumps`, which formats a whole chunk from its arrays,
-    writes the bytes of `dump_transcript` and of Bob's record from each
-    trial's objects."""
+    writes for each trial the bytes a chunk of that trial alone writes, in
+    the layouts the parsers read back."""
 
     @pytest.mark.parametrize("attack", [AttackModel.none(), AttackModel.bitflip(0.05),
                                         AttackModel.intercept_resend(0.5)],
@@ -128,12 +138,9 @@ class TestChunkDump:
         # steane's Hamming outer code is perfect, so no block fails to decode
         # there; the simplex outer code's injected double errors do, and
         # those trials stop after stage 1
-        def inject(stage, block, n):
-            return [0, 1] if stage == 1 and block == 0 else []
-
         config = ProtocolConfig(pair, pair, abort_threshold=0.2, strict_decode=True)
         arts = chunk_dumps_agree(config, AttackModel.bitflip(0.06), (1, 8, 12),
-                                 None if pair.inner.k else inject)
+                                 None if pair.inner.k else double_error_in_first_block)
         completed = [not art.outcome.aborted for art in arts]
         assert any(completed)
         stopped = [len(art.transcript.stage1_blocks) and not len(art.transcript.stage2_blocks)
@@ -177,12 +184,10 @@ class TestWhichReader:
         read_by_either_reader(monkeypatch, [path.read_text() for path in paths])
 
     def test_strict_dump_that_stops_after_stage_one(self, monkeypatch):
-        def inject(stage, block, n):
-            return [0, 1] if stage == 1 and block == 0 else []
-
         strict = ProtocolConfig(simplex_pair(), simplex_pair(), abort_threshold=0.3,
                                 strict_decode=True)
-        [(text, _)] = run_chunk(strict, [2], AttackModel.none(), inject).dumps()
+        flips = double_error_in_first_block(strict)
+        [(text, _)] = run_chunk(strict, [2], AttackModel.none(), flips).dumps()
         text = text.decode("ascii")
         assert "\nBLK1 " in text and "BLK2" not in text
         read_by_either_reader(monkeypatch, [text])
@@ -226,8 +231,7 @@ class TestBobRecord:
 
 class TestArrays:
     def test_every_array_is_read_only(self):
-        # parsed transcripts, and a run's own, whose arrays are views of its chunk's
-        for t in real_transcripts() + [run_chunk(run_config(), [0]).artifacts(0).transcript]:
+        for t in real_transcripts():
             for array in (t.kept_positions, t.check_positions, t.stage1_blocks.positions,
                           t.stage2_blocks.positions):
                 assert array.dtype == np.int64
@@ -305,7 +309,7 @@ class TestParseErrors:
             parse_transcript("\n".join(lines) + "\n")
 
     def test_stage_blocks_of_unequal_length(self):
-        text = dump_transcript(run_chunk(run_config(), [0]).artifacts(0).transcript)
+        text = run_dump()
         lines = text.splitlines()
         head, masked = lines[7].rsplit(" masked=", 1)
         lines[7] = head.rsplit(",", 1)[0] + " masked=" + masked[:-1]
@@ -321,7 +325,7 @@ class TestParseErrors:
     def test_masked_bit_moved_to_another_block(self):
         # the stage's masked bits stay as many as its positions, but block 1
         # has one bit more than its positions, and block 2 one less
-        lines = dump_transcript(run_chunk(run_config(), [0]).artifacts(0).transcript).splitlines()
+        lines = run_dump().splitlines()
         assert lines[6].startswith("BLK1 id=1 ") and lines[7].startswith("BLK1 id=2 ")
         lines[6] += lines[7][-1]
         lines[7] = lines[7][:-1]
@@ -330,7 +334,7 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("key", ["pos", "masked"])
     def test_block_value_without_its_key(self, key):
-        text = dump_transcript(run_chunk(run_config(), [0]).artifacts(0).transcript)
+        text = run_dump()
         head, line, tail = text.partition("\nBLK1 id=1 ")
         line = line + tail.replace(f"{key}=", "", 1)
         with pytest.raises(TranscriptError, match="line 7: malformed field"):
@@ -349,7 +353,7 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("how", ["underscore", "plus", "id"])
     def test_numbers_are_decimal_digits_only(self, how):
-        text = dump_transcript(run_chunk(run_config(), [0]).artifacts(0).transcript)
+        text = run_dump()
         assert parse_transcript(text)
         with pytest.raises(TranscriptError, match="line (2: bad position list|7: bad block id)"):
             parse_transcript(respelled(text, how))
@@ -393,7 +397,7 @@ class TestCorruptionSensitivity:
         # one flipped masked-word bit looks like one extra channel error, and
         # a distance-3 stage absorbs it: the replayed key still matches
         cfg = run_config(17)
-        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
+        art = read_trial(run_chunk(cfg, [cfg.rng_seed]))
         text = dump_transcript(art.transcript)
         corrupted = parse_transcript(_flip_masked_bits(text, "BLK2", 1))
         result = replay_bob(corrupted, art.bob_bases, art.bob_bits, cfg)
@@ -404,7 +408,7 @@ class TestCorruptionSensitivity:
         # two flips exceed the correction radius: replay completes without
         # crashing and the key disagrees with the recorded one
         cfg = run_config(17)
-        art = run_chunk(cfg, [cfg.rng_seed]).artifacts(0)
+        art = read_trial(run_chunk(cfg, [cfg.rng_seed]))
         text = dump_transcript(art.transcript)
         corrupted = parse_transcript(_flip_masked_bits(text, "BLK2", 2))
         result = replay_bob(corrupted, art.bob_bases, art.bob_bits, cfg)
@@ -436,21 +440,17 @@ def real_dumps():
     after a stage-1 block fails to decode, so has no BLK2 lines, then for
     each stack one that aborts at the check and two that finish (golay/golay's
     last)."""
-    def inject(stage, block, n):
-        return [0, 1] if stage == 1 and block == 0 else []
-
     strict = ProtocolConfig(simplex_pair(), simplex_pair(), abort_threshold=0.3, strict_decode=True)
-    failed = run_chunk(strict, [2], AttackModel.none(), inject).artifacts(0)
-    assert failed.outcome.abort_reason == "decode_failure"
-    dumps = [dump_transcript(failed.transcript)]
-    assert "\nBLK1 " in dumps[0] and "BLK2" not in dumps[0]
+    failed = run_chunk(strict, [2], AttackModel.none(), double_error_in_first_block(strict))
+    assert failed.outcome(0).abort_reason == "decode_failure"
+    chunks = [failed]
     for stage1, stage2 in STACKS:
         config = ProtocolConfig(builtin_pair(stage1), builtin_pair(stage2), abort_threshold=0.124)
-        aborted = run_chunk(config, [0], AttackModel.intercept_resend(1.0)).artifacts(0)
-        assert aborted.outcome.abort_reason == "security"
-        chunk = run_chunk(config, range(2), AttackModel.bitflip(0.03))
-        dumps += [dump_transcript(art.transcript) for art in
-                  (aborted, chunk.artifacts(0), chunk.artifacts(1))]
+        aborted = run_chunk(config, [0], AttackModel.intercept_resend(1.0))
+        assert aborted.outcome(0).abort_reason == "security"
+        chunks += [aborted, run_chunk(config, range(2), AttackModel.bitflip(0.03))]
+    dumps = [text.decode("ascii") for chunk in chunks for text, _ in chunk.dumps()]
+    assert "\nBLK1 " in dumps[0] and "BLK2" not in dumps[0]
     return tuple(dumps)
 
 
