@@ -46,13 +46,19 @@ is one ``random_raw`` call on a bare PCG64; channel.py states how its words
 map to ``Generator.random`` uniforms and int8/uint8 bits, and how a
 leftover half-word carries into the next attempt.  Sifting draws
 ``choice(matched.size, ...)`` and takes the matched positions at the sorted
-indices, which equals sorting ``choice(matched, ...)``; the indices are
-sorted by scattering them into a mask over the matched positions, whose
-compression lists the chosen ones in ascending order.
+indices, which equals sorting ``choice(matched, ...)``; the indices of all
+the chunk's trials are sorted by one scatter into a mask over the matched
+positions, whose compression lists the chosen ones in ascending order.  A
+stage's draws are two cheaper calls that consume the stream as the defining
+ones do (see `_draw_stages`): the permutation shuffles a copy of its input in
+place, which is all ``permutation`` does, and the coefficients are the top
+bits of float32 uniforms, which read the same top bit of the same 32-bit
+words as ``integers(0, 2)``.
 
 Only the generators' set-up and calls run per trial (per attempt, two word
-draws and, on success, the two choices); the seed hash, the bits, the
-tampering and the sifting's indexing are passes over the chunk.  Everything
+draws and, on success, the two choices; per stage, a shuffle and a uniform
+draw); the seed hash, the bits, the tampering, the sifting's indexing and
+the coefficients' comparison are passes over the chunk.  Everything
 after the draws runs once per chunk over (trials x n) arrays as well:
 measurement (xor and and passes, see channel.py), the check comparison and
 the abort decision (`_check_and_abort`, which replay calls too), and the
@@ -197,12 +203,14 @@ def _select(matched: np.ndarray, counts: np.ndarray, config: ProtocolConfig, par
     """Sifting, one trial per row of the (T, n) bool mask of basis-matched
     positions, given its (T,) row counts, each at least `kept_target`.
 
-    Each trial's party generator makes two `choice` draws: the indices of
-    Alice's kept positions among its matched ones, and those of her check
-    positions among the kept ones.  Each is scattered into a mask, over the
-    chunk's matched positions and over its kept ones, whose compression
-    gives the chosen positions in ascending order: sorted indices with no
-    sort.
+    Each trial's party generator makes two `choice` draws, in this order:
+    the indices of Alice's kept positions among its matched ones, and those
+    of her check positions among the kept ones.  The chunk's draws of each
+    kind are then scattered at once into a mask, over the chunk's matched
+    positions or over its kept ones, whose compression gives the chosen
+    positions in ascending order: sorted indices with no sort.  The
+    scatters follow all the draws, and neither reads a generator, so one
+    fancy assignment per mask for the chunk sets what two per trial did.
 
     Returns:
         (kept, check, code): (T, kept_target) int64 kept positions and
@@ -218,15 +226,17 @@ def _select(matched: np.ndarray, counts: np.ndarray, config: ProtocolConfig, par
     if not config.random_assignment:
         kept = flat[starts[:, None] + np.arange(target)] - offsets
         return kept, kept[:, :count], kept[:, count:]
-    # the chosen indices scattered into masks, over `flat` and over the kept
-    # positions, which compress to ascending positions with no sort
+    # every trial's two choices in draw order, then one scatter per mask
+    # for the chunk, over `flat` and over the kept positions
+    picks, checks = [], []
+    for party, matches in zip(parties, counts.tolist()):
+        picks.append(party.choice(matches, size=target, replace=False))
+        checks.append(party.choice(target, size=count, replace=False))
     chosen = np.zeros(flat.size, dtype=bool)
-    is_check = np.zeros((len(parties), target), dtype=bool)
-    for t, (party, start, matches) in enumerate(zip(parties, starts.tolist(), counts.tolist())):
-        chosen[start + party.choice(matches, size=target, replace=False)] = True
-        is_check[t, party.choice(target, size=count, replace=False)] = True
+    chosen[np.array(picks) + starts[:, None]] = True
+    is_check = np.zeros(len(parties) * target, dtype=bool)
+    is_check[np.array(checks) + np.arange(0, is_check.size, target)[:, None]] = True
     kept = flat[chosen].reshape(-1, target) - offsets
-    is_check = is_check.ravel()
     return (kept, kept.take(is_check.nonzero()[0]).reshape(-1, count),
             kept.take((~is_check).nonzero()[0]).reshape(-1, count))
 
@@ -640,22 +650,31 @@ def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
     quarter = -(-n // 4)
     uniforms, channel_rows = channel_draws(attack, n)
     halves, rows = channel_rows * quarter, 3 + channel_rows
+    # an even party word count is drawn as raw words, halved once for the
+    # chunk below (see `_party_words`)
+    count = 3 * quarter
+    odd = count % 2
     parties, channels, party_words, channel_words = [], [], [], []
     for party_state, channel_state in _stream_states(seeds):
-        party = np.random.Generator(np.random.PCG64(_SeedState(party_state)))
+        party_pcg = np.random.PCG64(_SeedState(party_state))
+        party = np.random.Generator(party_pcg)
         channel = np.random.PCG64(_SeedState(channel_state))
         # steps 1-2: prepare; step 3: transmit under attack; step 4: Bob
         # measures in random bases; step 5: only then is b announced (Bob's
         # bases are drawn before the channel acts, so ordering holds by
         # construction)
-        party_words.append(_party_words(party, 3 * quarter))
+        party_words.append(party.integers(0, 2**32, size=count, dtype=np.uint32) if odd
+                           else party_pcg.random_raw(count // 2))
         channel_words.append(channel.random_raw(uniforms + -(-halves // 2)))
         parties.append(party)
         channels.append(channel)
+    party_words = np.array(party_words)
+    if not odd:
+        party_words = _halves(party_words, 0)
     raw = np.array(channel_words)
     split = _halves(raw, uniforms)
     # bit rows: preparation bits, bases, Bob's bases, then the channel's
-    bits = _bit_rows(np.concatenate((np.array(party_words), split[:, :halves]), axis=1), rows, n)
+    bits = _bit_rows(np.concatenate((party_words, split[:, :halves]), axis=1), rows, n)
     matched = bits[:, 1] == bits[:, 2]
     # an int32 count, as in `_check_and_abort`
     counts = matched.sum(axis=1, dtype=np.int32)
@@ -666,7 +685,7 @@ def _draw_quantum(config: ProtocolConfig, attack: AttackModel, seeds: list):
             restarts[t] += 1
             if restarts[t] > config.max_restarts:
                 raise InsufficientSiftAbort(f"{counts[t]} basis-matched positions, need {target}")
-            words = _party_words(parties[t], 3 * quarter)
+            words = _party_words(parties[t], count)
             more = channels[t].random_raw(uniforms + (halves - carry.size + 1) // 2)
             raw[t, :uniforms] = more[:uniforms]
             more = np.concatenate((carry, _halves(more, uniforms)))
@@ -688,30 +707,45 @@ def _draw_stages(config: ProtocolConfig, parties: list, code: np.ndarray):
     """Alice's stage draws, one trial per row, from each trial's party
     generator in protocol order: per stage, the permutation of its input
     (her code positions, one row per trial in `code`, for stage 1, the
-    previous stage's key bit indices after it), then its coefficients.  A
-    stage's coefficients are one int64 draw of B blocks by k, which consumes
-    the stream as B per-block draws do.
+    previous stage's key bit indices after it), then its coefficients.
+    Without random assignment the orders are the inputs as they are.
+
+    Each draw is the ``Generator`` call that defines it at less cost per
+    call.  A stage's order array is filled with its input once, and each
+    trial's row is shuffled in place: ``permutation(x)`` copies x, or makes
+    ``arange(x)`` of an int, and shuffles that copy with the same
+    Fisher-Yates draws.  A stage's coefficients are the top bits of B*k
+    float32 uniforms, each trial's drawn into its row of one preallocated
+    array and compared with 0.5 once per stage: a float32 uniform is
+    ``(next_uint32 >> 8) * 2**-24``, and ``integers(0, 2, size=(B, k))``
+    (int64, which consumes the stream as B per-block draws do) takes
+    ``(next_uint32 * 2) >> 32`` with no rejection at range 2, so both read
+    the top bit of one 32-bit word, from the same words and PCG64 buffered
+    half-word.  One call of ``random`` costs about a fifth of one of
+    ``integers``, which pays mostly per call, not per bit.
 
     Returns:
-        one (order, coeffs) pair per stage: the (M, B*n) input positions in
-        assigned order and the (M, B, k) 0/1 coefficients as float32, the
-        form `gf2.matmul` multiplies in.
+        one (order, coeffs) pair per stage: the (M, B*n) int64 input
+        positions in assigned order and the (M, B, k) 0/1 coefficients as
+        float32, the form `gf2.matmul` multiplies in.
     """
-    stages = list(zip(config.pairs, config.block_counts))
-    orders = [[] for _ in stages]
-    coeffs = [[] for _ in stages]
-    for positions, party in zip(code, parties):
-        inputs = positions
-        for s, (pair, blocks) in enumerate(stages):
+    m = len(parties)
+    orders, coeffs, inputs = [], [], code
+    for pair, blocks in zip(config.pairs, config.block_counts):
+        orders.append(np.empty((m, blocks * pair.n), np.int64))
+        orders[-1][:] = inputs
+        coeffs.append(np.empty((m, blocks, pair.outer.k), np.float32))
+        # the next stage permutes this stage's key bits, by index
+        inputs = np.arange(blocks * pair.key_width)
+    for t, party in enumerate(parties):
+        for order, uniforms in zip(orders, coeffs):
             if config.random_assignment:
-                orders[s].append(party.permutation(inputs))
-            coeffs[s].append(party.integers(0, 2, size=(blocks, pair.outer.k)))
-            # the next stage permutes this stage's key bits, by index
-            inputs = blocks * pair.key_width
-    if not config.random_assignment:
-        sizes = [blocks * pair.key_width for pair, blocks in stages[:-1]]
-        orders = [code] + [np.broadcast_to(np.arange(k), (len(parties), k)) for k in sizes]
-    return [(np.asarray(order), np.array(c, dtype=np.float32)) for order, c in zip(orders, coeffs)]
+                party.shuffle(order[t])
+            party.random(out=uniforms[t], dtype=np.float32)
+    for uniforms in coeffs:
+        # a float32 bound: a Python float one costs the call about half as much again
+        np.greater_equal(uniforms, np.float32(0.5), out=uniforms)
+    return list(zip(orders, coeffs))
 
 
 def run_chunk(config: ProtocolConfig, seeds: Iterable[int],

@@ -1,5 +1,5 @@
 """Scalar reference for decoding, coset labels and codeword draws, one block
-at a time, and the Generator calls that define a trial's quantum-phase draws.
+at a time, and the Generator calls that define a trial's draws.
 
 The protocol decodes and labels (blocks x n) arrays against the dense
 matrices and the syndrome table each code and pair caches.  This module does
@@ -23,6 +23,10 @@ channel streams: three uint8 `integers` party draws, the channel's
 two `choice` draws of sifting.  The protocol derives the same values from
 one word draw per generator per attempt; `test_draws.py` checks that every
 value, and the state each party generator is left in, agree.
+`draw_stages_reference` goes on with each trial's stage draws as the calls
+that define them, `permutation` of a stage's input and `integers(0, 2)`
+coefficients, where the protocol shuffles preallocated rows in place and
+takes the top bits of float32 uniforms.
 
 `parse_transcript_reference` is the transcript parser as it was when a
 transcript held its positions as tuples of ints and its blocks as one
@@ -326,6 +330,28 @@ def draw_quantum_reference(config, attack, seed: int):
     draws = dict(bits=bits, b=b, bob_bases=bob_bases, flip=flip, eve=eve, coins=coins,
                  kept=kept, check=check, code=code, matched=matched.size, restarts=restarts)
     return draws, party
+
+
+def draw_stages_reference(config, parties, code):
+    """Alice's stage draws, trial by trial and stage by stage, from each
+    trial's party generator: ``permutation`` of the stage's input (the code
+    positions, one row per trial in `code`, then the previous stage's key bit
+    indices; the input as it is without random assignment), then
+    ``integers(0, 2, size=(blocks, k))`` coefficients.
+
+    Returns:
+        one (orders, coeffs) pair per stage: the (M, blocks*n) positions in
+        assigned order and the (M, blocks, k) int64 0/1 coefficients.
+    """
+    stages = [([], []) for _ in config.pairs]
+    for positions, party in zip(code, parties):
+        inputs = positions
+        for (orders, coeffs), pair, blocks in zip(stages, config.pairs, config.block_counts):
+            orders.append(party.permutation(inputs) if config.random_assignment
+                          else np.arange(inputs) if isinstance(inputs, int) else inputs)
+            coeffs.append(party.integers(0, 2, size=(blocks, pair.outer.k)))
+            inputs = blocks * pair.key_width
+    return [(np.array(orders), np.array(coeffs)) for orders, coeffs in stages]
 
 
 class ReferenceBlock(NamedTuple):

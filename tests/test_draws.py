@@ -17,6 +17,21 @@ steane/steane at two deltas:
   restarting twice or more also draws an attempt with no half left over.
 - delta=0.1, the default: n=215, 54 words to a row, so the party's 162
   words are 81 raw words with no half to buffer.
+
+`protocol._draw_stages` goes on drawing from each party generator after
+sifting: per stage it shuffles each trial's row of a preallocated order
+array in place and draws float32 uniforms whose top bits are the
+coefficients.  `oracle.draw_stages_reference` makes the calls that define
+those draws, ``permutation`` of the stage's input and
+``integers(0, 2, size=(blocks, k))``, on the reference's party generators.
+The two are compared value for value, and in the state each party
+generator is left in, for steane/steane, golay/golay, steane/golay and the
+simplex pair as both stages (key width 3, so stage 2 permutes 21 key bits),
+with and without random assignment, in chunks of 1 and 37, at both deltas.
+Sifting's ``choice`` draws leave PCG64 holding a buffered half-word after
+some trials and not after others, so both starts are taken; a fault in
+either identity the stage draws rest on (a float32 uniform is
+``next_uint32 >> 8``, ``permutation`` is a copy and ``shuffle``) fails it.
 """
 
 import functools
@@ -26,8 +41,9 @@ import pytest
 
 from bb84sim.channel import AttackModel
 from bb84sim.codes import builtin_pair
-from bb84sim.protocol import ProtocolConfig, _draw_quantum, _stream_states
-from oracle import draw_quantum_reference
+from bb84sim.protocol import ProtocolConfig, _draw_quantum, _draw_stages, _stream_states
+from oracle import draw_quantum_reference, draw_stages_reference
+from test_engine_equivalence import simplex_pair
 
 CONFIGS = {
     delta: ProtocolConfig(builtin_pair("steane"), builtin_pair("steane"), abort_threshold=0.124,
@@ -111,6 +127,70 @@ def test_chunk_draws_equal_generator_calls(kind, chunk):
 @pytest.mark.parametrize("kind", KINDS)
 def test_even_word_draws_equal_generator_calls(kind, chunk):
     check_chunk_draws(0.1, kind, chunk)
+
+
+STAGE_PAIRS = {
+    "steane": ("steane", "steane"),
+    "golay": ("golay", "golay"),
+    "steane-golay": ("steane", "golay"),
+    "simplex": ("simplex", "simplex"),
+}
+STAGE_SEEDS = 74
+
+
+@functools.cache
+def stage_config(pairs, delta, random_assignment):
+    stage1, stage2 = (simplex_pair() if name == "simplex" else builtin_pair(name)
+                      for name in STAGE_PAIRS[pairs])
+    return ProtocolConfig(stage1, stage2, abort_threshold=0.124, delta=delta,
+                          random_assignment=random_assignment)
+
+
+@functools.cache
+def stage_reference(pairs, delta, random_assignment):
+    """Per seed: each stage's reference order and coefficients, and the
+    party generator's next draws."""
+    config = stage_config(pairs, delta, random_assignment)
+    trials = []
+    for seed in range(STAGE_SEEDS):
+        draws, party = draw_quantum_reference(config, AttackModel.none(), seed)
+        stages = draw_stages_reference(config, [party], draws["code"][None])
+        trials.append(([(order[0], coeffs[0]) for order, coeffs in stages], next_draws(party)))
+    return trials
+
+
+def test_stage_settings_reach_both_starts():
+    """Some trials start their stage draws on a buffered half-word and some
+    do not, and the simplex pair's stage 2 permutes its 21 key bits."""
+    config = stage_config("simplex", 0.1, True)
+    assert config.block_counts == (7, 3) and config.pairs[0].key_width == 3
+    for delta in (0.04, 0.1):
+        starts = set()
+        for seed in range(STAGE_SEEDS):
+            _, party = draw_quantum_reference(stage_config("steane", delta, True),
+                                              AttackModel.none(), seed)
+            starts.add(party.bit_generator.state["has_uint32"])
+        assert starts == {0, 1}, delta
+
+
+@pytest.mark.parametrize("delta", [0.04, 0.1])
+@pytest.mark.parametrize("chunk", [1, 37])
+@pytest.mark.parametrize("random_assignment", [True, False])
+@pytest.mark.parametrize("pairs", list(STAGE_PAIRS))
+def test_stage_draws_equal_generator_calls(pairs, random_assignment, chunk, delta):
+    config = stage_config(pairs, delta, random_assignment)
+    expected = stage_reference(pairs, delta, random_assignment)
+    for start in range(0, STAGE_SEEDS, chunk):
+        seeds = list(range(start, min(start + chunk, STAGE_SEEDS)))
+        draws, parties = _draw_quantum(config, AttackModel.none(), seeds)
+        got = _draw_stages(config, parties, draws["code"])
+        for i, seed in enumerate(seeds):
+            want, want_next = expected[seed]
+            for s, ((order, coeffs), (want_order, want_coeffs)) in enumerate(zip(got, want)):
+                assert order.dtype == np.int64 and coeffs.dtype == np.float32, (seed, s)
+                assert np.array_equal(order[i], want_order), (seed, s)
+                assert np.array_equal(coeffs[i], want_coeffs), (seed, s)
+            assert next_draws(parties[i]) == want_next, seed
 
 
 def seed_sequence_states(seed):

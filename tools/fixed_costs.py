@@ -1,4 +1,5 @@
-"""Print the fixed costs around the draws of `bb84sim run`, per built-in pair:
+"""Print the fixed costs around the draws of `bb84sim run`, and the draws'
+floor, per built-in pair:
 
     PYTHONPATH=src python tools/fixed_costs.py
 
@@ -11,7 +12,12 @@ golay-bitflip and steane-bitflip settings), it prints:
   full chunk (as many trials as `bb84sim run` puts in one), the median over
   200 interleaved pairs of the two, every chunk on fresh seeds;
 - csv row: the cost of one trials.csv row in us, `cli._trial_rows` of a full
-  chunk written by `csv.writer`, median of 200 writes.
+  chunk written by `csv.writer`, median of 200 writes;
+- quantum us, stages us: the draw floor per trial in us, a full chunk's
+  `protocol._draw_quantum` (every generator set-up and quantum-phase draw,
+  sifting's choices and indexing included) and `protocol._draw_stages`
+  (every trial's permutations and coefficients, as if all passed the check)
+  divided by its trials, median of 200 chunks on fresh seeds.
 
 Times are CPU seconds of this process (`time.process_time`), so compare
 runs made on one machine, interleaved, rather than across machines.
@@ -25,7 +31,7 @@ import time
 from bb84sim import cli
 from bb84sim.channel import AttackModel
 from bb84sim.codes import BUILTIN_PAIR_NAMES, SyndromeTable, builtin_pair
-from bb84sim.protocol import ProtocolConfig, run_chunk
+from bb84sim.protocol import ProtocolConfig, _draw_quantum, _draw_stages, run_chunk
 
 ATTACK = AttackModel.bitflip(0.03)
 REPEATS = 200
@@ -68,9 +74,24 @@ def csv_row_us(config: ProtocolConfig, size: int) -> float:
     return median_ms(write) * 1e3 / size
 
 
+def draw_us(config: ProtocolConfig, size: int) -> tuple[float, float]:
+    """The quantum-phase and stage draws per trial of a chunk of `size`, in
+    us: medians over REPEATS chunks on fresh seeds."""
+    quantum, stages = [], []
+    for r in range(REPEATS):
+        seeds = range(r * size, (r + 1) * size)
+        start = time.process_time()
+        draws, parties = _draw_quantum(config, ATTACK, seeds)
+        middle = time.process_time()
+        _draw_stages(config, parties, draws["code"])
+        quantum.append(middle - start)
+        stages.append(time.process_time() - middle)
+    return statistics.median(quantum) * 1e6 / size, statistics.median(stages) * 1e6 / size
+
+
 def main() -> None:
     print(f"{'pair':8} {'pair ms':>8} {'table ms':>9} {'trials':>6} {'chunk fixed ms':>15} "
-          f"{'csv row us':>11}")
+          f"{'csv row us':>11} {'quantum us':>11} {'stages us':>10}")
     for name in BUILTIN_PAIR_NAMES:
         pair = builtin_pair(name)
         config = ProtocolConfig(pair, pair, abort_threshold=0.124)
@@ -79,9 +100,11 @@ def main() -> None:
         # the first chunk builds the syndrome table and caches the pair's
         # arrays, which every later chunk of a run reuses
         run_chunk(config, range(size), ATTACK)
+        quantum, stages = draw_us(config, size)
         print(f"{name:8} {median_ms(builtin_pair, name):8.3f} "
               f"{median_ms(SyndromeTable.build, pair.outer):9.3f} {size:6d} "
-              f"{chunk_fixed_ms(config, size):15.4f} {csv_row_us(config, size):11.3f}")
+              f"{chunk_fixed_ms(config, size):15.4f} {csv_row_us(config, size):11.3f} "
+              f"{quantum:11.2f} {stages:10.2f}")
 
 
 if __name__ == "__main__":
